@@ -14,31 +14,20 @@ import sys
 from pathlib import Path
 
 from . import pipeline
-from .corpus import (
-    FilterConfig,
-    apply_filters,
-    default_blacklist,
-    ingest_records,
-    write_records,
-)
-from .coreset import kcenter_greedy, read_selection, stratified_kcenter_greedy, write_selection
+from .corpus import FilterConfig, default_blacklist, ingest_records, write_records
+from .coreset import METRICS, read_selection
 from .decontam import (
     audit,
     read_benchmark_file,
     write_histogram_csv,
     write_leakage_report,
 )
-from .embedding import (
-    EmbeddingBackendConfig,
-    embed_batch,
-    read_embedding_cache,
-    write_embedding_cache,
-)
-from .emitter import read_dataset, to_training_example, write_dataset
+from .embedding import EmbeddingBackendConfig, read_embedding_cache
+from .emitter import read_dataset
 from .errors import ConfigError, InstructSmithError
 from .exemplar_db import ExemplarDB
-from .ioutil import atomic_write_json, read_json
-from .taskspec import assign_tasks, default_mix, mix_counts
+from .ioutil import read_json
+from .taskspec import default_mix, mix_counts
 
 log = logging.getLogger(__name__)
 
@@ -79,11 +68,8 @@ def cmd_filter(args) -> int:
             filter_config = FilterConfig(**kwargs)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    records = ingest_records(args.input)
-    kept, report = apply_filters(records, filter_config)
-    write_records(kept, args.output)
-    if args.report:
-        atomic_write_json(args.report, report.to_dict())
+    _, report = pipeline.filter_corpus(args.input, filter_config, args.output,
+                                       args.report)
     _print(report.to_dict())
     return 0
 
@@ -93,29 +79,26 @@ def cmd_embed(args) -> int:
     records = ingest_records(args.input)
     if not records:
         raise ConfigError(f"{args.input}: no records to embed")
-    vectors = embed_batch([r.code for r in records], backend)
-    Path(args.output).unlink(missing_ok=True)
-    count = write_embedding_cache(args.output, [r.id for r in records], vectors)
-    _print({"embedded": count, "dim": vectors[0].dim, "model": backend.model_name,
-            "output": str(args.output)})
+    vectors = pipeline.embed_records(records, backend, args.output)
+    _print({"embedded": len(vectors), "dim": vectors[0].dim,
+            "model": backend.model_name, "output": str(args.output)})
     return 0
 
 
 def cmd_select(args) -> int:
+    coreset = pipeline.CoresetConfig(k=args.k, seed=args.seed, metric=args.metric,
+                                     stratify_by_language=args.stratify_by_language)
+    if coreset.stratify_by_language and not args.records:
+        raise ConfigError("--stratify-by-language needs --records")
     ids, vectors = read_embedding_cache(args.embeddings)
     if not ids:
         raise ConfigError(f"{args.embeddings}: empty embedding cache")
-    if args.stratify_by_language:
-        if not args.records:
-            raise ConfigError("--stratify-by-language needs --records")
+    languages = None
+    if coreset.stratify_by_language:
         language_of = {r.id: r.language for r in ingest_records(args.records)}
-        labels = [language_of.get(rid, "") for rid in ids]
-        selection = stratified_kcenter_greedy(vectors, labels, args.k,
-                                              seed=args.seed, metric=args.metric)
-    else:
-        selection = kcenter_greedy(vectors, args.k, seed=args.seed,
-                                   metric=args.metric)
-    write_selection(args.output, selection, ids)
+        languages = [language_of.get(rid, "") for rid in ids]
+    selection = pipeline.select_coreset(vectors, ids, languages, coreset,
+                                        args.output)
     _print({"selected": len(selection.selected_indices),
             "final_radius": selection.radius_trace[-1],
             "output": str(args.output)})
@@ -126,12 +109,9 @@ def cmd_assign(args) -> int:
     config = _load_config(args)
     mix = config.mix if config else default_mix()
     selection = read_selection(args.selection)
-    assignment = assign_tasks(selection.selected_ids, mix, seed=args.seed)
-    counts = mix_counts(assignment)
-    atomic_write_json(args.output, {"seed": args.seed,
-                                    "assignment": assignment,
-                                    "counts": counts})
-    _print({"assigned": len(assignment), "counts": counts,
+    assignment = pipeline.assign_selected(selection.selected_ids, mix,
+                                          args.seed, args.output)
+    _print({"assigned": len(assignment), "counts": mix_counts(assignment),
             "output": str(args.output)})
     return 0
 
@@ -151,13 +131,13 @@ def cmd_generate(args) -> int:
 
 
 def cmd_emit(args) -> int:
-    db = ExemplarDB.load(args.exemplars)
-    goods = [e for e in db.entries() if e.label == "Good"]
+    path = Path(args.exemplars)
+    if not path.is_file():
+        # loading would create the log as an empty file
+        raise FileNotFoundError(f"{path}: no such exemplar log")
+    db = ExemplarDB.load(path)
+    summary = pipeline.emit_dataset(db.entries(), args.target, args.output)
     db.close()
-    if args.target is not None:
-        goods = goods[:args.target]
-    examples = [to_training_example(e.instance) for e in goods]
-    summary = write_dataset(examples, args.output)
     _print(summary)
     return 0
 
@@ -260,8 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--metric", default="euclidean",
-                   choices=["euclidean", "cosine"])
+    p.add_argument("--metric", default="euclidean", choices=METRICS)
     p.add_argument("--stratify-by-language", action="store_true")
     p.add_argument("--records", help="corpus file with languages (stratified)")
     p.set_defaults(func=cmd_select)

@@ -254,7 +254,14 @@ def apply_plan(plan: DecontamPlan, train: Sequence[tuple[str, object]]) -> list:
 
 
 def read_benchmark_file(path: str | Path) -> list[BenchmarkItem]:
-    items = [BenchmarkItem.from_dict(obj) for _, obj in iter_jsonl(path)]
+    items = []
+    for lineno, obj in iter_jsonl(path):
+        try:
+            items.append(BenchmarkItem.from_dict(obj))
+        except KeyError as exc:
+            raise ConfigError(f"{path}:{lineno}: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}:{lineno}: bad benchmark item: {exc}") from exc
     if not items:
         raise ConfigError(f"{path}: benchmark file is empty")
     return items

@@ -8,8 +8,6 @@ float32; similarity and distance math is done in float64.
 from __future__ import annotations
 
 import hashlib
-import logging
-import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -17,20 +15,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-import requests
 
-from .errors import (
-    BackendError,
-    BackendTimeoutError,
-    ConsistencyError,
-    ProtocolError,
-    RateLimitedError,
-    ServerBackendError,
-)
+from .errors import BackendError, ConsistencyError, ProtocolError
 from .ioutil import JsonlAppender, iter_jsonl
-from .llm_backend import RetryPolicy
-
-log = logging.getLogger(__name__)
+from .llm_backend import RetryPolicy, post_json, with_retry
 
 DEFAULT_MOCK_DIM = 64
 
@@ -137,34 +125,13 @@ class HttpEmbeddingBackend:
         self.config = config
         self.model_name = config.model_name
 
-    def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
-        if self.config.api_key_env:
-            key = os.environ.get(self.config.api_key_env, "")
-            if not key:
-                raise BackendError(
-                    f"credential env var {self.config.api_key_env} is not set")
-            headers["Authorization"] = f"Bearer {key}"
-        return headers
-
     def embed_chunk(self, texts: Sequence[str]) -> list[np.ndarray]:
         body = {"model": self.config.model_name, "input": list(texts)}
+        obj = post_json(self.config.endpoint, body,
+                        api_key_env=self.config.api_key_env,
+                        timeout=self.config.timeout)
         try:
-            resp = requests.post(self.config.endpoint, headers=self._headers(),
-                                 json=body, timeout=self.config.timeout)
-        except requests.Timeout as exc:
-            raise BackendTimeoutError(f"embedding request timed out: {exc}") from exc
-        except requests.RequestException as exc:
-            raise ServerBackendError(f"embedding request failed: {exc}") from exc
-        if resp.status_code == 429:
-            raise RateLimitedError(f"rate limited by {self.config.endpoint}")
-        if resp.status_code >= 500:
-            raise ServerBackendError(f"server error {resp.status_code}")
-        if resp.status_code != 200:
-            raise BackendError(f"unexpected status {resp.status_code}: {resp.text[:200]}")
-        try:
-            data = resp.json()["data"]
-            ordered = sorted(data, key=lambda item: int(item["index"]))
+            ordered = sorted(obj["data"], key=lambda item: int(item["index"]))
             vectors = [np.asarray(item["embedding"], dtype=np.float32) for item in ordered]
         except (ValueError, KeyError, TypeError) as exc:
             raise ProtocolError(f"malformed embedding response: {exc}") from exc
@@ -181,24 +148,6 @@ def make_embedding_backend(config: EmbeddingBackendConfig) -> EmbeddingBackend:
     if config.kind == "mock":
         return MockEmbeddingBackend.from_config(config)
     return HttpEmbeddingBackend(config)
-
-
-def _embed_chunk_with_retry(backend: EmbeddingBackend, chunk: list[str],
-                            chunk_index: int, policy: RetryPolicy,
-                            sleep: Callable[[float], None]) -> list[np.ndarray]:
-    for attempt in range(1, policy.max_attempts + 1):
-        try:
-            return backend.embed_chunk(chunk)
-        except BackendError as exc:
-            if exc.error_class not in policy.retry_on or attempt == policy.max_attempts:
-                exc.chunk_index = chunk_index
-                raise
-            delay = policy.delay_for_attempt(attempt)
-            log.debug("embedding chunk %d attempt %d failed (%s); retrying in %.2fs",
-                      chunk_index, attempt, exc.error_class, delay)
-            if delay > 0:
-                sleep(delay)
-    raise BackendError("retry loop fell through")  # pragma: no cover
 
 
 def embed_batch(texts: Sequence[str], config: EmbeddingBackendConfig,
@@ -219,15 +168,20 @@ def embed_batch(texts: Sequence[str], config: EmbeddingBackendConfig,
         backend = make_embedding_backend(config)
     chunks = [list(texts[i:i + config.batch_size])
               for i in range(0, len(texts), config.batch_size)]
+
+    def embed_chunk(chunk_index: int) -> list[np.ndarray]:
+        try:
+            return with_retry(lambda: backend.embed_chunk(chunks[chunk_index]),
+                              config.retry, sleep)
+        except BackendError as exc:
+            exc.chunk_index = chunk_index
+            raise
+
     if config.max_in_flight > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
-            futures = [pool.submit(_embed_chunk_with_retry, backend, chunk, ci,
-                                   config.retry, sleep)
-                       for ci, chunk in enumerate(chunks)]
-            per_chunk = [f.result() for f in futures]
+            per_chunk = list(pool.map(embed_chunk, range(len(chunks))))
     else:
-        per_chunk = [_embed_chunk_with_retry(backend, chunk, ci, config.retry, sleep)
-                     for ci, chunk in enumerate(chunks)]
+        per_chunk = [embed_chunk(ci) for ci in range(len(chunks))]
     model_tag = getattr(backend, "model_name", config.model_name)
     out: list[EmbeddingVector] = []
     dim: int | None = None

@@ -15,7 +15,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 import requests
 
@@ -29,6 +29,8 @@ from .errors import (
 )
 
 log = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 RETRYABLE_CLASSES = ("rate_limited", "server_error", "timeout")
 
@@ -140,22 +142,64 @@ class BackendConfig:
                    timeout=float(d.get("timeout", 60.0)), retry=retry, extra=extra)
 
 
+def post_json(endpoint: str, body: dict, *, api_key_env: str = "",
+              timeout: float = 60.0) -> object:
+    """POST ``body`` as JSON and return the decoded JSON reply.
+
+    The credential is read from the env var named by ``api_key_env`` and
+    sent as a bearer token. Transport failures and non-200 statuses map onto
+    the backend error classes the retry policy keys on.
+    """
+    headers = {"Content-Type": "application/json"}
+    if api_key_env:
+        key = os.environ.get(api_key_env, "")
+        if not key:
+            raise BackendError(f"credential env var {api_key_env} is not set")
+        headers["Authorization"] = f"Bearer {key}"
+    try:
+        resp = requests.post(endpoint, headers=headers, data=json.dumps(body),
+                             timeout=timeout)
+    except requests.Timeout as exc:
+        raise BackendTimeoutError(f"request to {endpoint} timed out: {exc}") from exc
+    except requests.RequestException as exc:
+        raise ServerBackendError(f"request to {endpoint} failed: {exc}") from exc
+    if resp.status_code == 429:
+        raise RateLimitedError(f"rate limited by {endpoint}")
+    if resp.status_code >= 500:
+        raise ServerBackendError(f"server error {resp.status_code}")
+    if resp.status_code != 200:
+        raise BackendError(f"unexpected status {resp.status_code}: {resp.text[:200]}")
+    try:
+        return resp.json()
+    except ValueError as exc:
+        raise ProtocolError(f"response body is not JSON: {exc}") from exc
+
+
+def with_retry(call: Callable[[], T], policy: RetryPolicy,
+               sleep: Callable[[float], None] = time.sleep) -> T:
+    """Return ``call()``, retrying the error classes in ``policy.retry_on``
+    with backoff. The last error is re-raised once attempts run out."""
+    attempt = 1
+    while True:
+        try:
+            return call()
+        except BackendError as exc:
+            if exc.error_class not in policy.retry_on or attempt >= policy.max_attempts:
+                raise
+            delay = policy.delay_for_attempt(attempt)
+            log.debug("attempt %d failed (%s); retrying in %.2fs",
+                      attempt, exc.error_class, delay)
+            if delay > 0:
+                sleep(delay)
+        attempt += 1
+
+
 class HttpChatBackend:
     """POSTs the common chat-completions JSON shape and takes the first choice."""
 
     def __init__(self, config: BackendConfig):
         self.config = config
         self.model_name = config.model_name
-
-    def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
-        if self.config.api_key_env:
-            key = os.environ.get(self.config.api_key_env, "")
-            if not key:
-                raise BackendError(
-                    f"credential env var {self.config.api_key_env} is not set")
-            headers["Authorization"] = f"Bearer {key}"
-        return headers
 
     def send(self, request: ChatRequest) -> ChatReply:
         body = {
@@ -164,23 +208,12 @@ class HttpChatBackend:
             "temperature": request.temperature,
             "max_tokens": request.max_output,
         }
+        obj = post_json(self.config.endpoint, body,
+                        api_key_env=self.config.api_key_env,
+                        timeout=self.config.timeout)
         try:
-            resp = requests.post(self.config.endpoint, headers=self._headers(),
-                                 data=json.dumps(body), timeout=self.config.timeout)
-        except requests.Timeout as exc:
-            raise BackendTimeoutError(f"chat request timed out: {exc}") from exc
-        except requests.RequestException as exc:
-            raise ServerBackendError(f"chat request failed: {exc}") from exc
-        if resp.status_code == 429:
-            raise RateLimitedError(f"rate limited by {self.config.endpoint}")
-        if resp.status_code >= 500:
-            raise ServerBackendError(f"server error {resp.status_code}")
-        if resp.status_code != 200:
-            raise BackendError(f"unexpected status {resp.status_code}: {resp.text[:200]}")
-        try:
-            obj = resp.json()
             content = obj["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        except (KeyError, IndexError, TypeError) as exc:
             raise ProtocolError(f"malformed chat response body: {exc}") from exc
         usage = obj.get("usage", {}) if isinstance(obj.get("usage"), dict) else {}
         return ChatReply(content=str(content), usage=usage,
@@ -280,23 +313,10 @@ def complete(request: ChatRequest, backend: ChatBackend | BackendConfig,
     constructed backend instance. Terminal failures re-raise the last
     backend error.
     """
-    if isinstance(backend, BackendConfig):
-        if policy is None:
-            policy = backend.retry
-        backend = make_chat_backend(backend)
     if policy is None:
-        policy = getattr(backend, "config", None).retry if hasattr(backend, "config") else RetryPolicy()
-    last: BackendError | None = None
-    for attempt in range(1, policy.max_attempts + 1):
-        try:
-            return backend.send(request)
-        except BackendError as exc:
-            if exc.error_class not in policy.retry_on or attempt == policy.max_attempts:
-                raise
-            last = exc
-            delay = policy.delay_for_attempt(attempt)
-            log.debug("attempt %d failed (%s); retrying in %.2fs",
-                      attempt, exc.error_class, delay)
-            if delay > 0:
-                sleep(delay)
-    raise last if last is not None else BackendError("retry loop fell through")
+        config = (backend if isinstance(backend, BackendConfig)
+                  else getattr(backend, "config", None))
+        policy = config.retry if config is not None else RetryPolicy()
+    if isinstance(backend, BackendConfig):
+        backend = make_chat_backend(backend)
+    return with_retry(lambda: backend.send(request), policy, sleep)

@@ -1,10 +1,12 @@
 """End-to-end orchestration: filter, embed, select, assign, generate, emit.
 
-Every stage writes its artifact to the work directory and records progress
-in an atomic checkpoint, so an interrupted run resumes from the last
-completed stage. Record-level progress during generation is derived from
-the append-only exemplar and quarantine files rather than the checkpoint,
-which makes the run safe to kill at any point.
+Every stage writes its artifact to the work directory, after which an
+atomic checkpoint records the stage and the config fingerprint, so an
+interrupted run resumes from the last completed stage. Record-level
+progress during generation is derived from the append-only exemplar and
+quarantine files, never from the checkpoint, which makes the run safe to
+kill at any point. The stage functions are shared with the stage
+subcommands of the CLI.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ import json
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .corpus import (
     FilterConfig,
@@ -28,6 +31,8 @@ from .corpus import (
     write_records,
 )
 from .coreset import (
+    METRICS,
+    CoresetSelection,
     kcenter_greedy,
     read_selection,
     stratified_kcenter_greedy,
@@ -44,6 +49,7 @@ from .decontam import (
 from .discriminator import RuleSet, discriminate, load_ruleset
 from .embedding import (
     EmbeddingBackendConfig,
+    EmbeddingVector,
     embed_batch,
     read_embedding_cache,
     write_embedding_cache,
@@ -55,7 +61,7 @@ from .errors import (
     DiscriminationFailedError,
     GenerationFailedError,
 )
-from .exemplar_db import ExemplarDB, SamplingPolicy, make_entry
+from .exemplar_db import ExemplarDB, ExemplarEntry, SamplingPolicy, make_entry
 from .generator import generate_instance
 from .ioutil import (
     JsonlAppender,
@@ -100,6 +106,8 @@ class CoresetConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ConfigError("coreset.k must be >= 1")
+        if self.metric not in METRICS:
+            raise ConfigError(f"coreset.metric must be one of {METRICS}")
 
     def to_dict(self) -> dict:
         return {"k": self.k, "seed": self.seed, "metric": self.metric,
@@ -132,15 +140,12 @@ class PipelineConfig:
     retries: dict[str, int] = field(
         default_factory=lambda: {"generation": 2, "discrimination": 2})
     seed: int = 0
-    checkpoint_every: int = 1
 
     def __post_init__(self) -> None:
         if self.target_accepted < 1:
             raise ConfigError("target_accepted must be >= 1")
         if self.max_in_flight < 1:
             raise ConfigError("concurrency.max_in_flight must be >= 1")
-        if self.checkpoint_every < 1:
-            raise ConfigError("checkpoint_every must be >= 1")
         for key in ("generation", "discrimination"):
             if self.retries.get(key, 0) < 0:
                 raise ConfigError(f"retries.{key} must be >= 0")
@@ -173,7 +178,6 @@ class PipelineConfig:
             "embedding_backend", "coreset", "mix", "task_file", "rulesets",
             "generation_backend", "discrimination_backend", "exemplar_db",
             "sampling", "target_accepted", "concurrency", "retries", "seed",
-            "checkpoint_every",
         }
         unknown = set(d) - known
         if unknown:
@@ -240,7 +244,6 @@ class PipelineConfig:
             max_in_flight=int(conc.get("max_in_flight", 1)),
             retries=retries,
             seed=int(d.get("seed", 0)),
-            checkpoint_every=int(d.get("checkpoint_every", 1)),
         )
 
     def to_dict(self) -> dict:
@@ -288,7 +291,6 @@ class PipelineConfig:
             "concurrency": {"max_in_flight": self.max_in_flight},
             "retries": dict(self.retries),
             "seed": self.seed,
-            "checkpoint_every": self.checkpoint_every,
         }
 
     def fingerprint(self) -> str:
@@ -311,13 +313,11 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
 
 @dataclass
 class CheckpointState:
-    """Where a run stands: last completed stage plus derived progress."""
+    """The last completed stage and the fingerprint of the config that
+    reached it (the seed is part of the fingerprint)."""
 
     stage: str
     config_fingerprint: str = ""
-    seed: int = 0
-    processed_record_ids: list[str] = field(default_factory=list)
-    accepted_per_task: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.stage not in STAGES:
@@ -328,24 +328,12 @@ class CheckpointState:
         return STAGES.index(self.stage)
 
     def to_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "config_fingerprint": self.config_fingerprint,
-            "seed": self.seed,
-            "processed_record_ids": list(self.processed_record_ids),
-            "accepted_per_task": dict(self.accepted_per_task),
-        }
+        return {"stage": self.stage, "config_fingerprint": self.config_fingerprint}
 
     @classmethod
     def from_dict(cls, d: dict) -> "CheckpointState":
-        return cls(
-            stage=str(d["stage"]),
-            config_fingerprint=str(d.get("config_fingerprint", "")),
-            seed=int(d.get("seed", 0)),
-            processed_record_ids=[str(r) for r in d.get("processed_record_ids", [])],
-            accepted_per_task={str(k): int(v)
-                               for k, v in d.get("accepted_per_task", {}).items()},
-        )
+        return cls(stage=str(d["stage"]),
+                   config_fingerprint=str(d.get("config_fingerprint", "")))
 
 
 @dataclass
@@ -381,40 +369,8 @@ class RunSummary:
         )
 
 
-class _Checkpointer:
-    """Atomic checkpoint writes with monotone stage enforcement."""
-
-    def __init__(self, path: Path, fingerprint: str, seed: int):
-        self.path = path
-        self.fingerprint = fingerprint
-        self.seed = seed
-        self.last: CheckpointState | None = None
-
-    def read(self) -> CheckpointState | None:
-        if not self.path.exists():
-            return None
-        state = CheckpointState.from_dict(read_json(self.path))
-        self.last = state
-        return state
-
-    def write(self, stage: str, processed: Sequence[str] = (),
-              accepted_per_task: dict[str, int] | None = None) -> CheckpointState:
-        state = CheckpointState(
-            stage=stage,
-            config_fingerprint=self.fingerprint,
-            seed=self.seed,
-            processed_record_ids=list(processed),
-            accepted_per_task=dict(accepted_per_task or {}),
-        )
-        if self.last is not None and state.stage_index < self.last.stage_index:
-            raise ConsistencyError(
-                f"stage would regress from {self.last.stage} to {stage}")
-        atomic_write_json(self.path, state.to_dict())
-        self.last = state
-        return state
-
-
 def _quarantine_entries(path: Path) -> list[dict]:
+    repair_torn_tail(path)
     if not path.exists():
         return []
     return [obj for _, obj in iter_jsonl(path, tolerate_torn_tail=True)]
@@ -425,6 +381,146 @@ def _require_artifact(path: Path, stage: str) -> Path:
         raise ConsistencyError(
             f"checkpoint says stage {stage!r} is done but {path} is missing")
     return path
+
+
+# -- stages ------------------------------------------------------------------
+# Each stage computes its artifact and writes it; `run` and the stage
+# subcommands of the CLI both call these.
+
+
+def filter_corpus(corpus_path: str | Path, filter_config: FilterConfig,
+                  output_path: str | Path, report_path: str | Path | None = None
+                  ) -> tuple[list[RawCodeRecord], FilterReport]:
+    """Filter stage: write the corpus records that pass ``filter_config``,
+    and the filter report when ``report_path`` is given."""
+    kept, report = apply_filters(ingest_records(corpus_path), filter_config)
+    write_records(kept, output_path)
+    if report_path is not None:
+        atomic_write_json(report_path, report.to_dict())
+    return kept, report
+
+
+def embed_records(records: Sequence[RawCodeRecord],
+                  backend: EmbeddingBackendConfig,
+                  cache_path: str | Path) -> list[EmbeddingVector]:
+    """Embed stage: embed each record's code into a fresh cache file."""
+    Path(cache_path).unlink(missing_ok=True)
+    vectors = embed_batch([r.code for r in records], backend)
+    write_embedding_cache(cache_path, [r.id for r in records], vectors)
+    return vectors
+
+
+def select_coreset(vectors: Sequence[EmbeddingVector], ids: Sequence[str],
+                   languages: Sequence[str] | None, coreset: CoresetConfig,
+                   output_path: str | Path) -> CoresetSelection:
+    """Select stage: greedy k-center over ``vectors``, per language when
+    ``coreset.stratify_by_language``; the selection is written by id."""
+    if coreset.stratify_by_language:
+        selection = stratified_kcenter_greedy(vectors, languages, coreset.k,
+                                              seed=coreset.seed,
+                                              metric=coreset.metric)
+    else:
+        selection = kcenter_greedy(vectors, coreset.k, seed=coreset.seed,
+                                   metric=coreset.metric)
+    write_selection(output_path, selection, ids)
+    return selection
+
+
+def assign_selected(selected_ids: Sequence[str], mix: MixPolicy, seed: int,
+                    output_path: str | Path) -> dict[str, str]:
+    """Assign stage: apportion task kinds over the selected records."""
+    assignment = assign_tasks(selected_ids, mix, seed=seed)
+    atomic_write_json(output_path, {
+        "seed": seed,
+        "assignment": assignment,
+        "counts": mix_counts(assignment),
+    })
+    return assignment
+
+
+def generate_exemplars(config: PipelineConfig, records: Sequence[RawCodeRecord],
+                       assignment: dict[str, str], db: ExemplarDB,
+                       quarantined: list[dict], generation_backend,
+                       discrimination_backend,
+                       after_record: Callable[[str, str], None] | None = None
+                       ) -> None:
+    """Generate stage: draft and judge ``records`` in order until the store
+    holds ``config.target_accepted`` Good instances.
+
+    Records already in ``db`` or in ``quarantined`` are skipped, so a killed
+    run resumes from its logs. Judged instances go into ``db``; records whose
+    conversation stays unparseable are appended to the quarantine log and
+    to ``quarantined``.
+    """
+    entries = db.entries()
+    processed = {e.instance.source_record_id for e in entries}
+    processed.update(str(q["record_id"]) for q in quarantined)
+    accepted = sum(1 for e in entries if e.label == "Good")
+    pending = [r for r in records if r.id not in processed]
+    if not pending:
+        return
+    taskdefs = load_task_definitions(config.task_file)
+    rulesets: dict[str, RuleSet] = {
+        kind: load_ruleset(config.rulesets.get(kind, taskdefs[kind].rule_set_id))
+        for kind in TASK_KINDS}
+
+    def process_one(record: RawCodeRecord):
+        kind = assignment[record.id]
+        try:
+            instance = generate_instance(
+                record, taskdefs[kind], db, generation_backend,
+                retries=config.retries["generation"],
+                sampling_policy=config.sampling, seed=config.seed)
+        except GenerationFailedError as exc:
+            return ("quarantined", {"record_id": record.id, "task": kind,
+                                    "stage": "generation", "error": str(exc),
+                                    "attempts": exc.attempts})
+        try:
+            report = discriminate(
+                instance, rulesets[kind], discrimination_backend,
+                retries=config.retries["discrimination"])
+        except DiscriminationFailedError as exc:
+            return ("quarantined", {"record_id": record.id, "task": kind,
+                                    "stage": "discrimination",
+                                    "error": str(exc),
+                                    "attempts": exc.attempts})
+        return ("entry", make_entry(instance, report))
+
+    with JsonlAppender(config.workdir / QUARANTINE_FILE) as qlog, \
+            ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
+        i = 0
+        while i < len(pending) and accepted < config.target_accepted:
+            wave = pending[i:i + config.max_in_flight]
+            i += len(wave)
+            futures = [pool.submit(process_one, record) for record in wave]
+            for record, future in zip(wave, futures):
+                if accepted >= config.target_accepted:
+                    break
+                kind_of_outcome, payload = future.result()
+                if kind_of_outcome == "quarantined":
+                    qlog.append(payload)
+                    quarantined.append(payload)
+                    outcome = "quarantined"
+                    log.warning("record %s: quarantined at %s", record.id,
+                                payload["stage"])
+                else:
+                    db.insert(payload)
+                    outcome = "good" if payload.label == "Good" else "bad"
+                    if payload.label == "Good":
+                        accepted += 1
+                    log.info("record %s: %s (%d/%d accepted)", record.id,
+                             outcome, accepted, config.target_accepted)
+                if after_record is not None:
+                    after_record(record.id, outcome)
+
+
+def emit_dataset(entries: Iterable[ExemplarEntry], target: int | None,
+                 output_path: str | Path) -> dict:
+    """Emit stage: the first ``target`` Good entries (all when None) become
+    the training dataset; returns its summary."""
+    goods = [e for e in entries if e.label == "Good"][:target]
+    return write_dataset([to_training_example(e.instance) for e in goods],
+                         output_path)
 
 
 def run(config: PipelineConfig, *, resume: bool = False,
@@ -446,205 +542,104 @@ def run(config: PipelineConfig, *, resume: bool = False,
     t_start = time.perf_counter()
     workdir = config.workdir
     workdir.mkdir(parents=True, exist_ok=True)
-    checkpointer = _Checkpointer(workdir / CHECKPOINT_FILE,
-                                 config.fingerprint(), config.seed)
-    state = checkpointer.read()
+    checkpoint_path = workdir / CHECKPOINT_FILE
+    fingerprint = config.fingerprint()
+    state = (CheckpointState.from_dict(read_json(checkpoint_path))
+             if checkpoint_path.exists() else None)
     if state is not None and not resume:
         raise ConfigError(
             f"{workdir} holds a checkpointed run (stage {state.stage}); "
             f"resume it or use a fresh workdir")
-    if state is not None and state.config_fingerprint != config.fingerprint():
+    if state is not None and state.config_fingerprint != fingerprint:
         raise ConsistencyError(
             "checkpoint was written by a different config; refusing to resume")
     done_index = state.stage_index if state is not None else -1
     stage_seconds: dict[str, float] = {}
 
-    def timed(name: str, fn):
-        t0 = time.perf_counter()
-        result = fn()
-        stage_seconds[name] = time.perf_counter() - t0
-        return result
+    def done(stage: str) -> bool:
+        return done_index >= STAGES.index(stage)
 
-    # -- filter ------------------------------------------------------------
-    def stage_filter():
-        if done_index >= STAGES.index("filtered"):
+    def checkpoint(stage: str) -> None:
+        atomic_write_json(checkpoint_path,
+                          CheckpointState(stage, fingerprint).to_dict())
+
+    @contextmanager
+    def timed(name: str):
+        t0 = time.perf_counter()
+        yield
+        stage_seconds[name] = time.perf_counter() - t0
+
+    with timed("filter"):
+        if done("filtered"):
             kept = ingest_records(_require_artifact(workdir / FILTERED_FILE,
                                                     "filtered"))
-            report = FilterReport(**read_json(
+            filter_report = FilterReport(**read_json(
                 _require_artifact(workdir / FILTER_REPORT_FILE, "filtered")))
-            return kept, report
-        records = ingest_records(config.corpus_path)
-        kept, report = apply_filters(records, config.filter)
-        if not kept:
-            raise ConsistencyError("no records survive filtering")
-        write_records(kept, workdir / FILTERED_FILE)
-        atomic_write_json(workdir / FILTER_REPORT_FILE, report.to_dict())
-        checkpointer.write("filtered")
-        return kept, report
-
-    kept, filter_report = timed("filter", stage_filter)
+        else:
+            kept, filter_report = filter_corpus(
+                config.corpus_path, config.filter, workdir / FILTERED_FILE,
+                workdir / FILTER_REPORT_FILE)
+            if not kept:
+                raise ConsistencyError("no records survive filtering")
+            checkpoint("filtered")
     log.info("filter: kept %d of %d records", filter_report.kept_count,
              filter_report.input_count)
 
-    # -- embed -------------------------------------------------------------
-    def stage_embed():
+    with timed("embed"):
         cache_path = workdir / EMBEDDINGS_FILE
-        if done_index >= STAGES.index("embedded"):
-            _require_artifact(cache_path, "embedded")
-            ids, vectors = read_embedding_cache(cache_path,
-                                                tolerate_torn_tail=True)
+        if done("embedded"):
+            ids, vectors = read_embedding_cache(
+                _require_artifact(cache_path, "embedded"), tolerate_torn_tail=True)
             if ids != [r.id for r in kept]:
                 raise ConsistencyError(
                     f"{cache_path} does not match the filtered corpus")
-            return vectors
-        cache_path.unlink(missing_ok=True)
-        vectors = embed_batch([r.code for r in kept], config.embedding_backend)
-        write_embedding_cache(cache_path, [r.id for r in kept], vectors)
-        checkpointer.write("embedded")
-        return vectors
-
-    vectors = timed("embed", stage_embed)
-
-    # -- select ------------------------------------------------------------
-    def stage_select():
-        path = workdir / SELECTION_FILE
-        if done_index >= STAGES.index("selected"):
-            return read_selection(_require_artifact(path, "selected")).selected_ids
-        cs = config.coreset
-        if cs.stratify_by_language:
-            selection = stratified_kcenter_greedy(
-                vectors, [r.language for r in kept], cs.k,
-                seed=cs.seed, metric=cs.metric)
         else:
-            selection = kcenter_greedy(vectors, cs.k, seed=cs.seed,
-                                       metric=cs.metric)
-        write_selection(path, selection, [r.id for r in kept])
-        checkpointer.write("selected")
-        return [kept[i].id for i in selection.selected_indices]
+            vectors = embed_records(kept, config.embedding_backend, cache_path)
+            checkpoint("embedded")
 
-    selected_ids = timed("select", stage_select)
+    with timed("select"):
+        path = workdir / SELECTION_FILE
+        if done("selected"):
+            selected_ids = read_selection(
+                _require_artifact(path, "selected")).selected_ids
+        else:
+            selection = select_coreset(vectors, [r.id for r in kept],
+                                       [r.language for r in kept],
+                                       config.coreset, path)
+            selected_ids = [kept[i].id for i in selection.selected_indices]
+            checkpoint("selected")
     log.info("select: %d of %d records chosen", len(selected_ids), len(kept))
 
-    # -- assign ------------------------------------------------------------
-    def stage_assign():
+    with timed("assign"):
         path = workdir / ASSIGNMENTS_FILE
-        if done_index >= STAGES.index("assigned"):
+        if done("assigned"):
             obj = read_json(_require_artifact(path, "assigned"))
-            return {str(k): str(v) for k, v in obj["assignment"].items()}
-        assignment = assign_tasks(selected_ids, config.mix, seed=config.seed)
-        atomic_write_json(path, {
-            "seed": config.seed,
-            "assignment": assignment,
-            "counts": mix_counts(assignment),
-        })
-        checkpointer.write("assigned")
-        return assignment
-
-    assignment = timed("assign", stage_assign)
-
-    # -- generate ----------------------------------------------------------
-    taskdefs = load_task_definitions(config.task_file)
-    rulesets: dict[str, RuleSet] = {}
-    for kind in TASK_KINDS:
-        source = config.rulesets.get(kind, taskdefs[kind].rule_set_id)
-        rulesets[kind] = load_ruleset(source)
-    gen_backend = generation_backend or make_chat_backend(
-        config.generation_backend)
-    disc_backend = discrimination_backend or make_chat_backend(
-        config.discrimination_backend)
+            assignment = {str(k): str(v) for k, v in obj["assignment"].items()}
+        else:
+            assignment = assign_selected(selected_ids, config.mix, config.seed,
+                                         path)
+            checkpoint("assigned")
 
     db = ExemplarDB.load(config.exemplar_db)
-    quarantine_path = workdir / QUARANTINE_FILE
-    repair_torn_tail(quarantine_path)
-    quarantined = _quarantine_entries(quarantine_path)
-    processed: set[str] = {e.instance.source_record_id for e in db.entries()}
-    processed.update(str(q["record_id"]) for q in quarantined)
-    accepted_per_task = {kind: 0 for kind in TASK_KINDS}
-    for e in db.entries():
-        if e.label == "Good":
-            accepted_per_task[e.task_kind] += 1
-    accepted = sum(accepted_per_task.values())
-
-    records_by_id = {r.id: r for r in kept}
-    pending = [rid for rid in selected_ids if rid not in processed]
-
-    def process_one(rid: str):
-        record = records_by_id[rid]
-        kind = assignment[rid]
-        try:
-            instance = generate_instance(
-                record, taskdefs[kind], db, gen_backend,
-                retries=config.retries["generation"],
-                sampling_policy=config.sampling, seed=config.seed)
-        except GenerationFailedError as exc:
-            return ("quarantined", {"record_id": rid, "task": kind,
-                                    "stage": "generation", "error": str(exc),
-                                    "attempts": exc.attempts})
-        try:
-            report = discriminate(
-                instance, rulesets[kind], disc_backend,
-                retries=config.retries["discrimination"])
-        except DiscriminationFailedError as exc:
-            return ("quarantined", {"record_id": rid, "task": kind,
-                                    "stage": "discrimination",
-                                    "error": str(exc),
-                                    "attempts": exc.attempts})
-        return ("entry", make_entry(instance, report))
-
-    def stage_generate():
-        nonlocal accepted
-        if done_index >= STAGES.index("done") or not pending:
-            return
-        since_checkpoint = 0
-        with JsonlAppender(quarantine_path) as qlog, \
-                ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
-            i = 0
-            while i < len(pending) and accepted < config.target_accepted:
-                wave = pending[i:i + config.max_in_flight]
-                i += len(wave)
-                futures = [pool.submit(process_one, rid) for rid in wave]
-                for rid, future in zip(wave, futures):
-                    if accepted >= config.target_accepted:
-                        break
-                    kind_of_outcome, payload = future.result()
-                    if kind_of_outcome == "quarantined":
-                        qlog.append(payload)
-                        quarantined.append(payload)
-                        outcome = "quarantined"
-                        log.warning("record %s: quarantined at %s", rid,
-                                    payload["stage"])
-                    else:
-                        db.insert(payload)
-                        outcome = "good" if payload.label == "Good" else "bad"
-                        if payload.label == "Good":
-                            accepted += 1
-                            accepted_per_task[payload.task_kind] += 1
-                        log.info("record %s: %s (%d/%d accepted)", rid,
-                                 outcome, accepted, config.target_accepted)
-                    processed.add(rid)
-                    since_checkpoint += 1
-                    if since_checkpoint >= config.checkpoint_every:
-                        checkpointer.write("generating", sorted(processed),
-                                           accepted_per_task)
-                        since_checkpoint = 0
-                    if after_record is not None:
-                        after_record(rid, outcome)
-        checkpointer.write("generating", sorted(processed), accepted_per_task)
-
-    timed("generate", stage_generate)
+    quarantined = _quarantine_entries(workdir / QUARANTINE_FILE)
+    with timed("generate"):
+        if not done("done"):
+            records_by_id = {r.id: r for r in kept}
+            generate_exemplars(
+                config, [records_by_id[rid] for rid in selected_ids],
+                assignment, db, quarantined,
+                generation_backend or make_chat_backend(config.generation_backend),
+                discrimination_backend or make_chat_backend(
+                    config.discrimination_backend),
+                after_record)
+            checkpoint("generating")
     if stop_after == "generating":
         db.close()
         return None
 
-    # -- emit --------------------------------------------------------------
-    def stage_emit():
-        goods = [e for e in db.entries() if e.label == "Good"]
-        goods = goods[:config.target_accepted]
-        examples = [to_training_example(e.instance) for e in goods]
-        dataset_summary = write_dataset(examples, config.output_path)
-        return goods, dataset_summary
-
-    goods, dataset_summary = timed("emit", stage_emit)
+    with timed("emit"):
+        dataset_summary = emit_dataset(db.entries(), config.target_accepted,
+                                       config.output_path)
     db.close()
 
     good_count = sum(1 for e in db.entries() if e.label == "Good")
@@ -676,7 +671,7 @@ def run(config: PipelineConfig, *, resume: bool = False,
         target_accepted=config.target_accepted,
     )
     atomic_write_json(workdir / SUMMARY_FILE, summary.to_dict())
-    checkpointer.write("done", sorted(processed), accepted_per_task)
+    checkpoint("done")
     log.info("run complete in %.1fs: %s", time.perf_counter() - t_start,
              summary.counts)
     return summary

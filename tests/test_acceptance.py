@@ -105,7 +105,6 @@ def test_criterion_1_mix_reproduction(tmp_path):
                                    "extra": {"role": "discrimination",
                                              "bad_modulus": 16}},
         "seed": 2024,
-        "checkpoint_every": 500,
     })
     with criterion(1, "mix reproduction", budget_s=120.0) as info:
         summary = pipeline.run(config)
@@ -380,7 +379,6 @@ def _write_run_config(path: Path, corpus: Path, workdir: Path) -> None:
                                    "extra": {"role": "discrimination",
                                              "bad_modulus": 6}},
         "seed": 31,
-        "checkpoint_every": 1,
         "concurrency": {"max_in_flight": 4},
     }), encoding="utf-8")
 

@@ -83,6 +83,45 @@ class TestExitCodes:
         bad.write_text("{not json", encoding="utf-8")
         assert main(["run", "--config", str(bad)]) == 2
 
+    def test_select_k_zero_is_usage_error(self, tmp_path, corpus, capsys):
+        emb = tmp_path / "emb.jsonl"
+        assert main(["embed", "--input", str(corpus), "--output", str(emb)]) == 0
+        capsys.readouterr()
+        rc = main(["select", "--embeddings", str(emb),
+                   "--output", str(tmp_path / "sel.json"), "--k", "0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "coreset.k" in err
+
+    @pytest.mark.parametrize("command", ["audit", "decontaminate"])
+    def test_bench_line_without_id_is_usage_error(self, tmp_path, command,
+                                                  capsys):
+        train = tmp_path / "train.jsonl"
+        train.write_text(json.dumps({
+            "instruction": "Write it.", "input": "", "output": "def f(): pass",
+            "_task": "CodeGeneration", "_source_id": "r1"}) + "\n",
+            encoding="utf-8")
+        bench = tmp_path / "bench.jsonl"
+        bench.write_text(json.dumps({"canonical_solution": "def g(): pass"})
+                         + "\n", encoding="utf-8")
+        args = [command, "--train", str(train), "--bench", str(bench)]
+        if command == "decontaminate":
+            args += ["--out-dir", str(tmp_path / "out")]
+        else:
+            args += ["--report", str(tmp_path / "report.json")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{bench}:1" in err and "bench_id" in err
+
+    def test_emit_missing_exemplars_is_error(self, tmp_path, capsys):
+        missing = tmp_path / "absent" / "exemplars.jsonl"
+        out = tmp_path / "dataset.jsonl"
+        rc = main(["emit", "--exemplars", str(missing), "--output", str(out)])
+        assert rc == 1
+        assert str(missing) in capsys.readouterr().err
+        assert not missing.exists() and not missing.parent.exists()
+        assert not out.exists()
+
 
 class TestStageCommands:
     def test_ingest_normalizes(self, tmp_path, corpus, capsys):
@@ -138,6 +177,45 @@ class TestStageCommands:
         assert payload["assigned"] == 10
         assignment = read_json(asg)
         assert set(assignment["assignment"]) == set(selection["selected_ids"])
+
+    def test_select_cosine_metric(self, tmp_path, corpus, capsys):
+        emb = tmp_path / "emb.jsonl"
+        sel = tmp_path / "sel.json"
+        main(["embed", "--input", str(corpus), "--output", str(emb)])
+        capsys.readouterr()
+        assert main(["select", "--embeddings", str(emb), "--output", str(sel),
+                     "--k", "5", "--metric", "cosine_distance"]) == 0
+        assert json.loads(capsys.readouterr().out)["selected"] == 5
+        assert read_json(sel)["metric"] == "cosine_distance"
+
+    def test_stage_chain_matches_run(self, tmp_path, corpus, capsys):
+        config = tmp_path / "config.json"
+        workdir = tmp_path / "work"
+        write_config(config, corpus, workdir)
+        assert main(["run", "--config", str(config)]) == 0
+        chain = tmp_path / "chain"
+        chain.mkdir()
+        steps = [
+            ["filter", "--config", str(config), "--input", str(corpus),
+             "--output", str(chain / "filtered.jsonl")],
+            ["embed", "--config", str(config),
+             "--input", str(chain / "filtered.jsonl"),
+             "--output", str(chain / "embeddings.jsonl")],
+            ["select", "--embeddings", str(chain / "embeddings.jsonl"),
+             "--output", str(chain / "selection.json"), "--k", "30",
+             "--seed", "1"],
+            ["assign", "--config", str(config),
+             "--selection", str(chain / "selection.json"),
+             "--output", str(chain / "assignments.json"), "--seed", "7"],
+            ["emit", "--exemplars", str(workdir / "exemplars.jsonl"),
+             "--output", str(chain / "dataset.jsonl"), "--target", "12"],
+        ]
+        for step in steps:
+            assert main(step) == 0, step
+        capsys.readouterr()
+        for name in ("filtered.jsonl", "embeddings.jsonl", "selection.json",
+                     "assignments.json", "dataset.jsonl"):
+            assert (chain / name).read_bytes() == (workdir / name).read_bytes(), name
 
     def test_select_stratified_needs_records(self, tmp_path, corpus, capsys):
         emb = tmp_path / "emb.jsonl"

@@ -20,7 +20,6 @@ from instructsmith.embedding import (
     write_embedding_cache,
 )
 from instructsmith.errors import (
-    BackendError,
     ConsistencyError,
     ProtocolError,
     RateLimitedError,
@@ -285,18 +284,6 @@ class TestHttpEmbeddingBackend:
                             backend=HttpEmbeddingBackend(config),
                             sleep=lambda s: None)
 
-    def test_rate_limit_maps_to_error_class(self):
-        with http_stub(lambda p, h, b: (429, {"error": "x"})) as (_, url):
-            config = EmbeddingBackendConfig(kind="http", endpoint=url)
-            with pytest.raises(RateLimitedError):
-                HttpEmbeddingBackend(config).embed_chunk(["a"])
-
-    def test_missing_credential_is_fatal(self, monkeypatch):
-        monkeypatch.delenv("NO_SUCH_EMB_KEY", raising=False)
-        config = EmbeddingBackendConfig(kind="http", endpoint="http://127.0.0.1:9/",
-                                        api_key_env="NO_SUCH_EMB_KEY")
-        with pytest.raises(BackendError, match="NO_SUCH_EMB_KEY"):
-            HttpEmbeddingBackend(config).embed_chunk(["a"])
 
 
 def test_config_validation():

@@ -3,6 +3,7 @@
 import pytest
 
 from httpstub import http_stub
+from instructsmith.embedding import EmbeddingBackendConfig, HttpEmbeddingBackend
 from instructsmith.errors import (
     BackendError,
     ProtocolError,
@@ -163,6 +164,22 @@ def chat_body(content, model="served-model"):
             "usage": {"prompt_tokens": 7, "completion_tokens": 3}}
 
 
+def send_chat(endpoint, api_key_env=""):
+    config = BackendConfig(endpoint=endpoint, api_key_env=api_key_env)
+    HttpChatBackend(config).send(user_request("q"))
+
+
+def send_embedding(endpoint, api_key_env=""):
+    config = EmbeddingBackendConfig(kind="http", endpoint=endpoint,
+                                    api_key_env=api_key_env)
+    HttpEmbeddingBackend(config).embed_chunk(["a"])
+
+
+# both HTTP backends share one transport; each must map errors the same way
+both_http_backends = pytest.mark.parametrize(
+    "send", [send_chat, send_embedding], ids=["chat", "embedding"])
+
+
 class TestHttpBackend:
     def test_happy_path_wire_format(self, monkeypatch):
         monkeypatch.setenv("TEST_CHAT_KEY", "sk-123")
@@ -192,21 +209,22 @@ class TestHttpBackend:
             "max_tokens": 512,
         }
 
-    def test_missing_credential_env_is_fatal(self, monkeypatch):
+    @both_http_backends
+    def test_missing_credential_env_is_fatal(self, monkeypatch, send):
         monkeypatch.delenv("ABSENT_KEY", raising=False)
-        config = BackendConfig(endpoint="http://127.0.0.1:9/x",
-                               api_key_env="ABSENT_KEY")
         with pytest.raises(BackendError, match="ABSENT_KEY"):
-            HttpChatBackend(config).send(user_request("q"))
+            send("http://127.0.0.1:9/x", api_key_env="ABSENT_KEY")
 
-    def test_status_code_mapping(self):
+    @both_http_backends
+    def test_status_code_mapping(self, send):
         for status, exc_type in ((429, RateLimitedError),
                                  (500, ServerBackendError),
-                                 (503, ServerBackendError)):
+                                 (503, ServerBackendError),
+                                 (400, BackendError)):
             with http_stub(lambda p, h, b: (status, {"err": "x"})) as (_, url):
-                backend = HttpChatBackend(BackendConfig(endpoint=url))
-                with pytest.raises(exc_type):
-                    backend.send(user_request("q"))
+                with pytest.raises(exc_type) as excinfo:
+                    send(url)
+            assert excinfo.type is exc_type
 
     def test_malformed_body_is_protocol_error(self):
         with http_stub(lambda p, h, b: (200, {"unexpected": True})) as (_, url):

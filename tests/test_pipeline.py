@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from instructsmith import pipeline
 from instructsmith.emitter import read_dataset
 from instructsmith.errors import ConfigError, ConsistencyError
 from instructsmith.exemplar_db import ExemplarDB
@@ -13,6 +14,7 @@ from instructsmith.hermetic import (
 )
 from instructsmith.llm_backend import MockChatBackend, ScriptEntry
 from instructsmith.pipeline import (
+    STAGES,
     CheckpointState,
     PipelineConfig,
     RunSummary,
@@ -66,8 +68,9 @@ class TestConfig:
         assert abs(sum(config.mix.weights.values()) - 1.0) < 1e-12
 
     def test_unknown_key_rejected(self, corpus, tmp_path):
-        with pytest.raises(ConfigError, match="typo_key"):
-            make_config(corpus, tmp_path / "w", typo_key=1)
+        for key in ("typo_key", "checkpoint_every"):
+            with pytest.raises(ConfigError, match=key):
+                make_config(corpus, tmp_path / "w", **{key: 1})
 
     def test_missing_required_key(self):
         with pytest.raises(ConfigError, match="corpus_path"):
@@ -137,6 +140,28 @@ class TestRun:
         saved = RunSummary.from_dict(
             json.loads((workdir / "summary.json").read_text()))
         assert saved.counts == counts
+
+    @pytest.mark.parametrize("n_records", [60, 2000])
+    def test_checkpoint_written_once_per_stage(self, tmp_path, monkeypatch,
+                                               n_records):
+        corpus = write_corpus(tmp_path / "corpus.jsonl", n=n_records)
+        workdir = tmp_path / "w"
+        writes = []
+        real_write = pipeline.atomic_write_json
+
+        def counting_write(path, obj, **kwargs):
+            if path == workdir / "checkpoint.json":
+                writes.append(obj)
+            real_write(path, obj, **kwargs)
+
+        monkeypatch.setattr(pipeline, "atomic_write_json", counting_write)
+        summary = run(make_config(corpus, workdir,
+                                  coreset={"k": n_records, "seed": 1},
+                                  target_accepted=n_records // 2))
+        assert summary.counts["generated"] > n_records // 2
+        # one write per stage boundary, however many records are generated
+        assert [w["stage"] for w in writes] == list(STAGES)
+        assert all(set(w) == {"stage", "config_fingerprint"} for w in writes)
 
     def test_realized_mix_reported(self, corpus, tmp_path):
         summary = run(make_config(corpus, tmp_path / "w"))
