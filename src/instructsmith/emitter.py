@@ -15,6 +15,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
+from .errors import ConsistencyError
 from .generator import InstructionInstance
 from .ioutil import atomic_write_jsonl, iter_jsonl
 from .taskspec import TASK_KINDS
@@ -116,4 +117,13 @@ def write_dataset(examples: Sequence[TrainingExample],
 
 def read_dataset(path: str | Path) -> list[TrainingExample]:
     """Read a dataset file back into examples (strict: no torn tails)."""
-    return [TrainingExample.from_dict(obj) for _, obj in iter_jsonl(path)]
+    examples = []
+    for lineno, obj in iter_jsonl(path):
+        try:
+            examples.append(TrainingExample.from_dict(obj))
+        except KeyError as exc:
+            raise ConsistencyError(f"{path}:{lineno}: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConsistencyError(
+                f"{path}:{lineno}: bad dataset row: {exc}") from exc
+    return examples

@@ -10,7 +10,9 @@ from __future__ import annotations
 import logging
 import random
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterator
 
@@ -21,6 +23,8 @@ from .ioutil import JsonlAppender, iter_jsonl
 from .taskspec import TASK_KINDS
 
 log = logging.getLogger(__name__)
+
+_SEQ = attrgetter("created_seq")
 
 
 @dataclass
@@ -100,10 +104,11 @@ class ExemplarDB:
     def __init__(self, path: str | Path | None = None):
         self._entries: dict[str, ExemplarEntry] = {}
         self._order: list[str] = []
-        # Insertion-ordered id pools kept per (task, label) and per label so
-        # sampling stays O(draw) instead of rescanning the whole store.
-        self._task_pools: dict[tuple[str, str], list[str]] = {}
-        self._label_pools: dict[str, list[str]] = {}
+        # Entry pools kept per (task, label) and per label in created_seq
+        # order, so sampling stays O(draw) instead of rescanning the whole
+        # store and a created_seq bound is a prefix found by bisection.
+        self._task_pools: dict[tuple[str, str], list[ExemplarEntry]] = {}
+        self._label_pools: dict[str, list[ExemplarEntry]] = {}
         self._next_seq = 0
         self._lock = threading.Lock()
         self._appender = JsonlAppender(path) if path is not None else None
@@ -111,8 +116,8 @@ class ExemplarDB:
 
     def _index_entry(self, entry: ExemplarEntry) -> None:
         self._task_pools.setdefault((entry.task_kind, entry.label),
-                                    []).append(entry.entry_id)
-        self._label_pools.setdefault(entry.label, []).append(entry.entry_id)
+                                    []).append(entry)
+        self._label_pools.setdefault(entry.label, []).append(entry)
 
     @classmethod
     def load(cls, path: str | Path, *, tolerate_torn_tail: bool = True) -> "ExemplarDB":
@@ -139,6 +144,10 @@ class ExemplarDB:
                 log.warning("%s:%d: duplicate entry id %r ignored",
                             path, lineno, entry.entry_id)
                 continue
+            if entry.created_seq < db._next_seq - 1:
+                raise ConsistencyError(
+                    f"{path}:{lineno}: created_seq {entry.created_seq} is out "
+                    f"of order")
             db._entries[entry.entry_id] = entry
             db._order.append(entry.entry_id)
             db._index_entry(entry)
@@ -177,15 +186,19 @@ class ExemplarDB:
             return [self._entries[eid] for eid in self._order]
 
     def sample(self, task: str, policy: SamplingPolicy | None = None,
-               seed: int = 0) -> list[ExemplarEntry]:
+               seed: int = 0, before_seq: int | None = None
+               ) -> list[ExemplarEntry]:
         """Seeded draw of up to n_good + n_bad entries, goods first.
 
-        Sampling is without replacement from insertion-ordered pools, so the
-        result is fully determined by (db state, task, policy, seed).
+        Only entries with ``created_seq < before_seq`` are drawn (all when
+        None). Sampling is without replacement from created_seq-ordered
+        pools, so the result is fully determined by (the entries below the
+        bound, task, policy, seed); entries inserted later never change it.
         """
         if policy is None:
             policy = SamplingPolicy()
         rng = random.Random(seed)
+        picked: list[ExemplarEntry] = []
         with self._lock:
             if policy.same_task_only:
                 goods = self._task_pools.get((task, "Good"), [])
@@ -193,9 +206,12 @@ class ExemplarDB:
             else:
                 goods = self._label_pools.get("Good", [])
                 bads = self._label_pools.get("Bad", [])
-            picked = rng.sample(goods, min(policy.n_good, len(goods)))
-            picked += rng.sample(bads, min(policy.n_bad, len(bads)))
-            return [self._entries[eid] for eid in picked]
+            for pool, n in ((goods, policy.n_good), (bads, policy.n_bad)):
+                k = (len(pool) if before_seq is None
+                     else bisect_left(pool, before_seq, key=_SEQ))
+                # the same indices rng.sample(pool[:k], n) would draw
+                picked += [pool[i] for i in rng.sample(range(k), min(n, k))]
+        return picked
 
     def stats(self) -> dict[tuple[str, str], int]:
         """Exact (task_kind, label) counts, zero-filled for the known kinds."""

@@ -199,14 +199,16 @@ def exemplar_sample_seed(base_seed: int, record_id: str, attempt: int) -> int:
 
 def generate_instance(record, taskdef, db, backend, retries: int = 2, *,
                       sampling_policy=None, seed: int = 0,
+                      before_seq: int | None = None,
                       temperature: float = DEFAULT_GENERATION_TEMPERATURE,
                       max_output: int = 2048) -> InstructionInstance:
     """Generate one instance for ``record``, retrying on parse failures.
 
     Each attempt resamples exemplars from ``db`` (seeded per attempt), so a
     reply the model cannot format is retried with different few-shot context.
-    Backend errors are not caught here; transport-level retries belong to the
-    backend's own policy.
+    ``before_seq`` limits the exemplars to entries created before it (see
+    ``ExemplarDB.sample``). Backend errors are not caught here;
+    transport-level retries belong to the backend's own policy.
     """
     if retries < 0:
         raise ValueError("retries must be >= 0")
@@ -217,7 +219,8 @@ def generate_instance(record, taskdef, db, backend, retries: int = 2, *,
         exemplars = []
         if db is not None:
             exemplars = db.sample(taskdef.kind, sampling_policy,
-                                  seed=exemplar_sample_seed(seed, record.id, attempt))
+                                  seed=exemplar_sample_seed(seed, record.id, attempt),
+                                  before_seq=before_seq)
         prompt = build_generation_prompt(record, taskdef, exemplars)
         request = ChatRequest(
             messages=[ChatMessage("system", prompt.system_text),

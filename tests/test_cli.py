@@ -113,6 +113,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"{bench}:1" in err and "bench_id" in err
 
+    @pytest.mark.parametrize("command", ["audit", "decontaminate"])
+    def test_dataset_line_without_task_is_error(self, tmp_path, command,
+                                                capsys):
+        train = tmp_path / "train.jsonl"
+        train.write_text(json.dumps({
+            "instruction": "Write it.", "input": "", "output": "def f(): pass",
+            "_source_id": "r1"}) + "\n", encoding="utf-8")
+        bench = tmp_path / "bench.jsonl"
+        bench.write_text(json.dumps({"bench_id": "b1",
+                                     "canonical_solution": "def g(): pass"})
+                         + "\n", encoding="utf-8")
+        args = [command, "--train", str(train), "--bench", str(bench)]
+        if command == "decontaminate":
+            args += ["--out-dir", str(tmp_path / "out")]
+        else:
+            args += ["--report", str(tmp_path / "report.json")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{train}:1" in err and "_task" in err
+
     def test_emit_missing_exemplars_is_error(self, tmp_path, capsys):
         missing = tmp_path / "absent" / "exemplars.jsonl"
         out = tmp_path / "dataset.jsonl"

@@ -1,10 +1,13 @@
 """Tests for the exemplar store: inserts, seeded sampling, persistence."""
 
+import json
+import random
 import threading
 
 import pytest
 
 from instructsmith.discriminator import DiscriminationReport, RuleVerdict
+from instructsmith.errors import ConsistencyError
 from instructsmith.exemplar_db import (
     ExemplarDB,
     ExemplarEntry,
@@ -127,6 +130,82 @@ class TestSample:
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             SamplingPolicy(n_good=-1)
+
+
+def mixed_db(db=None, n=40):
+    """n entries over two tasks and both labels, in a seeded order."""
+    db = db if db is not None else ExemplarDB()
+    rng = random.Random(3)
+    for i in range(n):
+        db.insert(entry(f"m{i}", rng.choice(["Good", "Bad"]),
+                        task=rng.choice(["CodeGeneration", "CodeRepair"])))
+    return db
+
+
+def unbounded_sample(entries, task, policy, seed):
+    """The draw without a bound: rng.sample over whole insertion-ordered
+    pools, as the store sampled before it took a bound."""
+    rng = random.Random(seed)
+
+    def pool(label):
+        return [e for e in entries if e.label == label
+                and (e.task_kind == task or not policy.same_task_only)]
+
+    goods, bads = pool("Good"), pool("Bad")
+    return (rng.sample(goods, min(policy.n_good, len(goods)))
+            + rng.sample(bads, min(policy.n_bad, len(bads))))
+
+
+POLICIES = [SamplingPolicy(1, 1), SamplingPolicy(2, 3),
+            SamplingPolicy(4, 0, same_task_only=False)]
+
+
+class TestSampleBound:
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_no_bound_and_full_bound_match_unbounded_draw(self, policy):
+        db = mixed_db()
+        for seed in range(50):
+            want = unbounded_sample(db.entries(), "CodeGeneration", policy, seed)
+            assert db.sample("CodeGeneration", policy, seed) == want
+            assert db.sample("CodeGeneration", policy, seed,
+                             before_seq=len(db)) == want
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_entries_at_or_past_bound_never_drawn(self, policy):
+        db = mixed_db()
+        entries = db.entries()
+        for bound in range(len(entries) + 1):
+            for seed in range(10):
+                got = db.sample("CodeRepair", policy, seed, before_seq=bound)
+                assert all(e.created_seq < bound for e in got)
+                # later inserts do not change a bounded draw
+                assert got == unbounded_sample(entries[:bound], "CodeRepair",
+                                               policy, seed)
+
+    def test_bound_survives_load(self, tmp_path):
+        path = tmp_path / "exemplars.jsonl"
+        db = mixed_db(ExemplarDB(path))
+        db.close()
+        loaded = ExemplarDB.load(path)
+        policy = SamplingPolicy(2, 2)
+        for bound in (0, 7, 23, 40):
+            for seed in range(10):
+                assert ([e.entry_id for e in loaded.sample("CodeGeneration", policy,
+                                                           seed, before_seq=bound)]
+                        == [e.entry_id for e in db.sample("CodeGeneration", policy,
+                                                          seed, before_seq=bound)])
+
+    def test_load_rejects_out_of_order_seq(self, tmp_path):
+        path = tmp_path / "exemplars.jsonl"
+        db = filled_db(ExemplarDB(path))
+        db.close()
+        lines = path.read_text().splitlines()
+        first = json.loads(lines[0])
+        first["created_seq"] = 9
+        lines[0] = json.dumps(first)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConsistencyError, match=f"{path}:2"):
+            ExemplarDB.load(path)
 
 
 class TestStats:

@@ -243,7 +243,7 @@ class FakeDB:
         self.entries = list(entries)
         self.sample_seeds = []
 
-    def sample(self, task, policy, seed=0):
+    def sample(self, task, policy, seed=0, before_seq=None):
         self.sample_seeds.append(seed)
         return self.entries
 

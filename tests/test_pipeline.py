@@ -1,11 +1,14 @@
 """End-to-end pipeline tests: staging, accounting, resume, determinism."""
 
 import json
+import sys
+import threading
 
 import pytest
 
 from instructsmith import pipeline
 from instructsmith.emitter import read_dataset
+from instructsmith.coreset import read_selection
 from instructsmith.errors import ConfigError, ConsistencyError
 from instructsmith.exemplar_db import ExemplarDB
 from instructsmith.hermetic import (
@@ -22,6 +25,7 @@ from instructsmith.pipeline import (
     load_pipeline_config,
     run,
 )
+from sensitive import Jitter, exemplar_sensitive_backend, few_shot_section
 
 
 def write_corpus(path, n=60):
@@ -307,6 +311,96 @@ class TestResume:
         db = ExemplarDB.load(tmp_path / "w" / "exemplars.jsonl")
         seqs = [e.created_seq for e in db.entries()]
         assert seqs == list(range(len(seqs)))
+
+
+class TestExemplarSensitive:
+    """Determinism with a generation backend whose reply depends on the
+    few-shot exemplars in its prompt, at max_in_flight 4."""
+
+    def run_sensitive(self, corpus, workdir, jitter_seed, *, resume=False,
+                      after_record=None):
+        jitter = Jitter(jitter_seed)
+        return run(make_config(corpus, workdir,
+                               concurrency={"max_in_flight": 4}),
+                   resume=resume,
+                   generation_backend=jitter.wrap(exemplar_sensitive_backend()),
+                   discrimination_backend=jitter.wrap(
+                       canned_discrimination_backend(bad_modulus=5)),
+                   after_record=after_record)
+
+    def test_exemplars_change_the_replies(self, corpus, tmp_path):
+        gen = exemplar_sensitive_backend()
+        run(make_config(corpus, tmp_path / "w", concurrency={"max_in_flight": 4}),
+            generation_backend=gen,
+            discrimination_backend=canned_discrimination_backend(bad_modulus=5))
+        sections = {few_shot_section(req.user_text) for req in gen.transcript}
+        assert len(sections) > 10
+
+    def test_jitter_does_not_change_bytes(self, corpus, tmp_path):
+        for seed in (1, 2):
+            self.run_sensitive(corpus, tmp_path / f"j{seed}", seed)
+        assert ((tmp_path / "j1" / "dataset.jsonl").read_bytes()
+                == (tmp_path / "j2" / "dataset.jsonl").read_bytes())
+
+    def test_resumed_run_matches_uninterrupted(self, corpus, tmp_path):
+        baseline = self.run_sensitive(corpus, tmp_path / "base", 1)
+        workdir = tmp_path / "crashy"
+        for i, point in enumerate([6, 11]):
+            with pytest.raises(Boom):
+                self.run_sensitive(corpus, workdir, 2 + i, resume=i > 0,
+                                   after_record=crash_after(point))
+        resumed = self.run_sensitive(corpus, workdir, 4, resume=True)
+        assert ((tmp_path / "base" / "dataset.jsonl").read_bytes()
+                == (workdir / "dataset.jsonl").read_bytes())
+        assert resumed.counts == baseline.counts
+
+
+def test_scheduler_stress_commits_in_position_order(tmp_path):
+    """More threads than cores and a tiny switch interval: commits stay in
+    position order, nothing is lost or duplicated, and no more than
+    max_in_flight requests are ever outstanding."""
+    corpus = write_corpus(tmp_path / "corpus.jsonl", n=120)
+    workdir = tmp_path / "w"
+    config = make_config(corpus, workdir, coreset={"k": 100, "seed": 1},
+                         target_accepted=70, concurrency={"max_in_flight": 8})
+    jitter = Jitter(5, max_delay_s=0.003)
+    committed = []
+    outcome = {}
+
+    def target():
+        try:
+            outcome["summary"] = run(
+                config, generation_backend=jitter.wrap(exemplar_sensitive_backend()),
+                discrimination_backend=jitter.wrap(
+                    canned_discrimination_backend(bad_modulus=5)),
+                after_record=lambda rid, result: committed.append(rid))
+        except Exception as exc:  # re-raised in the test's thread below
+            outcome["error"] = exc
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(target=target, daemon=True)
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive(), "run did not finish within 120 s"
+    if "error" in outcome:
+        raise outcome["error"]
+    summary = outcome["summary"]
+    order = read_selection(workdir / "selection.json").selected_ids
+    assert committed == order[:len(committed)]
+    assert len(committed) == summary.counts["generated"]
+    db = ExemplarDB.load(workdir / "exemplars.jsonl")
+    stored = [e.instance.source_record_id for e in db.entries()]
+    db.close()
+    quarantine = workdir / "quarantine.jsonl"
+    quarantined = [json.loads(line)["record_id"]
+                   for line in quarantine.read_text().splitlines()]
+    assert sorted(stored + quarantined) == sorted(committed)
+    assert stored == [rid for rid in committed if rid not in set(quarantined)]
+    assert 1 < jitter.peak_in_flight <= 8
 
 
 class TestAuditDriver:
