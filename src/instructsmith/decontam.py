@@ -1,8 +1,12 @@
 """Train/benchmark leakage audit and removal via embedding nearest neighbors.
 
-The audit embeds benchmark canonical solutions and training texts, computes
-exact cosine similarity for every pair (full scan, no approximation), and
-reports each benchmark item's top-k training neighbors. Cleaning removes the
+The audit embeds benchmark canonical solutions and training texts and scans
+every pair exactly, in float64 (no approximation), one block of benchmark
+items at a time: a block holds at most about 2^19 similarities (4 MiB), so
+memory stays bounded at any corpus size and the full benchmark x train
+matrix is never built. Each block's top-k neighbors come from one partition
+and one sort of the candidates; ties break toward the earlier training row,
+and identical training texts tie exactly. Cleaning removes the
 union of each item's top-n neighbors from the training set.
 """
 
@@ -33,6 +37,9 @@ log = logging.getLogger(__name__)
 DEFAULT_TOP_K = 3
 DEFAULT_BIN_WIDTH = 0.05
 DEFAULT_REMOVE_PER_ITEM = 3
+
+# Similarities per block of benchmark items (4 MiB in float64).
+BLOCK_SIMILARITIES = 2**19
 
 
 @dataclass(frozen=True)
@@ -187,13 +194,35 @@ def top1_histogram(top1_sims: Sequence[float],
     return list(zip(lows, counts))
 
 
+def top_k_indices(sims: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of each row's k largest values, largest first.
+
+    Row for row this equals ``np.argsort(-row, kind="stable")[:k]``: ties
+    break toward the lower column. One partition finds each row's k-th
+    largest value; only the entries at or above it are sorted, by (row,
+    value descending), and the first k of each row are kept. The sort is
+    stable and the candidates come in column order, so equal values keep it.
+    """
+    n_rows, n_cols = sims.shape
+    if not 1 <= k <= n_cols:
+        raise ValueError(f"k must be in [1, {n_cols}], got {k}")
+    kth = np.partition(sims, n_cols - k, axis=1)[:, n_cols - k, None]
+    rows, cols = np.divmod(np.flatnonzero(sims >= kth), n_cols)
+    cols = cols[np.lexsort((-sims[rows, cols], rows))]
+    # rows is sorted, so it also labels the sorted candidates
+    per_row = np.bincount(rows, minlength=n_rows)
+    rank = np.arange(rows.size) - np.repeat(np.cumsum(per_row) - per_row, per_row)
+    return cols[rank < k].reshape(n_rows, k)
+
+
 def audit(train: Sequence[tuple[str, str]], bench: Sequence[BenchmarkItem],
           backend: EmbeddingBackendConfig, top_k: int = DEFAULT_TOP_K, *,
           bin_width: float = DEFAULT_BIN_WIDTH) -> LeakageReport:
     """Full-scan nearest-neighbor audit of bench items against train texts.
 
     Neighbors are ranked by similarity descending; ties break toward the
-    earlier training row, so results are deterministic.
+    earlier training row, so results are deterministic. Bench items are
+    scanned in blocks of ``BLOCK_SIMILARITIES // len(train)`` rows.
     """
     if top_k < 1:
         raise ConfigError("top_k must be >= 1")
@@ -207,16 +236,32 @@ def audit(train: Sequence[tuple[str, str]], bench: Sequence[BenchmarkItem],
 
     train_vecs = embed_batch([text for _, text in train], backend)
     bench_vecs = embed_batch([b.canonical_solution for b in bench], backend)
-    sims = similarity_matrix(stack_vectors(bench_vecs), stack_vectors(train_vecs))
+    train_mat = stack_vectors(train_vecs)
+    bench_mat = stack_vectors(bench_vecs)
+    # BLAS may round a product differently at different matrix positions;
+    # copying each repeated training text's column from its first
+    # occurrence makes duplicates tie exactly.
+    first_row: dict[str, int] = {}
+    first_of = np.array([first_row.setdefault(text, i)
+                         for i, (_, text) in enumerate(train)])
+    repeats = np.flatnonzero(first_of != np.arange(len(first_of)))
 
     k = min(top_k, len(train_ids))
+    height = max(1, BLOCK_SIMILARITIES // len(train_ids))
     per_item: list[ItemNeighbors] = []
     top1_sims: list[float] = []
-    for bi, item in enumerate(bench):
-        order = np.argsort(-sims[bi], kind="stable")[:k]
-        neighbors = [Neighbor(train_ids[ti], float(sims[bi, ti])) for ti in order]
-        per_item.append(ItemNeighbors(bench_id=item.bench_id, neighbors=neighbors))
-        top1_sims.append(neighbors[0].similarity)
+    for start in range(0, len(bench), height):
+        sims = similarity_matrix(bench_mat[start:start + height], train_mat)
+        sims[:, repeats] = sims[:, first_of[repeats]]
+        cols = top_k_indices(sims, k)
+        values = np.take_along_axis(sims, cols, axis=1)
+        for item, row_cols, row_sims in zip(bench[start:start + height],
+                                            cols.tolist(), values.tolist()):
+            neighbors = [Neighbor(train_ids[ti], sim)
+                         for ti, sim in zip(row_cols, row_sims)]
+            per_item.append(ItemNeighbors(bench_id=item.bench_id,
+                                          neighbors=neighbors))
+            top1_sims.append(row_sims[0])
 
     return LeakageReport(
         per_item=per_item,

@@ -9,6 +9,7 @@ reply stays parseable when rules are added or removed from the set.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -33,6 +34,13 @@ _ANSWER_RE = re.compile(r"<answer:\s*(yes|no)\s*,\s*(.*?)>",
 _ANY_ANSWER_TOKEN_RE = re.compile(r"<answer:\s*([A-Za-z]+)", re.IGNORECASE)
 _OVERALL_RE = re.compile(r"Overall answer:\s*(yes|no)", re.IGNORECASE)
 _REASONS_RE = re.compile(r"Reasons:\s*(.*)\s*$", re.IGNORECASE | re.DOTALL)
+
+
+@functools.lru_cache(maxsize=256)
+def _rule_anchor(rule_text: str) -> re.Pattern:
+    """The rule text as a case-insensitive, whitespace-flexible pattern."""
+    return re.compile(r"\s+".join(re.escape(tok) for tok in rule_text.split()),
+                      re.IGNORECASE)
 
 
 @dataclass
@@ -217,9 +225,7 @@ def parse_discrimination_output(text: str, ruleset: RuleSet, *,
     absent: list[str] = []
     cursor = 0
     for rule in ruleset.all_rules():
-        anchor = re.compile(r"\s+".join(re.escape(tok) for tok in rule.text.split()),
-                            re.IGNORECASE)
-        m = anchor.search(text, cursor)
+        m = _rule_anchor(rule.text).search(text, cursor)
         chosen = None
         if m is not None:
             for j, am in enumerate(answers):

@@ -751,6 +751,11 @@ def audit_and_plan(train_path: str | Path, bench_path: str | Path,
     """Decontamination driver: audit a dataset file against a benchmark file,
     write the report, histogram CSV, plan, and the cleaned dataset.
     """
+    # checked before anything is read, embedded or written
+    if top_k < 1:
+        raise ConfigError("top_k must be >= 1")
+    if n_per_item < 1:
+        raise ConfigError("n_per_item must be >= 1")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     backend = backend or EmbeddingBackendConfig()

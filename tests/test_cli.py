@@ -142,6 +142,28 @@ class TestExitCodes:
         assert not missing.exists() and not missing.parent.exists()
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,name", [("--n", "n_per_item"),
+                                           ("--top-k", "top_k")])
+    def test_decontaminate_zero_count_writes_nothing(self, tmp_path, flag,
+                                                     name, capsys):
+        train = tmp_path / "train.jsonl"
+        train.write_text(json.dumps({
+            "instruction": "Write it.", "input": "", "output": "def f(): pass",
+            "_task": "CodeGeneration", "_source_id": "r1"}) + "\n",
+            encoding="utf-8")
+        bench = tmp_path / "bench.jsonl"
+        bench.write_text(json.dumps({"bench_id": "b1",
+                                     "canonical_solution": "def g(): pass"})
+                         + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = main(["decontaminate", "--train", str(train), "--bench", str(bench),
+                   "--out-dir", str(out), flag, "0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and name in err
+        assert list(out.iterdir()) == []
+
 
 class TestStageCommands:
     def test_ingest_normalizes(self, tmp_path, corpus, capsys):

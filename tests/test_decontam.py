@@ -2,8 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from instructsmith import decontam
 from instructsmith.decontam import (
     BenchmarkItem,
     DecontamPlan,
@@ -16,6 +20,7 @@ from instructsmith.decontam import (
     read_benchmark_file,
     read_leakage_report,
     top1_histogram,
+    top_k_indices,
     write_benchmark_file,
     write_histogram_csv,
     write_leakage_report,
@@ -118,6 +123,87 @@ class TestAudit:
         train = train_set(3) + [("train-0", "dup text")]
         with pytest.raises(ConfigError):
             audit(train, [bench(0)], CONFIG)
+
+
+@st.composite
+def tied_matrix_and_k(draw):
+    """A small-integer matrix (so full of ties) and a k in [1, columns]."""
+    n_rows = draw(st.integers(1, 6))
+    n_cols = draw(st.integers(1, 12))
+    values = draw(st.lists(st.integers(-3, 3), min_size=n_rows * n_cols,
+                           max_size=n_rows * n_cols))
+    k = draw(st.integers(1, n_cols))
+    return np.array(values, dtype=np.float64).reshape(n_rows, n_cols), k
+
+
+class TestTopKIndices:
+    @settings(max_examples=400, deadline=None)
+    @given(case=tied_matrix_and_k())
+    def test_matches_stable_argsort(self, case):
+        sims, k = case
+        want = np.stack([np.argsort(-row, kind="stable")[:k] for row in sims])
+        np.testing.assert_array_equal(top_k_indices(sims, k), want)
+
+    def test_k_equals_columns_and_single_row(self):
+        sims = np.array([[0.5, 1.0, 0.5, -1.0, 1.0]])
+        np.testing.assert_array_equal(top_k_indices(sims, 5), [[1, 4, 0, 2, 3]])
+
+    def test_all_equal_row_keeps_first_columns(self):
+        np.testing.assert_array_equal(top_k_indices(np.zeros((2, 6)), 3),
+                                      [[0, 1, 2], [0, 1, 2]])
+
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_k_out_of_range(self, k):
+        with pytest.raises(ValueError):
+            top_k_indices(np.zeros((2, 3)), k)
+
+
+class TestBlockedAudit:
+    def test_duplicate_texts_tie_and_earlier_row_wins(self):
+        leak = "def leaked(values):\n    return sorted(values)[::-1]"
+        # ten rows: the copies sit first, in the middle and last, so BLAS
+        # computes their products in different kernel positions
+        train = train_set(10)
+        for pos in (0, 5, 9):
+            train[pos] = (f"copy-{pos}", leak)
+        items = [bench(i) for i in range(6)] + [bench(6, leak)]
+        report = audit(train, items, CONFIG, top_k=2)
+        top = report.per_item[-1].neighbors
+        assert [n.train_id for n in top] == ["copy-0", "copy-5"]
+        assert top[0].similarity == top[1].similarity
+
+    def test_tie_at_kth_place_with_single_item(self):
+        leak = "def leaked(values):\n    return sorted(values)[::-1]"
+        train = train_set(7) + [("copy-late", leak), ("copy-last", leak)]
+        train.insert(3, ("copy-early", leak))
+        report = audit(train, [bench(0, leak)], CONFIG, top_k=2)
+        assert ([n.train_id for n in report.per_item[0].neighbors]
+                == ["copy-early", "copy-late"])
+
+    @pytest.mark.parametrize("budget", [120 * 4, 120 * 5 + 7, 1])
+    def test_many_blocks_match_naive_oracle(self, monkeypatch, budget):
+        heights = []
+        real = decontam.similarity_matrix
+
+        def counted(a, b):
+            heights.append(len(a))
+            return real(a, b)
+
+        monkeypatch.setattr(decontam, "BLOCK_SIMILARITIES", budget)
+        monkeypatch.setattr(decontam, "similarity_matrix", counted)
+        train = train_set(120)
+        items = [bench(i) for i in range(15)]
+        report = audit(train, items, CONFIG, top_k=5)
+        assert len(heights) >= 3 and sum(heights) == 15
+        assert max(heights) == max(1, budget // 120)
+        expected = naive_neighbors(train, items, top_k=5)
+        assert [item.bench_id for item in report.per_item] == [
+            item.bench_id for item in items]
+        for item in report.per_item:
+            want = expected[item.bench_id]
+            assert [n.train_id for n in item.neighbors] == [t for t, _ in want]
+            for n, (_, ws) in zip(item.neighbors, want):
+                assert n.similarity == pytest.approx(ws, abs=1e-9)
 
 
 class TestHistogram:

@@ -309,7 +309,10 @@ class TestResume:
     def test_db_survives_crash_and_resume(self, corpus, tmp_path):
         self.run_with_crashes(corpus, tmp_path / "w", [3])
         db = ExemplarDB.load(tmp_path / "w" / "exemplars.jsonl")
-        seqs = [e.created_seq for e in db.entries()]
+        try:
+            seqs = [e.created_seq for e in db.entries()]
+        finally:
+            db.close()
         assert seqs == list(range(len(seqs)))
 
 
