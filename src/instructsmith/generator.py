@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import re
-import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -240,7 +239,6 @@ def generate_instance(record, taskdef, db, backend, retries: int = 2, *,
             generation_meta={
                 "model": reply.model_name,
                 "attempts": attempt,
-                "timestamp": time.time(),
                 "exemplar_ids": list(prompt.exemplar_ids),
                 "usage": dict(reply.usage),
             })

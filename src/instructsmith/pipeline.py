@@ -16,7 +16,7 @@ import json
 import logging
 import queue
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -173,6 +173,18 @@ class PipelineConfig:
             p = Path(value)
             return p if p.is_absolute() else base / p
 
+        def number(convert, value, key):
+            try:
+                return convert(value)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{key} must be a number, got {value!r}") from exc
+
+        def section(key):
+            value = d.get(key, {})
+            if not isinstance(value, dict):
+                raise ConfigError(f"{key} must be an object")
+            return value
+
         d = dict(d)
         known = {
             "corpus_path", "workdir", "output_path", "filter",
@@ -201,7 +213,8 @@ class PipelineConfig:
             raise ConfigError(f"bad coreset config: {exc}") from exc
 
         mix = default_mix() if "mix" not in d else MixPolicy.from_raw(
-            {str(k): float(v) for k, v in d["mix"].items()})
+            {str(k): number(float, v, f"mix.{k}")
+             for k, v in section("mix").items()})
 
         try:
             sampling = SamplingPolicy(**d.get("sampling", {}))
@@ -215,11 +228,8 @@ class PipelineConfig:
         disc_backend.extra.setdefault("role", "discrimination")
 
         retries = {"generation": 2, "discrimination": 2}
-        retries.update({str(k): int(v) for k, v in d.get("retries", {}).items()})
-
-        conc = d.get("concurrency", {})
-        if not isinstance(conc, dict):
-            raise ConfigError("concurrency must be an object")
+        retries.update({str(k): number(int, v, f"retries.{k}")
+                        for k, v in section("retries").items()})
 
         try:
             embedding_backend = EmbeddingBackendConfig.from_dict(
@@ -241,10 +251,11 @@ class PipelineConfig:
             discrimination_backend=disc_backend,
             exemplar_db=path_of(d.get("exemplar_db")),
             sampling=sampling,
-            target_accepted=int(d["target_accepted"]),
-            max_in_flight=int(conc.get("max_in_flight", 1)),
+            target_accepted=number(int, d["target_accepted"], "target_accepted"),
+            max_in_flight=number(int, section("concurrency").get("max_in_flight", 1),
+                                 "concurrency.max_in_flight"),
             retries=retries,
-            seed=int(d.get("seed", 0)),
+            seed=number(int, d.get("seed", 0), "seed"),
         )
 
     def to_dict(self) -> dict:
@@ -439,6 +450,22 @@ def assign_selected(selected_ids: Sequence[str], mix: MixPolicy, seed: int,
     return assignment
 
 
+class _InlineExecutor(Executor):
+    """Runs each submitted call on the calling thread and returns its future
+    already completed: the executor of a window one record wide, where a pool
+    thread would only add a handoff per record. An ``Exception`` is stored in
+    the future, as a pool does; any other ``BaseException`` (for example
+    ``KeyboardInterrupt``) propagates at once."""
+
+    def submit(self, fn, /, *args) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
 def generate_exemplars(config: PipelineConfig, records: Sequence[RawCodeRecord],
                        assignment: dict[str, str], db: ExemplarDB,
                        quarantined: list[dict], generation_backend,
@@ -449,7 +476,8 @@ def generate_exemplars(config: PipelineConfig, records: Sequence[RawCodeRecord],
     holds ``config.target_accepted`` Good instances.
 
     Records run on ``config.max_in_flight`` threads in a sliding window and
-    commit in position order. The record at position p starts on a free
+    commit in position order; at ``max_in_flight`` 1 each record runs on the
+    calling thread, with no pool. The record at position p starts on a free
     thread once every position up to p - lag - 1 is committed, and samples
     its exemplars only from the entries of those positions and the entries
     that predate the run. The output therefore depends on the corpus and
@@ -518,7 +546,8 @@ def generate_exemplars(config: PipelineConfig, records: Sequence[RawCodeRecord],
     results: dict[int, Future] = {}
     running = head = nxt = 0
     with JsonlAppender(config.workdir / QUARANTINE_FILE) as qlog, \
-            ThreadPoolExecutor(max_workers=width) as pool:
+            (_InlineExecutor() if width == 1
+             else ThreadPoolExecutor(max_workers=width)) as pool:
         while head < len(records) and accepted < config.target_accepted:
             record = records[head]
             if record.id in processed:  # committed by an earlier run
@@ -756,6 +785,9 @@ def audit_and_plan(train_path: str | Path, bench_path: str | Path,
         raise ConfigError("top_k must be >= 1")
     if n_per_item < 1:
         raise ConfigError("n_per_item must be >= 1")
+    if n_per_item > top_k:
+        # the plan reads only each item's top_k neighbours
+        raise ConfigError(f"n_per_item ({n_per_item}) must be <= top_k ({top_k})")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     backend = backend or EmbeddingBackendConfig()

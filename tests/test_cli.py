@@ -164,6 +164,46 @@ class TestExitCodes:
         assert err.count("\n") == 1 and name in err
         assert list(out.iterdir()) == []
 
+    def test_decontaminate_n_above_top_k_writes_nothing(self, tmp_path,
+                                                        capsys):
+        train = tmp_path / "train.jsonl"
+        train.write_text(json.dumps({
+            "instruction": "Write it.", "input": "", "output": "def f(): pass",
+            "_task": "CodeGeneration", "_source_id": "r1"}) + "\n",
+            encoding="utf-8")
+        bench = tmp_path / "bench.jsonl"
+        bench.write_text(json.dumps({"bench_id": "b1",
+                                     "canonical_solution": "def g(): pass"})
+                         + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = main(["decontaminate", "--train", str(train), "--bench", str(bench),
+                   "--out-dir", str(out), "--top-k", "3", "--n", "5"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "n_per_item" in err and "top_k" in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("key,override", [
+        pytest.param(key, override, id=key) for key, override in [
+            ("target_accepted", {"target_accepted": "many"}),
+            ("seed", {"seed": "s"}),
+            ("concurrency.max_in_flight",
+             {"concurrency": {"max_in_flight": "two"}}),
+            ("retries.generation", {"retries": {"generation": "x"}}),
+            ("mix.CodeGeneration", {"mix": {"CodeGeneration": "lots"}}),
+        ]])
+    def test_non_numeric_config_value_is_usage_error(self, tmp_path, corpus,
+                                                     key, override, capsys):
+        cfg = tmp_path / "config.json"
+        write_config(cfg, corpus, tmp_path / "work", **override)
+        rc = main(["run", "--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and key in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "work").exists()
+
 
 class TestStageCommands:
     def test_ingest_normalizes(self, tmp_path, corpus, capsys):

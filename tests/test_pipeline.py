@@ -9,7 +9,7 @@ import pytest
 from instructsmith import pipeline
 from instructsmith.emitter import read_dataset
 from instructsmith.coreset import read_selection
-from instructsmith.errors import ConfigError, ConsistencyError
+from instructsmith.errors import BackendError, ConfigError, ConsistencyError
 from instructsmith.exemplar_db import ExemplarDB
 from instructsmith.hermetic import (
     canned_discrimination_backend,
@@ -179,10 +179,14 @@ class TestRun:
             run(make_config(corpus, tmp_path / "w"))
 
     def test_two_fresh_runs_byte_identical(self, corpus, tmp_path):
-        run(make_config(corpus, tmp_path / "a"))
-        run(make_config(corpus, tmp_path / "b"))
-        assert ((tmp_path / "a" / "dataset.jsonl").read_bytes()
-                == (tmp_path / "b" / "dataset.jsonl").read_bytes())
+        for width in (1, 4):
+            a, b = tmp_path / f"a{width}", tmp_path / f"b{width}"
+            for workdir in (a, b):
+                run(make_config(corpus, workdir,
+                                concurrency={"max_in_flight": width}))
+            for name in ("dataset.jsonl", "exemplars.jsonl"):
+                assert (a / name).read_bytes() == (b / name).read_bytes(), \
+                    (width, name)
 
     def test_concurrency_matches_serial(self, corpus, tmp_path):
         run(make_config(corpus, tmp_path / "serial"))
@@ -267,8 +271,9 @@ class TestResume:
     def test_resumed_run_matches_uninterrupted(self, corpus, tmp_path):
         baseline = run(make_config(corpus, tmp_path / "base"))
         resumed = self.run_with_crashes(corpus, tmp_path / "crashy", [3, 5])
-        assert ((tmp_path / "base" / "dataset.jsonl").read_bytes()
-                == (tmp_path / "crashy" / "dataset.jsonl").read_bytes())
+        for name in ("dataset.jsonl", "exemplars.jsonl"):
+            assert ((tmp_path / "base" / name).read_bytes()
+                    == (tmp_path / "crashy" / name).read_bytes()), name
         assert resumed.counts == baseline.counts
 
     def test_no_record_generated_twice(self, corpus, tmp_path):
@@ -356,6 +361,93 @@ class TestExemplarSensitive:
         assert ((tmp_path / "base" / "dataset.jsonl").read_bytes()
                 == (workdir / "dataset.jsonl").read_bytes())
         assert resumed.counts == baseline.counts
+
+
+class Probe:
+    """Wraps a chat backend: records the thread of every send and, at
+    max_in_flight 1, raises ``fail_with`` on send number ``fail_at``."""
+
+    def __init__(self, inner, fail_at=None, fail_with=None):
+        self.inner = inner
+        self.model_name = inner.model_name
+        self.fail_at = fail_at
+        self.fail_with = fail_with
+        self.sends = 0
+        self.threads = set()
+
+    def send(self, request):
+        self.threads.add(threading.get_ident())
+        self.sends += 1
+        if self.sends == self.fail_at:
+            raise self.fail_with
+        return self.inner.send(request)
+
+
+def logged_record_ids(workdir):
+    """The record ids in the exemplar log and in the quarantine log."""
+    db = ExemplarDB.load(workdir / "exemplars.jsonl")
+    try:
+        ids = [e.instance.source_record_id for e in db.entries()]
+    finally:
+        db.close()
+    quarantine = workdir / "quarantine.jsonl"
+    if quarantine.exists():
+        ids += [json.loads(line)["record_id"]
+                for line in quarantine.read_text().splitlines()]
+    return ids
+
+
+class TestCallingThread:
+    """At max_in_flight 1 the generate stage runs each record on the thread
+    that called ``run``; errors surface there as they would from a pool."""
+
+    def test_sends_run_on_the_calling_thread(self, corpus, tmp_path):
+        caller = threading.get_ident()
+        for width in (1, 2):
+            gen = Probe(canned_generation_backend())
+            disc = Probe(canned_discrimination_backend(bad_modulus=5))
+            run(make_config(corpus, tmp_path / f"w{width}",
+                            concurrency={"max_in_flight": width}),
+                generation_backend=gen, discrimination_backend=disc)
+            threads = gen.threads | disc.threads
+            if width == 1:
+                assert threads == {caller}
+            else:
+                assert threads - {caller}
+
+    def test_backend_error_aborts_and_resume_matches(self, corpus, tmp_path):
+        run(make_config(corpus, tmp_path / "base"))
+        workdir = tmp_path / "w"
+        config = make_config(corpus, workdir)
+        error = BackendError("HTTP 400 for the fifth record")
+        committed = []
+        with pytest.raises(BackendError) as excinfo:
+            run(config,
+                generation_backend=Probe(canned_generation_backend(),
+                                         fail_at=5, fail_with=error),
+                discrimination_backend=canned_discrimination_backend(
+                    bad_modulus=5),
+                after_record=lambda rid, outcome: committed.append(rid))
+        assert excinfo.value is error
+        order = read_selection(workdir / "selection.json").selected_ids
+        assert committed == order[:4]
+        assert sorted(logged_record_ids(workdir)) == sorted(order[:4])
+        run(config, resume=True)
+        for name in ("dataset.jsonl", "exemplars.jsonl"):
+            assert ((tmp_path / "base" / name).read_bytes()
+                    == (workdir / name).read_bytes()), name
+
+    def test_keyboard_interrupt_propagates_unwrapped(self, corpus, tmp_path):
+        interrupt = KeyboardInterrupt()
+        with pytest.raises(KeyboardInterrupt) as excinfo:
+            run(make_config(corpus, tmp_path / "w"),
+                generation_backend=Probe(canned_generation_backend(),
+                                         fail_at=3, fail_with=interrupt),
+                discrimination_backend=canned_discrimination_backend(
+                    bad_modulus=5))
+        assert excinfo.value is interrupt
+        order = read_selection(tmp_path / "w" / "selection.json").selected_ids
+        assert sorted(logged_record_ids(tmp_path / "w")) == sorted(order[:2])
 
 
 def test_scheduler_stress_commits_in_position_order(tmp_path):
