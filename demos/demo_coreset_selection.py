@@ -23,7 +23,7 @@ backend = EmbeddingBackendConfig(kind="mock", model_name="mock-embed", dim=8)
 texts = [f"def handler_{i}(payload):\n    return payload[{i} % len(payload)]\n"
          for i in range(40)]
 vectors = embed_batch(texts, backend)
-print(f"embedded {len(vectors)} snippets at dim {vectors[0].dim}")
+print(f"embedded {len(vectors)} snippets at dim {vectors.shape[1]}")
 
 # Greedy k-center: start from a seeded pick, then repeatedly take the point
 # farthest from the chosen set. The radius after each pick traces how well

@@ -24,7 +24,7 @@ from .decontam import (
 )
 from .embedding import EmbeddingBackendConfig, read_embedding_cache
 from .emitter import read_dataset
-from .errors import ConfigError, InstructSmithError
+from .errors import ConfigError, ConsistencyError, InstructSmithError
 from .exemplar_db import ExemplarDB
 from .ioutil import read_json
 from .taskspec import default_mix, mix_counts
@@ -80,7 +80,7 @@ def cmd_embed(args) -> int:
     if not records:
         raise ConfigError(f"{args.input}: no records to embed")
     vectors = pipeline.embed_records(records, backend, args.output)
-    _print({"embedded": len(vectors), "dim": vectors[0].dim,
+    _print({"embedded": len(vectors), "dim": vectors.shape[1],
             "model": backend.model_name, "output": str(args.output)})
     return 0
 
@@ -90,7 +90,10 @@ def cmd_select(args) -> int:
                                      stratify_by_language=args.stratify_by_language)
     if coreset.stratify_by_language and not args.records:
         raise ConfigError("--stratify-by-language needs --records")
-    ids, vectors = read_embedding_cache(args.embeddings)
+    try:
+        ids, vectors = read_embedding_cache(args.embeddings)
+    except ConsistencyError as exc:  # a bad input file, as for --bench
+        raise ConfigError(str(exc)) from exc
     if not ids:
         raise ConfigError(f"{args.embeddings}: empty embedding cache")
     languages = None
@@ -229,14 +232,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-code-chars", type=int)
     p.set_defaults(func=cmd_filter)
 
-    p = sub.add_parser("embed", help="embed record code into a cache file")
+    p = sub.add_parser("embed", help="embed record code into a binary .npy "
+                                     "cache of (id, float32 vector) rows")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--config", help="pipeline config supplying the backend")
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("select", help="pick a diverse coreset from embeddings")
-    p.add_argument("--embeddings", required=True)
+    p.add_argument("--embeddings", required=True,
+                   help=".npy cache written by the embed stage")
     p.add_argument("--output", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)

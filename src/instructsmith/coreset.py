@@ -1,9 +1,10 @@
 """KCenterGreedy coreset selection with a brute-force verification oracle.
 
 The greedy loop keeps, for every point, its minimum distance to the selected
-set and updates it incrementally after each pick (one distance row per pick,
-O(n·d) instead of all pairs). Distances are computed in float64 regardless of
-the stored vector precision, so runs are bitwise reproducible.
+set and updates it in place after each pick (one distance row per pick into
+reused buffers, O(n·d) instead of all pairs). Distances are computed in
+float64 regardless of the stored vector precision, so runs are bitwise
+reproducible.
 """
 
 from __future__ import annotations
@@ -49,54 +50,73 @@ class CoresetSelection:
                 raise ValueError("radius_trace must be non-increasing")
 
 
-def _as_matrix(vectors) -> np.ndarray:
-    """Coerce EmbeddingVector sequences or arrays to a float64 (n, d) matrix."""
-    if isinstance(vectors, np.ndarray):
-        mat = np.asarray(vectors, dtype=np.float64)
-        if mat.ndim != 2 or mat.shape[0] == 0:
-            raise ValueError("vectors must form a non-empty 2-D matrix")
-        return mat
-    if not len(vectors):
-        raise ValueError("vectors must be non-empty")
-    rows = []
-    dim = None
-    for v in vectors:
-        arr = np.asarray(getattr(v, "values", v), dtype=np.float64)
-        if arr.ndim != 1:
-            raise ValueError("each vector must be 1-D")
-        if dim is None:
-            dim = arr.size
-        elif arr.size != dim:
-            raise ConsistencyError(
-                f"mixed vector dimensions: {dim} vs {arr.size}")
-        rows.append(arr)
-    return np.stack(rows)
+def _as_matrix(vectors: np.ndarray) -> np.ndarray:
+    """``vectors`` as a float64 (n, d) matrix."""
+    mat = np.asarray(vectors, dtype=np.float64)
+    if mat.ndim != 2 or mat.shape[0] == 0:
+        raise ValueError("vectors must form a non-empty 2-D matrix")
+    return mat
 
 
-def _prepare(mat: np.ndarray, metric: str) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per-metric precomputation: (working matrix, squared row norms or None)."""
-    if metric == "euclidean":
-        return mat, np.einsum("ij,ij->i", mat, mat)
-    if metric == "cosine_distance":
-        norms = np.linalg.norm(mat, axis=1)
-        if np.any(norms == 0):
-            raise ValueError("cosine_distance is undefined for zero vectors")
-        return mat / norms[:, None], None
-    raise ValueError(f"metric must be one of {METRICS}")
+class _MinDistance:
+    """Every point's distance to its nearest selected center, updated in
+    place as centers are added. A selected point holds -1, below every
+    distance, so ``farthest`` is the lowest-index unselected point among
+    the farthest ones (a selected point once every point is).
+
+    The update reuses one matvec buffer and one distance buffer. Euclidean
+    distances are sqrt(max((|x|^2 + |c|^2) - 2(x.c), 0)); cosine distances
+    are max(1 - x.c, 0) on unit rows. Both are float64.
+    """
+
+    def __init__(self, vectors: np.ndarray, metric: str):
+        mat = _as_matrix(vectors)
+        if metric == "euclidean":
+            self.norms2 = np.einsum("ij,ij->i", mat, mat)
+        elif metric == "cosine_distance":
+            norms = np.linalg.norm(mat, axis=1)
+            if np.any(norms == 0):
+                raise ValueError("cosine_distance is undefined for zero vectors")
+            mat = mat / norms[:, None]
+        else:
+            raise ValueError(f"metric must be one of {METRICS}")
+        self.mat, self.metric = mat, metric
+        n = mat.shape[0]
+        self.values = np.full(n, np.inf)
+        self.farthest = 0
+        self._dots = np.empty(n)
+        self._dist = np.empty(n)
+
+    def __len__(self) -> int:
+        return self.values.shape[0]
+
+    def add(self, center: int) -> float:
+        """Select ``center``; returns the radius of the selection so far."""
+        dots, dist = self._dots, self._dist
+        np.matmul(self.mat, self.mat[center], out=dots)
+        if self.metric == "euclidean":
+            np.add(self.norms2, self.norms2[center], out=dist)
+            dots *= 2.0
+            dist -= dots
+            np.maximum(dist, 0.0, out=dist)
+            np.sqrt(dist, out=dist)
+        else:
+            np.subtract(1.0, dots, out=dist)
+            np.maximum(dist, 0.0, out=dist)
+        np.minimum(self.values, dist, out=self.values)
+        self.values[center] = -1.0
+        self.farthest = int(np.argmax(self.values))
+        return max(float(self.values[self.farthest]), 0.0)
 
 
-def _distances_to(mat: np.ndarray, norms2: np.ndarray | None,
-                  center: int, metric: str) -> np.ndarray:
-    """Distance from every row to ``mat[center]`` (float64, clipped at 0)."""
-    if metric == "euclidean":
-        c = mat[center]
-        d2 = norms2 + float(norms2[center]) - 2.0 * (mat @ c)
-        return np.sqrt(np.clip(d2, 0.0, None))
-    sims = mat @ mat[center]
-    return np.clip(1.0 - sims, 0.0, None)
+def _check_indices(indices: Sequence[int], n: int, what: str) -> None:
+    for idx in indices:
+        if not (0 <= idx < n):
+            raise ValueError(f"{what} index {idx} out of range [0, {n})")
 
 
-def kcenter_greedy(vectors, k: int, seed: int = 0, metric: str = "euclidean",
+def kcenter_greedy(vectors: np.ndarray, k: int, seed: int = 0,
+                   metric: str = "euclidean",
                    initial: Sequence[int] | None = None) -> CoresetSelection:
     """Select min(k, n) diverse points by greedy max-min distance.
 
@@ -104,62 +124,37 @@ def kcenter_greedy(vectors, k: int, seed: int = 0, metric: str = "euclidean",
     Each later pick is the unselected point farthest from the selected set,
     ties broken by lowest index.
     """
-    mat = _as_matrix(vectors)
-    n = mat.shape[0]
     if k < 1:
         raise ValueError("k must be >= 1")
-    work, norms2 = _prepare(mat, metric)
+    min_dist = _MinDistance(vectors, metric)
+    n = len(min_dist)
     m = min(k, n)
     initial = list(initial or [])
     if len(set(initial)) != len(initial):
         raise ValueError("initial indices must be unique")
-    for idx in initial:
-        if not (0 <= idx < n):
-            raise ValueError(f"initial index {idx} out of range [0, {n})")
+    _check_indices(initial, n, "initial")
     if len(initial) > m:
         raise ValueError(f"more initial indices ({len(initial)}) than picks ({m})")
 
-    selected: list[int] = []
-    trace: list[float] = []
-    min_dist = np.full(n, np.inf)
-    selected_mask = np.zeros(n, dtype=bool)
-
-    def pick(idx: int) -> None:
-        selected.append(idx)
-        selected_mask[idx] = True
-        np.minimum(min_dist, _distances_to(work, norms2, idx, metric), out=min_dist)
-        min_dist[idx] = 0.0
-        trace.append(float(min_dist.max()))
-
-    for idx in initial:
-        pick(idx)
-    if not selected:
-        first = int(np.random.default_rng(seed).integers(n))
-        pick(first)
+    selected = initial or [int(np.random.default_rng(seed).integers(n))]
+    trace = [min_dist.add(idx) for idx in selected]
     while len(selected) < m:
-        # selected points are masked below any real distance, so argmax lands
-        # on the lowest-index unselected point among ties
-        candidates = np.where(selected_mask, -1.0, min_dist)
-        pick(int(np.argmax(candidates)))
+        selected.append(min_dist.farthest)
+        trace.append(min_dist.add(min_dist.farthest))
     return CoresetSelection(selected_indices=selected, radius_trace=trace,
                             k=k, metric=metric, seed=seed)
 
 
-def kcenter_radius(vectors, centers: Sequence[int], metric: str = "euclidean") -> float:
+def kcenter_radius(vectors: np.ndarray, centers: Sequence[int],
+                   metric: str = "euclidean") -> float:
     """Max over all points of min distance to any center."""
-    mat = _as_matrix(vectors)
-    n = mat.shape[0]
+    min_dist = _MinDistance(vectors, metric)
     if not len(centers):
         raise ValueError("centers must be non-empty")
+    _check_indices(centers, len(min_dist), "center")
     for idx in centers:
-        if not (0 <= idx < n):
-            raise ValueError(f"center index {idx} out of range [0, {n})")
-    work, norms2 = _prepare(mat, metric)
-    min_dist = np.full(n, np.inf)
-    for idx in centers:
-        np.minimum(min_dist, _distances_to(work, norms2, idx, metric), out=min_dist)
-        min_dist[idx] = 0.0
-    return float(min_dist.max())
+        radius = min_dist.add(idx)
+    return radius
 
 
 def kcenter_optimal_bruteforce(vectors, k: int, metric: str = "euclidean"
@@ -240,13 +235,8 @@ def stratified_kcenter_greedy(vectors, labels: Sequence[str], k: int,
         all_picks.extend(idxs[j] for j in sub.selected_indices)
 
     # replay the union sequence to get a coherent global radius trace
-    work, norms2 = _prepare(mat, metric)
-    min_dist = np.full(n, np.inf)
-    trace: list[float] = []
-    for idx in all_picks:
-        np.minimum(min_dist, _distances_to(work, norms2, idx, metric), out=min_dist)
-        min_dist[idx] = 0.0
-        trace.append(float(min_dist.max()))
+    min_dist = _MinDistance(mat, metric)
+    trace = [min_dist.add(idx) for idx in all_picks]
     return CoresetSelection(selected_indices=all_picks, radius_trace=trace,
                             k=k, metric=metric, seed=seed)
 

@@ -234,10 +234,9 @@ def audit(train: Sequence[tuple[str, str]], bench: Sequence[BenchmarkItem],
     if len(set(train_ids)) != len(train_ids):
         raise ConfigError("train ids must be unique")
 
-    train_vecs = embed_batch([text for _, text in train], backend)
-    bench_vecs = embed_batch([b.canonical_solution for b in bench], backend)
-    train_mat = stack_vectors(train_vecs)
-    bench_mat = stack_vectors(bench_vecs)
+    train_mat = stack_vectors(embed_batch([text for _, text in train], backend))
+    bench_mat = stack_vectors(embed_batch([b.canonical_solution for b in bench],
+                                          backend))
     # BLAS may round a product differently at different matrix positions;
     # copying each repeated training text's column from its first
     # occurrence makes duplicates tie exactly.

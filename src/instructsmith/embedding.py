@@ -1,8 +1,10 @@
-"""Text embeddings behind a pluggable backend, plus vector similarity math.
+"""Text embeddings behind a pluggable backend, and their on-disk cache.
 
 Two backends ship: an HTTP client speaking the common embeddings JSON shape,
-and a deterministic hash-based mock for hermetic runs. Vectors are stored at
-float32; similarity and distance math is done in float64.
+and a deterministic hash-based mock for hermetic runs. A batch of texts
+embeds into one (n, d) float32 matrix, which the coreset selection and the
+decontamination audit take as it is (their math is done in float64). The
+cache is one binary ``.npy`` file of (id, vector) rows.
 """
 
 from __future__ import annotations
@@ -17,29 +19,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BackendError, ConsistencyError, ProtocolError
-from .ioutil import JsonlAppender, iter_jsonl
+from .ioutil import atomic_open
 from .llm_backend import RetryPolicy, post_json, with_retry
 
 DEFAULT_MOCK_DIM = 64
-
-
-@dataclass
-class EmbeddingVector:
-    """A fixed-length float32 vector tagged with the model that produced it."""
-
-    values: np.ndarray
-    model_tag: str = ""
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float32)
-        if self.values.ndim != 1 or self.values.size == 0:
-            raise ValueError("values must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("vector contains non-finite values")
-
-    @property
-    def dim(self) -> int:
-        return int(self.values.size)
 
 
 @dataclass
@@ -150,14 +133,38 @@ def make_embedding_backend(config: EmbeddingBackendConfig) -> EmbeddingBackend:
     return HttpEmbeddingBackend(config)
 
 
+def _chunk_matrix(vectors, chunk_index: int, rows: int,
+                  dim: int | None) -> np.ndarray:
+    """One chunk's vectors as a validated (rows, d) float32 matrix, where d
+    must equal ``dim`` when it is given."""
+    try:
+        mat = np.asarray(vectors, dtype=np.float32)
+    except (TypeError, ValueError) as exc:
+        raise ConsistencyError(
+            f"ragged or non-numeric vectors in chunk {chunk_index}: {exc}") from exc
+    if mat.ndim != 2 or mat.shape[0] != rows or mat.shape[1] == 0:
+        raise ConsistencyError(
+            f"chunk {chunk_index} has shape {mat.shape}, expected ({rows}, d)")
+    if dim is not None and mat.shape[1] != dim:
+        raise ConsistencyError(
+            f"dimension mismatch in chunk {chunk_index}: expected {dim}, "
+            f"got {mat.shape[1]}")
+    if not np.isfinite(mat).all():
+        raise ConsistencyError(f"non-finite values in chunk {chunk_index}")
+    return mat
+
+
 def embed_batch(texts: Sequence[str], config: EmbeddingBackendConfig,
                 backend: EmbeddingBackend | None = None,
-                sleep: Callable[[float], None] = time.sleep) -> list[EmbeddingVector]:
-    """Embed ``texts`` in input order, chunked by ``config.batch_size``.
+                sleep: Callable[[float], None] = time.sleep) -> np.ndarray:
+    """Embed ``texts`` in input order into an (n, d) float32 matrix,
+    chunked by ``config.batch_size``.
 
     A caller-supplied ``backend`` overrides the one built from config (used by
     tests to inspect call logs). Chunks may run concurrently up to
-    ``config.max_in_flight``; results are reassembled in input order.
+    ``config.max_in_flight``; results are reassembled in input order. Each
+    chunk is validated once: one finite row per text, all chunks of one
+    dimension; a chunk that fails raises ``ConsistencyError`` naming it.
     """
     if not texts:
         raise ValueError("texts must be non-empty")
@@ -182,80 +189,54 @@ def embed_batch(texts: Sequence[str], config: EmbeddingBackendConfig,
             per_chunk = list(pool.map(embed_chunk, range(len(chunks))))
     else:
         per_chunk = [embed_chunk(ci) for ci in range(len(chunks))]
-    model_tag = getattr(backend, "model_name", config.model_name)
-    out: list[EmbeddingVector] = []
-    dim: int | None = None
+    mats: list[np.ndarray] = []
     for ci, vectors in enumerate(per_chunk):
-        for vec in vectors:
-            if dim is None:
-                dim = int(vec.size)
-            elif int(vec.size) != dim:
-                raise ConsistencyError(
-                    f"dimension mismatch in chunk {ci}: expected {dim}, got {vec.size}")
-            out.append(EmbeddingVector(vec, model_tag=model_tag))
-    return out
+        dim = mats[0].shape[1] if mats else None
+        mats.append(_chunk_matrix(vectors, ci, len(chunks[ci]), dim))
+    return np.concatenate(mats)
 
 
-def _as_array(v: EmbeddingVector | np.ndarray | Sequence[float]) -> np.ndarray:
-    if isinstance(v, EmbeddingVector):
-        return np.asarray(v.values, dtype=np.float64)
-    return np.asarray(v, dtype=np.float64)
+def stack_vectors(vectors: np.ndarray) -> np.ndarray:
+    """``vectors`` as an (n, d) float32 matrix, with no copy when it is one."""
+    mat = np.asarray(vectors, dtype=np.float32)
+    if mat.ndim != 2 or mat.size == 0:
+        raise ValueError(f"expected a non-empty (n, d) matrix, got shape {mat.shape}")
+    return mat
 
 
-def cosine_similarity(a, b) -> float:
-    """dot(a, b) / (|a| * |b|), computed in float64."""
-    av, bv = _as_array(a), _as_array(b)
-    if av.shape != bv.shape:
-        raise ValueError(f"dimension mismatch: {av.shape} vs {bv.shape}")
-    na, nb = float(np.linalg.norm(av)), float(np.linalg.norm(bv))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine similarity undefined for zero vectors")
-    return float(np.clip(np.dot(av, bv) / (na * nb), -1.0, 1.0))
-
-
-def euclidean_distance(a, b) -> float:
-    av, bv = _as_array(a), _as_array(b)
-    if av.shape != bv.shape:
-        raise ValueError(f"dimension mismatch: {av.shape} vs {bv.shape}")
-    return float(np.linalg.norm(av - bv))
-
-
-def stack_vectors(vectors: Sequence[EmbeddingVector]) -> np.ndarray:
-    """Stack into an (n, dim) float32 matrix; raises on inconsistent dims."""
-    if not vectors:
-        raise ValueError("vectors must be non-empty")
-    dims = {v.dim for v in vectors}
-    if len(dims) != 1:
-        raise ConsistencyError(f"inconsistent vector dims: {sorted(dims)}")
-    return np.stack([v.values for v in vectors]).astype(np.float32)
-
-
-def write_embedding_cache(path, ids: Sequence[str],
-                          vectors: Sequence[EmbeddingVector]) -> int:
-    """Append one {"id", "model", "vector"} line per embedding; returns count."""
+def write_embedding_cache(path, ids: Sequence[str], vectors: np.ndarray) -> int:
+    """Write one structured ``.npy`` array of (id, float32 vector) rows to
+    exactly ``path``, atomically; returns the row count. The same ids and
+    vectors always give the same bytes."""
+    vectors = stack_vectors(vectors)
     if len(ids) != len(vectors):
         raise ValueError("ids and vectors must have equal length")
-    with JsonlAppender(path) as out:
-        for rid, vec in zip(ids, vectors):
-            out.append({"id": rid, "model": vec.model_tag,
-                        "vector": [float(x) for x in vec.values]})
+    width = max(1, *map(len, ids))
+    table = np.empty(len(ids), dtype=[("id", f"U{width}"),
+                                      ("vector", "<f4", (vectors.shape[1],))])
+    table["id"] = ids
+    table["vector"] = vectors
+    with atomic_open(path) as fh:  # a handle, so np.save adds no ".npy"
+        np.save(fh, table, allow_pickle=False)
     return len(ids)
 
 
-def read_embedding_cache(path, tolerate_torn_tail: bool = False
-                         ) -> tuple[list[str], list[EmbeddingVector]]:
-    """Read a cache file back as parallel (ids, vectors) lists. Later lines
-    win on duplicate ids, so a resumed append never yields duplicates."""
-    by_id: dict[str, EmbeddingVector] = {}
-    order: list[str] = []
-    for lineno, obj in iter_jsonl(path, tolerate_torn_tail=tolerate_torn_tail):
+def read_embedding_cache(path) -> tuple[list[str], np.ndarray]:
+    """Read a cache file back as (ids, (n, d) float32 vectors). A file that
+    is not a complete cache, or that repeats an id, is a ConsistencyError."""
+    with open(path, "rb") as fh:
         try:
-            rid = str(obj["id"])
-            vec = EmbeddingVector(np.asarray(obj["vector"], dtype=np.float32),
-                                  model_tag=str(obj.get("model", "")))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConsistencyError(f"{path}:{lineno}: bad cache line: {exc}") from exc
-        if rid not in by_id:
-            order.append(rid)
-        by_id[rid] = vec
-    return order, [by_id[rid] for rid in order]
+            table = np.lib.format.read_array(fh, allow_pickle=False)
+        except ValueError as exc:
+            raise ConsistencyError(
+                f"{path}: not a readable embedding cache: {exc}") from exc
+    if (table.ndim != 1 or table.dtype.names != ("id", "vector")
+            or table.dtype["vector"].ndim != 1):
+        raise ConsistencyError(f"{path}: not an embedding cache")
+    ids = table["id"].tolist()
+    if len(set(ids)) != len(ids):
+        raise ConsistencyError(f"{path}: duplicate ids in embedding cache")
+    vectors = np.ascontiguousarray(table["vector"], dtype=np.float32)
+    if not np.isfinite(vectors).all():
+        raise ConsistencyError(f"{path}: non-finite values in embedding cache")
+    return ids, vectors

@@ -6,26 +6,35 @@ import json
 import logging
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, BinaryIO, Iterable, Iterator
 
 log = logging.getLogger(__name__)
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` to ``path`` via a temp file + rename, so readers never
+@contextmanager
+def atomic_open(path: str | Path) -> Iterator[BinaryIO]:
+    """Open a temp file beside ``path`` for binary writing; when the block
+    ends without error the temp file replaces ``path``, so readers never
     observe a partial file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 via a temp file + rename."""
+    with atomic_open(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def atomic_write_json(path: str | Path, obj: Any, *, indent: int = 2) -> None:

@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from .corpus import (
     FilterConfig,
     FilterReport,
@@ -50,7 +52,6 @@ from .decontam import (
 from .discriminator import RuleSet, discriminate, load_ruleset
 from .embedding import (
     EmbeddingBackendConfig,
-    EmbeddingVector,
     embed_batch,
     read_embedding_cache,
     write_embedding_cache,
@@ -87,7 +88,7 @@ STAGES = ("filtered", "embedded", "selected", "assigned", "generating", "done")
 
 FILTERED_FILE = "filtered.jsonl"
 FILTER_REPORT_FILE = "filter_report.json"
-EMBEDDINGS_FILE = "embeddings.jsonl"
+EMBEDDINGS_FILE = "embeddings.npy"
 SELECTION_FILE = "selection.json"
 ASSIGNMENTS_FILE = "assignments.json"
 EXEMPLARS_FILE = "exemplars.jsonl"
@@ -167,9 +168,12 @@ class PipelineConfig:
         ``base_dir`` (the config file's directory)."""
         base = Path(base_dir)
 
-        def path_of(value):
+        def path_of(key):
+            value = d.get(key)
             if value is None:
                 return None
+            if not isinstance(value, str):
+                raise ConfigError(f"{key} must be a path string, got {value!r}")
             p = Path(value)
             return p if p.is_absolute() else base / p
 
@@ -179,8 +183,8 @@ class PipelineConfig:
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{key} must be a number, got {value!r}") from exc
 
-        def section(key):
-            value = d.get(key, {})
+        def section(key, default=None):
+            value = d.get(key, default or {})
             if not isinstance(value, dict):
                 raise ConfigError(f"{key} must be an object")
             return value
@@ -199,7 +203,7 @@ class PipelineConfig:
             if req not in d:
                 raise ConfigError(f"config is missing required key {req!r}")
 
-        filter_d = dict(d.get("filter", {}))
+        filter_d = dict(section("filter"))
         if "blacklist" not in filter_d:
             filter_d["blacklist"] = default_blacklist()
         try:
@@ -221,10 +225,10 @@ class PipelineConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad sampling config: {exc}") from exc
 
-        gen_backend = BackendConfig.from_dict(d.get("generation_backend",
-                                                    {"kind": "mock"}))
-        disc_d = dict(d.get("discrimination_backend", {"kind": "mock"}))
-        disc_backend = BackendConfig.from_dict(disc_d)
+        gen_backend = BackendConfig.from_dict(
+            section("generation_backend", {"kind": "mock"}))
+        disc_backend = BackendConfig.from_dict(
+            section("discrimination_backend", {"kind": "mock"}))
         disc_backend.extra.setdefault("role", "discrimination")
 
         retries = {"generation": 2, "discrimination": 2}
@@ -233,23 +237,23 @@ class PipelineConfig:
 
         try:
             embedding_backend = EmbeddingBackendConfig.from_dict(
-                d.get("embedding_backend", {"kind": "mock"}))
+                section("embedding_backend", {"kind": "mock"}))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad embedding_backend config: {exc}") from exc
 
         return cls(
-            corpus_path=path_of(d["corpus_path"]),
-            workdir=path_of(d["workdir"]),
-            output_path=path_of(d.get("output_path")),
+            corpus_path=path_of("corpus_path"),
+            workdir=path_of("workdir"),
+            output_path=path_of("output_path"),
             filter=filter_config,
             embedding_backend=embedding_backend,
             coreset=coreset,
             mix=mix,
-            task_file=path_of(d.get("task_file")),
-            rulesets={str(k): str(v) for k, v in d.get("rulesets", {}).items()},
+            task_file=path_of("task_file"),
+            rulesets={str(k): str(v) for k, v in section("rulesets").items()},
             generation_backend=gen_backend,
             discrimination_backend=disc_backend,
-            exemplar_db=path_of(d.get("exemplar_db")),
+            exemplar_db=path_of("exemplar_db"),
             sampling=sampling,
             target_accepted=number(int, d["target_accepted"], "target_accepted"),
             max_in_flight=number(int, section("concurrency").get("max_in_flight", 1),
@@ -414,15 +418,15 @@ def filter_corpus(corpus_path: str | Path, filter_config: FilterConfig,
 
 def embed_records(records: Sequence[RawCodeRecord],
                   backend: EmbeddingBackendConfig,
-                  cache_path: str | Path) -> list[EmbeddingVector]:
-    """Embed stage: embed each record's code into a fresh cache file."""
-    Path(cache_path).unlink(missing_ok=True)
+                  cache_path: str | Path) -> np.ndarray:
+    """Embed stage: embed each record's code into an (n, d) float32 matrix,
+    written to the cache file by record id."""
     vectors = embed_batch([r.code for r in records], backend)
     write_embedding_cache(cache_path, [r.id for r in records], vectors)
     return vectors
 
 
-def select_coreset(vectors: Sequence[EmbeddingVector], ids: Sequence[str],
+def select_coreset(vectors: np.ndarray, ids: Sequence[str],
                    languages: Sequence[str] | None, coreset: CoresetConfig,
                    output_path: str | Path) -> CoresetSelection:
     """Select stage: greedy k-center over ``vectors``, per language when
@@ -663,7 +667,7 @@ def run(config: PipelineConfig, *, resume: bool = False,
         cache_path = workdir / EMBEDDINGS_FILE
         if done("embedded"):
             ids, vectors = read_embedding_cache(
-                _require_artifact(cache_path, "embedded"), tolerate_torn_tail=True)
+                _require_artifact(cache_path, "embedded"))
             if ids != [r.id for r in kept]:
                 raise ConsistencyError(
                     f"{cache_path} does not match the filtered corpus")

@@ -258,9 +258,8 @@ def naive_neighbors(train, bench_texts, top_k):
     """Independent per-pair oracle: plain cosine loops, no matrix path."""
     from instructsmith.embedding import embed_batch
 
-    train_vecs = [v.values for v in
-                  embed_batch([t for _, t in train], DECONTAM_BACKEND)]
-    bench_vecs = [v.values for v in embed_batch(bench_texts, DECONTAM_BACKEND)]
+    train_vecs = list(embed_batch([t for _, t in train], DECONTAM_BACKEND))
+    bench_vecs = list(embed_batch(bench_texts, DECONTAM_BACKEND))
 
     def cosine(a, b):
         num = sum(float(x) * float(y) for x, y in zip(a, b))

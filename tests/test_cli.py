@@ -84,7 +84,7 @@ class TestExitCodes:
         assert main(["run", "--config", str(bad)]) == 2
 
     def test_select_k_zero_is_usage_error(self, tmp_path, corpus, capsys):
-        emb = tmp_path / "emb.jsonl"
+        emb = tmp_path / "emb.npy"
         assert main(["embed", "--input", str(corpus), "--output", str(emb)]) == 0
         capsys.readouterr()
         rc = main(["select", "--embeddings", str(emb),
@@ -205,6 +205,54 @@ class TestExitCodes:
         assert not (tmp_path / "work").exists()
 
 
+    @pytest.mark.parametrize("key,override", [
+        pytest.param(key, override, id=key) for key, override in [
+            ("filter", {"filter": "x"}),
+            ("discrimination_backend", {"discrimination_backend": "x"}),
+            ("generation_backend", {"generation_backend": "x"}),
+            ("embedding_backend", {"embedding_backend": "x"}),
+            ("rulesets", {"rulesets": "x"}),
+            ("corpus_path", {"corpus_path": 5}),
+            ("task_file", {"task_file": 5}),
+            ("exemplar_db", {"exemplar_db": 5}),
+            ("output_path", {"output_path": 5}),
+        ]])
+    def test_malformed_config_value_is_usage_error(self, tmp_path, corpus,
+                                                   key, override, capsys):
+        cfg = tmp_path / "config.json"
+        write_config(cfg, corpus, tmp_path / "work", **override)
+        rc = main(["run", "--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and key in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "work").exists()
+
+    def test_select_truncated_cache_is_usage_error(self, tmp_path, corpus,
+                                                   capsys):
+        emb = tmp_path / "emb.npy"
+        assert main(["embed", "--input", str(corpus), "--output", str(emb)]) == 0
+        emb.write_bytes(emb.read_bytes()[:-9])
+        capsys.readouterr()
+        rc = main(["select", "--embeddings", str(emb),
+                   "--output", str(tmp_path / "sel.json"), "--k", "3"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(emb) in err
+        assert not (tmp_path / "sel.json").exists()
+
+    def test_resume_old_jsonl_workdir_is_error(self, tmp_path, corpus, capsys):
+        config = tmp_path / "config.json"
+        workdir = tmp_path / "work"
+        write_config(config, corpus, workdir)
+        assert main(["run", "--config", str(config)]) == 0
+        (workdir / "embeddings.npy").rename(workdir / "embeddings.jsonl")
+        capsys.readouterr()
+        assert main(["run", "--config", str(config), "--resume"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "embeddings.npy is missing" in err
+
+
 class TestStageCommands:
     def test_ingest_normalizes(self, tmp_path, corpus, capsys):
         out = tmp_path / "ingested.jsonl"
@@ -237,7 +285,7 @@ class TestStageCommands:
         assert rc == 2
 
     def test_embed_select_assign_chain(self, tmp_path, corpus, capsys):
-        emb = tmp_path / "emb.jsonl"
+        emb = tmp_path / "emb.npy"
         sel = tmp_path / "sel.json"
         asg = tmp_path / "asg.json"
         assert main(["embed", "--input", str(corpus),
@@ -261,7 +309,7 @@ class TestStageCommands:
         assert set(assignment["assignment"]) == set(selection["selected_ids"])
 
     def test_select_cosine_metric(self, tmp_path, corpus, capsys):
-        emb = tmp_path / "emb.jsonl"
+        emb = tmp_path / "emb.npy"
         sel = tmp_path / "sel.json"
         main(["embed", "--input", str(corpus), "--output", str(emb)])
         capsys.readouterr()
@@ -282,8 +330,8 @@ class TestStageCommands:
              "--output", str(chain / "filtered.jsonl")],
             ["embed", "--config", str(config),
              "--input", str(chain / "filtered.jsonl"),
-             "--output", str(chain / "embeddings.jsonl")],
-            ["select", "--embeddings", str(chain / "embeddings.jsonl"),
+             "--output", str(chain / "embeddings.npy")],
+            ["select", "--embeddings", str(chain / "embeddings.npy"),
              "--output", str(chain / "selection.json"), "--k", "30",
              "--seed", "1"],
             ["assign", "--config", str(config),
@@ -295,12 +343,12 @@ class TestStageCommands:
         for step in steps:
             assert main(step) == 0, step
         capsys.readouterr()
-        for name in ("filtered.jsonl", "embeddings.jsonl", "selection.json",
+        for name in ("filtered.jsonl", "embeddings.npy", "selection.json",
                      "assignments.json", "dataset.jsonl"):
             assert (chain / name).read_bytes() == (workdir / name).read_bytes(), name
 
     def test_select_stratified_needs_records(self, tmp_path, corpus, capsys):
-        emb = tmp_path / "emb.jsonl"
+        emb = tmp_path / "emb.npy"
         main(["embed", "--input", str(corpus), "--output", str(emb)])
         capsys.readouterr()
         rc = main(["select", "--embeddings", str(emb),
@@ -309,7 +357,7 @@ class TestStageCommands:
         assert rc == 2
 
     def test_select_stratified_with_records(self, tmp_path, corpus, capsys):
-        emb = tmp_path / "emb.jsonl"
+        emb = tmp_path / "emb.npy"
         sel = tmp_path / "sel.json"
         main(["embed", "--input", str(corpus), "--output", str(emb)])
         capsys.readouterr()

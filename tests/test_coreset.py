@@ -13,7 +13,8 @@ from instructsmith.coreset import (
     stratified_kcenter_greedy,
     write_selection,
 )
-from instructsmith.errors import ConsistencyError, GuardLimitError
+from instructsmith.errors import GuardLimitError
+from kcenter_reference import reference_kcenter_greedy, replay_trace
 
 POINTS_1D = np.array([[0.0], [1.0], [10.0]])
 
@@ -76,13 +77,13 @@ class TestGreedy:
         with pytest.raises(ValueError):
             kcenter_greedy(POINTS_1D, k=1, initial=[0, 1])
 
-    def test_mixed_dims_is_consistency_error(self):
-        class V:
-            def __init__(self, values):
-                self.values = values
-
-        with pytest.raises(ConsistencyError):
-            kcenter_greedy([V([1.0, 2.0]), V([1.0, 2.0, 3.0])], k=1)
+    def test_non_matrix_input_rejected(self):
+        with pytest.raises(ValueError):
+            kcenter_greedy(np.ones(3), k=1)
+        with pytest.raises(ValueError):
+            kcenter_greedy(np.ones((2, 2, 2)), k=1)
+        with pytest.raises(ValueError):
+            kcenter_radius(np.ones(3), [0])
 
     def test_cosine_zero_vector_rejected(self):
         mat = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -97,6 +98,64 @@ class TestGreedy:
         a = kcenter_greedy(mat, k=12, seed=4, metric="euclidean")
         b = kcenter_greedy(mat, k=12, seed=4, metric="cosine_distance")
         assert a.selected_indices == b.selected_indices
+
+
+class TestReferenceEquivalence:
+    """The in-place per-pick update against the reference loop in
+    ``kcenter_reference``: identical picks and radius traces, bit for bit."""
+
+    METRICS = ("euclidean", "cosine_distance")
+
+    def assert_same(self, mat, k, metric, seed=0, initial=None):
+        sel = kcenter_greedy(mat, k, seed=seed, metric=metric, initial=initial)
+        picks, trace = reference_kcenter_greedy(mat, k, seed=seed, metric=metric,
+                                                initial=initial)
+        assert sel.selected_indices == picks
+        assert sel.radius_trace == trace
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_random_float32_embeddings(self, metric):
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            n, dim = int(rng.integers(1, 200)), int(rng.integers(1, 24))
+            mat = rng.normal(size=(n, dim)).astype(np.float32)
+            self.assert_same(mat, int(rng.integers(1, n + 3)), metric,
+                             seed=int(rng.integers(1000)))
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_duplicate_points_tie(self, metric):
+        rng = np.random.default_rng(32)
+        base = rng.normal(size=(15, 4))
+        mat = np.concatenate([base, base, base[:5]])
+        for seed in range(5):
+            self.assert_same(mat, 30, metric, seed=seed)
+        self.assert_same(np.ones((6, 3)), 4, metric)
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_k_equals_n(self, metric):
+        mat = np.random.default_rng(33).normal(size=(25, 5))
+        self.assert_same(mat, 25, metric, seed=2)
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_initial_set(self, metric):
+        mat = np.random.default_rng(34).normal(size=(50, 6))
+        self.assert_same(mat, 12, metric, initial=[7, 3, 41])
+        self.assert_same(mat, 3, metric, initial=[7, 3, 41])
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_stratified(self, metric):
+        rng = np.random.default_rng(35)
+        mat = rng.normal(size=(90, 4)).astype(np.float32)
+        labels = [("a", "b", "c")[i % 3] if i < 60 else "d" for i in range(90)]
+        sel = stratified_kcenter_greedy(mat, labels, k=20, seed=5, metric=metric)
+        assert sel.radius_trace == replay_trace(mat, sel.selected_indices, metric)
+        # each group's picks are the reference greedy run over that group
+        for gi, name in enumerate(sorted(set(labels))):
+            group = [i for i, label in enumerate(labels) if label == name]
+            picked = [i for i in sel.selected_indices if labels[i] == name]
+            picks, _ = reference_kcenter_greedy(mat[group], len(picked),
+                                                seed=5 + gi, metric=metric)
+            assert [group[j] for j in picks] == picked
 
 
 class TestRadius:

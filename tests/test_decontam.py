@@ -25,12 +25,9 @@ from instructsmith.decontam import (
     write_histogram_csv,
     write_leakage_report,
 )
-from instructsmith.embedding import (
-    EmbeddingBackendConfig,
-    cosine_similarity,
-    mock_vector,
-)
+from instructsmith.embedding import EmbeddingBackendConfig, mock_vector
 from instructsmith.errors import ConfigError
+from vector_oracles import cosine_similarity
 
 CONFIG = EmbeddingBackendConfig(kind="mock", model_name="mock-embed", dim=32)
 

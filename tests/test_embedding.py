@@ -1,4 +1,7 @@
-"""Tests for embedding backends, batching, and vector math."""
+"""Tests for embedding backends, batching, the cache file, and the vector
+math oracles the other tests rely on."""
+
+import re
 
 import numpy as np
 import pytest
@@ -8,12 +11,9 @@ from hypothesis import strategies as st
 from httpstub import http_stub
 from instructsmith.embedding import (
     EmbeddingBackendConfig,
-    EmbeddingVector,
     HttpEmbeddingBackend,
     MockEmbeddingBackend,
-    cosine_similarity,
     embed_batch,
-    euclidean_distance,
     mock_vector,
     read_embedding_cache,
     stack_vectors,
@@ -26,6 +26,7 @@ from instructsmith.errors import (
     ServerBackendError,
 )
 from instructsmith.llm_backend import RetryPolicy
+from vector_oracles import cosine_similarity, euclidean_distance
 
 
 class TestMockVector:
@@ -59,20 +60,21 @@ class TestEmbedBatch:
         backend = MockEmbeddingBackend(dim=8)
         texts = [f"text {i}" for i in range(5)]
         vectors = embed_batch(texts, config, backend=backend)
-        assert len(vectors) == 5
+        assert vectors.shape == (5, 8) and vectors.dtype == np.float32
         assert [len(c) for c in backend.calls] == [2, 2, 1]
         for text, vec in zip(texts, vectors):
-            assert (vec.values == mock_vector(text, backend.model_name, 8)).all()
+            assert (vec == mock_vector(text, backend.model_name, 8)).all()
 
     def test_same_text_twice_identical(self):
         config = EmbeddingBackendConfig(batch_size=10, dim=8)
         vectors = embed_batch(["dup", "dup"], config)
-        assert (vectors[0].values == vectors[1].values).all()
+        assert (vectors[0] == vectors[1]).all()
 
-    def test_model_tag_attached(self):
+    def test_model_name_keys_vectors(self):
         config = EmbeddingBackendConfig(model_name="tagger", dim=8)
         vectors = embed_batch(["a"], config)
-        assert vectors[0].model_tag == "tagger"
+        assert (vectors[0] == mock_vector("a", "tagger", 8)).all()
+        assert (vectors[0] != mock_vector("a", "mock-embed", 8)).any()
 
     def test_empty_inputs_rejected(self):
         config = EmbeddingBackendConfig(dim=8)
@@ -144,10 +146,12 @@ class TestEmbedBatch:
         texts = [f"item {i}" for i in range(9)]
         vectors = embed_batch(texts, config, backend=backend)
         for text, vec in zip(texts, vectors):
-            assert (vec.values == mock_vector(text, backend.model_name, 8)).all()
+            assert (vec == mock_vector(text, backend.model_name, 8)).all()
 
 
 class TestVectorMath:
+    """The scalar oracles in ``vector_oracles``."""
+
     def test_cosine_identity(self):
         v = mock_vector("v", "m", 16)
         assert abs(cosine_similarity(v, v) - 1.0) <= 1e-9
@@ -203,53 +207,96 @@ class TestVectorMath:
         assert d2 == pytest.approx(2.0 - 2.0 * cosine_similarity(a, b), abs=1e-6)
 
 
+class ChunkBackend:
+    """Serves the given per-chunk vector lists, one per call."""
+
+    model_name = "chunks"
+
+    def __init__(self, *chunks):
+        self.chunks = list(chunks)
+
+    def embed_chunk(self, texts):
+        return self.chunks.pop(0)
+
+
 class TestEmbeddingVector:
+    """The checks each chunk of backend vectors gets, once, before it joins
+    the (n, d) matrix."""
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            EmbeddingVector(np.array([1.0, np.nan]))
-        with pytest.raises(ValueError):
-            EmbeddingVector(np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            EmbeddingVector(np.zeros(0))
+        config = EmbeddingBackendConfig(batch_size=2, dim=2)
+        good = [np.ones(2), np.ones(2)]
+        cases = [
+            ("non-finite values", [np.ones(2), np.array([1.0, np.nan])]),
+            ("non-finite values", [np.array([np.inf, 0.0]), np.ones(2)]),
+            ("ragged or non-numeric vectors", [np.ones(2), np.ones(3)]),
+            ("ragged or non-numeric vectors", [["x", "y"], np.ones(2)]),
+            ("shape", [np.ones((2, 2)), np.ones((2, 2))]),
+            ("shape", [np.ones(2)]),
+            ("shape", [np.zeros(0), np.zeros(0)]),
+        ]
+        for problem, bad in cases:
+            with pytest.raises(ConsistencyError,
+                               match=f"{problem} in chunk 1|chunk 1 has {problem}"):
+                embed_batch(["a", "b", "c", "d"], config,
+                            backend=ChunkBackend(good, bad))
 
     def test_stack(self):
-        vectors = [EmbeddingVector(np.ones(4) * i, model_tag="m")
-                   for i in range(1, 4)]
-        mat = stack_vectors(vectors)
-        assert mat.shape == (3, 4)
-        assert mat.dtype == np.float32
-        with pytest.raises(ConsistencyError):
-            stack_vectors([EmbeddingVector(np.ones(4)),
-                           EmbeddingVector(np.ones(5))])
+        mat = embed_batch(["a", "b", "c"], EmbeddingBackendConfig(dim=4))
+        assert stack_vectors(mat) is mat
+        assert stack_vectors(np.ones((3, 4))).dtype == np.float32
+        with pytest.raises(ValueError):
+            stack_vectors(np.ones(4))
+        with pytest.raises(ValueError):
+            stack_vectors(np.ones((0, 4)))
 
 
 class TestCacheFile:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "emb.jsonl"
-        vectors = [EmbeddingVector(mock_vector(f"t{i}", "m", 8), model_tag="m")
-                   for i in range(3)]
-        assert write_embedding_cache(path, ["a", "b", "c"], vectors) == 3
-        ids, loaded = read_embedding_cache(path)
-        assert ids == ["a", "b", "c"]
-        for orig, back in zip(vectors, loaded):
-            assert (orig.values == back.values).all()
-            assert back.model_tag == "m"
+    def vectors(self, n=3):
+        return embed_batch([f"t{i}" for i in range(n)],
+                           EmbeddingBackendConfig(model_name="m", dim=8))
 
-    def test_duplicate_id_later_wins(self, tmp_path):
-        path = tmp_path / "emb.jsonl"
-        write_embedding_cache(path, ["a"], [EmbeddingVector(np.ones(4))])
-        write_embedding_cache(path, ["a"], [EmbeddingVector(np.ones(4) * 2)])
+    def test_round_trip(self, tmp_path):
+        path = tmp_path / "emb.npy"
+        vectors = self.vectors()
+        assert write_embedding_cache(path, ["a", "bb", "c"], vectors) == 3
         ids, loaded = read_embedding_cache(path)
-        assert ids == ["a"]
-        assert (loaded[0].values == 2).all()
+        assert ids == ["a", "bb", "c"]
+        assert loaded.dtype == np.float32 and loaded.shape == (3, 8)
+        assert (loaded == vectors).all()
+
+    def test_writes_exactly_the_given_path(self, tmp_path):
+        path = tmp_path / "emb.cache"
+        write_embedding_cache(path, ["a", "b", "c"], self.vectors())
+        assert [p.name for p in tmp_path.iterdir()] == ["emb.cache"]
+
+    def test_same_input_same_bytes(self, tmp_path):
+        first, second = tmp_path / "1.npy", tmp_path / "2.npy"
+        write_embedding_cache(first, ["a", "b", "c"], self.vectors())
+        write_embedding_cache(second, ["a", "b", "c"], self.vectors())
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_duplicate_id_is_consistency_error(self, tmp_path):
+        path = tmp_path / "emb.npy"
+        write_embedding_cache(path, ["a", "b", "a"], self.vectors())
+        with pytest.raises(ConsistencyError, match="duplicate"):
+            read_embedding_cache(path)
 
     def test_torn_tail(self, tmp_path):
-        path = tmp_path / "emb.jsonl"
-        write_embedding_cache(path, ["a"], [EmbeddingVector(np.ones(4))])
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"id": "b", "vector": [0.1, ')
-        ids, _ = read_embedding_cache(path, tolerate_torn_tail=True)
-        assert ids == ["a"]
+        path = tmp_path / "emb.npy"
+        write_embedding_cache(path, ["a", "b", "c"], self.vectors())
+        data = path.read_bytes()
+        for cut in (len(data) - 5, 40, 0):
+            path.write_bytes(data[:cut])
+            with pytest.raises(ConsistencyError, match=re.escape(str(path))):
+                read_embedding_cache(path)
+
+    def test_jsonl_cache_is_consistency_error(self, tmp_path):
+        path = tmp_path / "embeddings.jsonl"
+        path.write_text('{"id": "a", "model": "m", "vector": [1.0, 0.0]}\n',
+                        encoding="utf-8")
+        with pytest.raises(ConsistencyError, match=re.escape(str(path))):
+            read_embedding_cache(path)
 
 
 class TestHttpEmbeddingBackend:
@@ -267,7 +314,7 @@ class TestHttpEmbeddingBackend:
                 model_name="emb-model", api_key_env="EMB_KEY", batch_size=10)
             backend = HttpEmbeddingBackend(config)
             vectors = embed_batch(["a", "b", "c"], config, backend=backend)
-        assert [float(v.values[0]) for v in vectors] == [0.0, 1.0, 2.0]
+        assert vectors[:, 0].tolist() == [0.0, 1.0, 2.0]
         sent = server.requests[0]
         assert sent["body"] == {"model": "emb-model", "input": ["a", "b", "c"]}
         assert sent["headers"]["authorization"] == "Bearer sk-emb"

@@ -1,6 +1,7 @@
 """End-to-end pipeline tests: staging, accounting, resume, determinism."""
 
 import json
+import re
 import sys
 import threading
 
@@ -9,6 +10,7 @@ import pytest
 from instructsmith import pipeline
 from instructsmith.emitter import read_dataset
 from instructsmith.coreset import read_selection
+from instructsmith.embedding import read_embedding_cache
 from instructsmith.errors import BackendError, ConfigError, ConsistencyError
 from instructsmith.exemplar_db import ExemplarDB
 from instructsmith.hermetic import (
@@ -136,7 +138,7 @@ class TestRun:
             == counts["generated"]
         assert counts["selected"] == 40
         for name in ("filtered.jsonl", "filter_report.json",
-                     "embeddings.jsonl", "selection.json",
+                     "embeddings.npy", "selection.json",
                      "assignments.json", "exemplars.jsonl",
                      "checkpoint.json", "summary.json", "dataset.jsonl"):
             assert (workdir / name).exists(), name
@@ -307,9 +309,32 @@ class TestResume:
         workdir = tmp_path / "w"
         self.run_with_crashes(corpus, workdir, [2])
         # the embedding cache was produced once; resume must not regrow it
-        ids = [json.loads(line)["id"]
-               for line in (workdir / "embeddings.jsonl").read_text().splitlines()]
+        ids, _ = read_embedding_cache(workdir / "embeddings.npy")
         assert len(ids) == len(set(ids))
+
+    def test_old_jsonl_cache_refuses_resume(self, corpus, tmp_path):
+        # a workdir from before the binary cache holds embeddings.jsonl only
+        config = make_config(corpus, tmp_path / "w")
+        with pytest.raises(Boom):
+            run(config, after_record=crash_after(2))
+        cache = tmp_path / "w" / "embeddings.npy"
+        ids, vectors = read_embedding_cache(cache)
+        cache.with_suffix(".jsonl").write_text("".join(
+            json.dumps({"id": rid, "model": "mock-embed",
+                        "vector": [float(x) for x in vec]}) + "\n"
+            for rid, vec in zip(ids, vectors)), encoding="utf-8")
+        cache.unlink()
+        with pytest.raises(ConsistencyError, match="embeddings.npy is missing"):
+            run(config, resume=True)
+
+    def test_truncated_cache_refuses_resume(self, corpus, tmp_path):
+        config = make_config(corpus, tmp_path / "w")
+        with pytest.raises(Boom):
+            run(config, after_record=crash_after(2))
+        cache = tmp_path / "w" / "embeddings.npy"
+        cache.write_bytes(cache.read_bytes()[:-7])
+        with pytest.raises(ConsistencyError, match=re.escape(str(cache))):
+            run(config, resume=True)
 
     def test_db_survives_crash_and_resume(self, corpus, tmp_path):
         self.run_with_crashes(corpus, tmp_path / "w", [3])
