@@ -4,10 +4,13 @@ The audit embeds benchmark canonical solutions and training texts and scans
 every pair exactly, in float64 (no approximation), one block of benchmark
 items at a time: a block holds at most about 2^19 similarities (4 MiB), so
 memory stays bounded at any corpus size and the full benchmark x train
-matrix is never built. Each block's top-k neighbors come from one partition
-and one sort of the candidates; ties break toward the earlier training row,
-and identical training texts tie exactly. Cleaning removes the
-union of each item's top-n neighbors from the training set.
+matrix is never built. Each block is clipped in place, so the scan's peak
+memory is two blocks: the previous block while the next is computed, or a
+block and the partitioned copy that ranks it (plus a float64 copy of the
+normalized training vectors). Each block's top-k neighbors come from one
+partition and one sort of the candidates; ties break toward the earlier
+training row, and identical training texts tie exactly. Cleaning removes
+the union of each item's top-n neighbors from the training set.
 """
 
 from __future__ import annotations
@@ -172,7 +175,7 @@ def similarity_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a_norm[a_norm == 0.0] = 1.0
     b_norm[b_norm == 0.0] = 1.0
     sims = (a / a_norm) @ (b / b_norm).T
-    return np.clip(sims, -1.0, 1.0)
+    return np.clip(sims, -1.0, 1.0, out=sims)
 
 
 def top1_histogram(top1_sims: Sequence[float],

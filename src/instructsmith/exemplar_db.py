@@ -134,24 +134,28 @@ class ExemplarDB:
         # happens to parse must be dropped, not read once and then truncated
         # away by a later append.
         db._appender = JsonlAppender(db.path)
-        for lineno, obj in iter_jsonl(db.path, tolerate_torn_tail=tolerate_torn_tail):
-            try:
-                entry = ExemplarEntry.from_dict(obj)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConsistencyError(
-                    f"{path}:{lineno}: bad exemplar entry: {exc}") from exc
-            if entry.entry_id in db._entries:
-                log.warning("%s:%d: duplicate entry id %r ignored",
-                            path, lineno, entry.entry_id)
-                continue
-            if entry.created_seq < db._next_seq - 1:
-                raise ConsistencyError(
-                    f"{path}:{lineno}: created_seq {entry.created_seq} is out "
-                    f"of order")
-            db._entries[entry.entry_id] = entry
-            db._order.append(entry.entry_id)
-            db._index_entry(entry)
-            db._next_seq = max(db._next_seq, entry.created_seq + 1)
+        try:
+            for lineno, obj in iter_jsonl(db.path, tolerate_torn_tail=tolerate_torn_tail):
+                try:
+                    entry = ExemplarEntry.from_dict(obj)
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ConsistencyError(
+                        f"{path}:{lineno}: bad exemplar entry: {exc}") from exc
+                if entry.entry_id in db._entries:
+                    log.warning("%s:%d: duplicate entry id %r ignored",
+                                path, lineno, entry.entry_id)
+                    continue
+                if entry.created_seq < db._next_seq - 1:
+                    raise ConsistencyError(
+                        f"{path}:{lineno}: created_seq {entry.created_seq} is out "
+                        f"of order")
+                db._entries[entry.entry_id] = entry
+                db._order.append(entry.entry_id)
+                db._index_entry(entry)
+                db._next_seq = max(db._next_seq, entry.created_seq + 1)
+        except BaseException:
+            db.close()  # a store that fails to load leaves no open log
+            raise
         return db
 
     def insert(self, entry: ExemplarEntry) -> ExemplarEntry:

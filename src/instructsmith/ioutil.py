@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, BinaryIO, Iterable, Iterator
@@ -20,7 +19,10 @@ def atomic_open(path: str | Path) -> Iterator[BinaryIO]:
     observe a partial file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    # a new file with mode 0666 less the umask, as open() would create path
+    # itself (mkstemp would make it 0600)
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh

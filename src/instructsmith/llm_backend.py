@@ -17,11 +17,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, TypeVar
 
-import requests
-
 from .errors import (
     BackendError,
     BackendTimeoutError,
+    ConfigError,
     ProtocolError,
     RateLimitedError,
     ScriptedMissError,
@@ -77,7 +76,7 @@ class ChatReply:
     model_name: str = ""
 
 
-@dataclass
+@dataclass(frozen=True)
 class RetryPolicy:
     """Exponential backoff: attempt i sleeps base_delay * multiplier**(i-1),
     scaled by a uniform jitter of +/- jitter_fraction."""
@@ -89,6 +88,10 @@ class RetryPolicy:
     retry_on: tuple[str, ...] = RETRYABLE_CLASSES
 
     def __post_init__(self) -> None:
+        for name in ("max_attempts", "base_delay", "multiplier", "jitter_fraction"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise TypeError(f"{name} must be a number, got {value!r}")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         if self.multiplier < 1.0:
@@ -107,6 +110,10 @@ class RetryPolicy:
         elif self.jitter_fraction:
             base *= 1.0 + self.jitter_fraction * random.uniform(-1.0, 1.0)
         return max(base, 0.0)
+
+
+#: the policy of a backend that carries no config (built once, not per call)
+DEFAULT_RETRY = RetryPolicy()
 
 
 @dataclass
@@ -128,8 +135,21 @@ class BackendConfig:
     extra: dict = field(default_factory=dict)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "BackendConfig":
-        retry = RetryPolicy(**d["retry"]) if "retry" in d else RetryPolicy()
+    def from_dict(cls, d: dict, name: str = "backend") -> "BackendConfig":
+        """Build from a config object; a bad value raises `ConfigError`
+        naming its key under ``name``."""
+        retry = d.get("retry", {})
+        if not isinstance(retry, dict):
+            raise ConfigError(f"{name}.retry must be an object")
+        try:
+            retry = RetryPolicy(**retry)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{name}.retry: {exc}") from exc
+        try:
+            timeout = float(d.get("timeout", 60.0))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"{name}.timeout must be a number, got {d['timeout']!r}") from exc
         known = {"kind", "endpoint", "model_name", "api_key_env", "timeout"}
         # unknown top-level keys and the contents of an explicit "extra"
         # object both land flat in extra
@@ -139,7 +159,7 @@ class BackendConfig:
         return cls(kind=d.get("kind", "http"), endpoint=d.get("endpoint", ""),
                    model_name=d.get("model_name", ""),
                    api_key_env=d.get("api_key_env", ""),
-                   timeout=float(d.get("timeout", 60.0)), retry=retry, extra=extra)
+                   timeout=timeout, retry=retry, extra=extra)
 
 
 def post_json(endpoint: str, body: dict, *, api_key_env: str = "",
@@ -148,8 +168,12 @@ def post_json(endpoint: str, body: dict, *, api_key_env: str = "",
 
     The credential is read from the env var named by ``api_key_env`` and
     sent as a bearer token. Transport failures and non-200 statuses map onto
-    the backend error classes the retry policy keys on.
+    the backend error classes the retry policy keys on. ``requests`` is
+    imported here, on the first send, so runs without an HTTP backend never
+    load it.
     """
+    import requests
+
     headers = {"Content-Type": "application/json"}
     if api_key_env:
         key = os.environ.get(api_key_env, "")
@@ -246,8 +270,7 @@ class MockChatBackend:
     """Deterministic scripted chat backend for hermetic tests.
 
     Replies are consumed in script order among entries whose predicate matches
-    the request's final user message. Every request is recorded byte-exactly
-    in ``transcript``.
+    the request's final user message.
     """
 
     def __init__(self, script: Sequence[ScriptEntry | tuple], model_name: str = "mock-chat"):
@@ -256,12 +279,10 @@ class MockChatBackend:
             for entry in script
         ]
         self.model_name = model_name
-        self.transcript: list[ChatRequest] = []
         self._lock = threading.Lock()
 
     def send(self, request: ChatRequest) -> ChatReply:
         with self._lock:
-            self.transcript.append(request)
             text = request.user_text
             for entry in self.script:
                 if entry.times is not None and entry.times <= 0:
@@ -316,7 +337,7 @@ def complete(request: ChatRequest, backend: ChatBackend | BackendConfig,
     if policy is None:
         config = (backend if isinstance(backend, BackendConfig)
                   else getattr(backend, "config", None))
-        policy = config.retry if config is not None else RetryPolicy()
+        policy = config.retry if config is not None else DEFAULT_RETRY
     if isinstance(backend, BackendConfig):
         backend = make_chat_backend(backend)
     return with_retry(lambda: backend.send(request), policy, sleep)

@@ -226,9 +226,10 @@ class PipelineConfig:
             raise ConfigError(f"bad sampling config: {exc}") from exc
 
         gen_backend = BackendConfig.from_dict(
-            section("generation_backend", {"kind": "mock"}))
+            section("generation_backend", {"kind": "mock"}), "generation_backend")
         disc_backend = BackendConfig.from_dict(
-            section("discrimination_backend", {"kind": "mock"}))
+            section("discrimination_backend", {"kind": "mock"}),
+            "discrimination_backend")
         disc_backend.extra.setdefault("role", "discrimination")
 
         retries = {"generation": 2, "discrimination": 2}
@@ -609,7 +610,7 @@ def run(config: PipelineConfig, *, resume: bool = False,
 
     ``resume`` continues a checkpointed run in the same workdir instead of
     refusing to touch it. Injected backends override the configured ones
-    (tests use this to inspect transcripts). ``after_record`` is invoked as
+    (tests use this to wrap or script them). ``after_record`` is invoked as
     ``after_record(record_id, outcome)`` once each record's outcome is
     durably committed; outcomes are "good", "bad", and "quarantined".
     ``stop_after="generating"`` skips emission (the stage CLI uses it) and

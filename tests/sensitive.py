@@ -5,6 +5,8 @@ but tags each instruction with a hash of the prompt's few-shot section, so
 the dataset bytes change whenever a record sees different exemplars, as they
 would with a real model. ``Jitter`` delays every request by a seeded amount
 and counts the requests in flight across the backends it wraps.
+``Recorder`` keeps every request sent through the backend it wraps, for the
+tests that assert on the prompts the program builds.
 """
 
 from __future__ import annotations
@@ -82,3 +84,19 @@ class _Delayed:
         finally:
             with jitter._lock:
                 jitter.in_flight -= 1
+
+
+class Recorder:
+    """Forwards each request to ``inner`` and keeps it, in send order, in
+    ``transcript``."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.model_name = inner.model_name
+        self.transcript = []
+        self._lock = threading.Lock()
+
+    def send(self, request):
+        with self._lock:
+            self.transcript.append(request)
+        return self.inner.send(request)

@@ -192,6 +192,13 @@ class TestExitCodes:
              {"concurrency": {"max_in_flight": "two"}}),
             ("retries.generation", {"retries": {"generation": "x"}}),
             ("mix.CodeGeneration", {"mix": {"CodeGeneration": "lots"}}),
+            ("generation_backend.timeout",
+             {"generation_backend": {"kind": "mock", "timeout": "x"}}),
+            ("generation_backend.retry",
+             {"generation_backend": {"kind": "mock",
+                                     "retry": {"max_attempts": "3"}}}),
+            ("discrimination_backend.retry",
+             {"discrimination_backend": {"kind": "mock", "retry": "x"}}),
         ]])
     def test_non_numeric_config_value_is_usage_error(self, tmp_path, corpus,
                                                      key, override, capsys):

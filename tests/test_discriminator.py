@@ -24,6 +24,7 @@ from instructsmith.errors import (
     ParseError,
 )
 from instructsmith.llm_backend import MockChatBackend, ScriptEntry
+from sensitive import Recorder
 
 RULE_IDS = ["instruction_language", "solution_relevance", "solution_code_only",
             "solution_readability", "solution_imports"]
@@ -217,8 +218,8 @@ class TestLabeling:
 
 class TestDiscriminate:
     def test_reference_reply(self, circle_instance, ruleset):
-        backend = MockChatBackend(
-            [ScriptEntry(None, golden_text("discrimination_analysis.txt"))])
+        backend = Recorder(MockChatBackend(
+            [ScriptEntry(None, golden_text("discrimination_analysis.txt"))]))
         report = discriminate(circle_instance, ruleset, backend)
         assert report.label == "Good"
         assert report.instance_ref == "rec-circle"
@@ -233,10 +234,10 @@ class TestDiscriminate:
         assert report.label == "Bad"
 
     def test_retry_then_success(self, circle_instance, ruleset):
-        backend = MockChatBackend([
+        backend = Recorder(MockChatBackend([
             ScriptEntry(None, "no analysis here"),
             ScriptEntry(None, golden_text("discrimination_analysis.txt")),
-        ])
+        ]))
         report = discriminate(circle_instance, ruleset, backend, retries=1)
         assert report.label == "Good"
         assert len(backend.transcript) == 2

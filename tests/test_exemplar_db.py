@@ -187,6 +187,7 @@ class TestSampleBound:
         db = mixed_db(ExemplarDB(path))
         db.close()
         loaded = ExemplarDB.load(path)
+        loaded.close()
         policy = SamplingPolicy(2, 2)
         for bound in (0, 7, 23, 40):
             for seed in range(10):
@@ -228,6 +229,7 @@ class TestPersistence:
         db = filled_db(ExemplarDB(path))
         db.close()
         loaded = ExemplarDB.load(path)
+        loaded.close()
         assert [e.entry_id for e in loaded.entries()] == [
             e.entry_id for e in db.entries()]
         assert loaded.stats() == db.stats()
@@ -244,6 +246,7 @@ class TestPersistence:
         assert new.created_seq == 2
         loaded.close()
         final = ExemplarDB.load(path)
+        final.close()
         assert [e.entry_id for e in final.entries()] == ["e0", "e1", "e2"]
 
     def test_torn_tail_tolerated(self, tmp_path):
@@ -254,6 +257,7 @@ class TestPersistence:
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"entry_id": "e1", "instance"')
         loaded = ExemplarDB.load(path)
+        loaded.close()
         assert [e.entry_id for e in loaded.entries()] == ["e0"]
 
     def test_parseable_torn_tail_dropped_and_rewritable(self, tmp_path):
@@ -272,6 +276,7 @@ class TestPersistence:
         loaded.insert(entry("e1"))
         loaded.close()
         final = ExemplarDB.load(path)
+        final.close()
         assert [e.entry_id for e in final.entries()] == ["e0", "e1"]
         assert [e.created_seq for e in final.entries()] == [0, 1]
 
@@ -280,6 +285,7 @@ class TestPersistence:
         db = filled_db(ExemplarDB(path))
         db.close()
         loaded = ExemplarDB.load(path)
+        loaded.close()
         policy = SamplingPolicy(n_good=2, n_bad=1)
         for seed in range(10):
             assert ([e.entry_id for e in db.sample("CodeGeneration", policy, seed)]

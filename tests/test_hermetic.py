@@ -19,6 +19,7 @@ from instructsmith.hermetic import (
 )
 from instructsmith.llm_backend import BackendConfig, make_chat_backend
 from instructsmith.taskspec import load_task_definitions
+from sensitive import Recorder
 
 
 def record(i=0):
@@ -152,7 +153,7 @@ class TestEndToEndLoop:
         assert first.solution == second.solution
 
     def test_transcripts_recorded(self):
-        gen = canned_generation_backend()
+        gen = Recorder(canned_generation_backend())
         generate_instance(record(5), TASKDEFS["CodeGeneration"], None, gen)
         assert len(gen.transcript) == 1
         assert "Raw code:" in gen.transcript[0].user_text

@@ -1,6 +1,8 @@
 """Tests for atomic writes and line-delimited JSON helpers."""
 
 import json
+import os
+import stat
 
 import pytest
 
@@ -21,6 +23,21 @@ def test_atomic_write_creates_parents_and_leaves_no_temp(tmp_path):
     assert target.read_text() == "hello\n"
     leftovers = [p for p in target.parent.iterdir() if p.name != "out.txt"]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask022", "umask077"])
+def test_atomic_write_mode_follows_umask(tmp_path, umask, mode):
+    # the same mode open() gives the append logs: 0666 less the umask
+    old = os.umask(umask)
+    try:
+        atomic_write_text(tmp_path / "out.txt", "x")
+        with JsonlAppender(tmp_path / "log.jsonl") as appender:
+            appender.append({})
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "out.txt").stat().st_mode) == mode
+    assert stat.S_IMODE((tmp_path / "log.jsonl").stat().st_mode) == mode
 
 
 def test_atomic_write_overwrites(tmp_path):

@@ -22,6 +22,7 @@ from instructsmith.llm_backend import (
     ScriptEntry,
     complete,
 )
+from sensitive import Recorder
 
 
 def user_request(text, system=""):
@@ -112,13 +113,14 @@ class TestMockBackend:
         assert backend.send(user_request("ping")).content == "echo: ping"
 
     def test_transcript_is_byte_exact(self):
-        backend = MockChatBackend([ScriptEntry(None, "ok", times=None)])
+        backend = Recorder(MockChatBackend([ScriptEntry(None, "ok", times=None)]))
         backend.send(user_request("first\nline two", system="sys prompt"))
         backend.send(user_request("second"))
         assert len(backend.transcript) == 2
         assert backend.transcript[0].messages[0].content == "sys prompt"
         assert backend.transcript[0].user_text == "first\nline two"
         assert backend.transcript[1].user_text == "second"
+        assert not hasattr(backend.inner, "transcript")  # the mock keeps none
 
     def test_tuple_entries_accepted(self):
         backend = MockChatBackend([("hi", "hello")])
@@ -139,18 +141,18 @@ class TestComplete:
         assert sleeps == [0.5, 1.0]
 
     def test_non_retryable_raises_immediately(self):
-        backend = MockChatBackend([
+        backend = Recorder(MockChatBackend([
             ScriptEntry(None, ProtocolError("bad body")),
             ScriptEntry(None, "never reached"),
-        ])
+        ]))
         with pytest.raises(ProtocolError):
             complete(user_request("x"), backend, RetryPolicy(max_attempts=3),
                      sleep=lambda s: None)
         assert len(backend.transcript) == 1
 
     def test_exhausted_attempts_reraise_last_error(self):
-        backend = MockChatBackend([
-            ScriptEntry(None, RateLimitedError("429"), times=None)])
+        backend = Recorder(MockChatBackend([
+            ScriptEntry(None, RateLimitedError("429"), times=None)]))
         with pytest.raises(RateLimitedError):
             complete(user_request("x"), backend,
                      RetryPolicy(max_attempts=2, base_delay=0.0),

@@ -1,9 +1,12 @@
 """End-to-end pipeline tests: staging, accounting, resume, determinism."""
 
 import json
+import os
 import re
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +30,12 @@ from instructsmith.pipeline import (
     load_pipeline_config,
     run,
 )
-from sensitive import Jitter, exemplar_sensitive_backend, few_shot_section
+from sensitive import (
+    Jitter,
+    Recorder,
+    exemplar_sensitive_backend,
+    few_shot_section,
+)
 
 
 def write_corpus(path, n=60):
@@ -279,7 +287,7 @@ class TestResume:
         assert resumed.counts == baseline.counts
 
     def test_no_record_generated_twice(self, corpus, tmp_path):
-        gen = canned_generation_backend()
+        gen = Recorder(canned_generation_backend())
         disc = canned_discrimination_backend(bad_modulus=5)
         self.run_with_crashes(corpus, tmp_path / "w", [4], gen=gen, disc=disc)
         prompts = [req.user_text for req in gen.transcript]
@@ -362,7 +370,7 @@ class TestExemplarSensitive:
                    after_record=after_record)
 
     def test_exemplars_change_the_replies(self, corpus, tmp_path):
-        gen = exemplar_sensitive_backend()
+        gen = Recorder(exemplar_sensitive_backend())
         run(make_config(corpus, tmp_path / "w", concurrency={"max_in_flight": 4}),
             generation_backend=gen,
             discrimination_backend=canned_discrimination_backend(bad_modulus=5))
@@ -542,3 +550,33 @@ class TestAuditDriver:
         assert (tmp_path / "audit" / "decontam_plan.json").exists()
         cleaned = read_dataset(tmp_path / "audit" / "dataset.cleaned.jsonl")
         assert all(ex.output != leaked for ex in cleaned)
+
+
+OFFLINE_RUN = """
+import sys
+import instructsmith
+corpus, work, bench = sys.argv[1:]
+instructsmith.run(instructsmith.PipelineConfig.from_dict({
+    "corpus_path": corpus, "workdir": work, "coreset": {"k": 20, "seed": 1},
+    "target_accepted": 6, "embedding_backend": {"kind": "mock", "dim": 16},
+    "seed": 7}))
+instructsmith.audit_and_plan(work + "/dataset.jsonl", bench, work + "/audit")
+if "requests" in sys.modules:
+    sys.exit("requests was imported")
+"""
+
+
+def test_offline_run_never_imports_requests(corpus, tmp_path):
+    # requests is imported on the first HTTP send, so a mock run and an
+    # audit in a fresh interpreter never load it
+    bench = tmp_path / "bench.jsonl"
+    bench.write_text(json.dumps({"bench_id": "b1",
+                                 "canonical_solution": "def f(): pass"}) + "\n")
+    src = Path(pipeline.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", OFFLINE_RUN, str(corpus), str(tmp_path / "w"),
+         str(bench)], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "w" / "audit" / "decontam_plan.json").exists()
