@@ -9,13 +9,12 @@ covering radius against the exact optimum on a small instance.
 
 import numpy as np
 
-from instructsmith import (
-    EmbeddingBackendConfig,
-    embed_batch,
+from instructsmith.coreset import (
     kcenter_greedy,
     kcenter_optimal_bruteforce,
     kcenter_radius,
 )
+from instructsmith.embedding import EmbeddingBackendConfig, embed_batch
 
 # The mock backend maps text deterministically onto the unit sphere, so
 # everything below reproduces bit-for-bit on every run.

@@ -10,7 +10,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from instructsmith import (
+from instructsmith.corpus import (
     FilterConfig,
     apply_filters,
     default_blacklist,

@@ -7,13 +7,8 @@ them with an exact nearest-neighbor audit over embeddings, and removes the
 offending rows. Mock embeddings keep the whole run deterministic.
 """
 
-from instructsmith import (
-    BenchmarkItem,
-    EmbeddingBackendConfig,
-    apply_plan,
-    audit,
-    plan_removal,
-)
+from instructsmith.decontam import BenchmarkItem, apply_plan, audit, plan_removal
+from instructsmith.embedding import EmbeddingBackendConfig
 
 backend = EmbeddingBackendConfig(kind="mock", model_name="mock-embed", dim=32)
 

@@ -12,7 +12,9 @@ import json
 import tempfile
 from pathlib import Path
 
-from instructsmith import ExemplarDB, PipelineConfig, read_dataset, run
+from instructsmith import PipelineConfig, run
+from instructsmith.emitter import read_dataset
+from instructsmith.exemplar_db import ExemplarDB
 
 workdir = Path(tempfile.mkdtemp(prefix="demo-pipeline-"))
 corpus_path = workdir / "corpus.jsonl"

@@ -8,19 +8,15 @@ seeds the next generation prompt. Runs entirely on the deterministic
 canned backends — no network.
 """
 
-from instructsmith import (
-    ExemplarDB,
-    RawCodeRecord,
-    SamplingPolicy,
-    build_generation_prompt,
+from instructsmith.corpus import RawCodeRecord
+from instructsmith.discriminator import discriminate, load_ruleset
+from instructsmith.exemplar_db import ExemplarDB, SamplingPolicy, make_entry
+from instructsmith.generator import build_generation_prompt, generate_instance
+from instructsmith.hermetic import (
     canned_discrimination_backend,
     canned_generation_backend,
-    discriminate,
-    generate_instance,
-    load_ruleset,
-    load_task_definitions,
-    make_entry,
 )
+from instructsmith.taskspec import load_task_definitions
 
 # Task definitions pair each task kind with its prompt wording and the id
 # of the rule set used to judge its outputs.
@@ -35,7 +31,7 @@ print(f"task {taskdef.kind!r} is judged by {len(ruleset.all_rules())} rules")
 gen_backend = canned_generation_backend()
 disc_backend = canned_discrimination_backend(bad_modulus=7)
 
-db = ExemplarDB()  # in-memory; pass a path to persist every insert
+db = ExemplarDB()  # in-memory; ExemplarDB.load(path) persists every insert
 records = [
     RawCodeRecord(id=f"rec-{i:02d}",
                   code=(f"def merge_{i}(left, right):\n"

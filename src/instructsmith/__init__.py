@@ -4,184 +4,14 @@ The pipeline filters a raw open-source code corpus, picks a diverse coreset
 by embedding distance, drives a generate-then-discriminate LLM loop seeded
 with judged exemplars, and emits an Alpaca-format dataset. A separate tool
 audits and removes train/test leakage by embedding similarity.
+
+The package root exports the end-to-end entry points only; every other name
+is imported from its module (``instructsmith.exemplar_db``, ``.decontam``,
+...).
 """
 
-from .coreset import (
-    CoresetSelection,
-    kcenter_greedy,
-    kcenter_optimal_bruteforce,
-    kcenter_radius,
-    stratified_kcenter_greedy,
-)
-from .corpus import (
-    FilterConfig,
-    FilterReport,
-    RawCodeRecord,
-    apply_filters,
-    default_blacklist,
-    ingest_records,
-    language_distribution,
-    write_records,
-)
-from .decontam import (
-    BenchmarkItem,
-    DecontamPlan,
-    LeakageReport,
-    apply_plan,
-    audit,
-    plan_removal,
-)
-from .discriminator import (
-    DiscriminationReport,
-    RuleSet,
-    RuleVerdict,
-    build_discrimination_prompt,
-    compute_label,
-    discriminate,
-    load_ruleset,
-    parse_discrimination_output,
-    render_discrimination_report,
-)
-from .embedding import EmbeddingBackendConfig, embed_batch
-from .emitter import (
-    TrainingExample,
-    read_dataset,
-    render_prompt,
-    to_training_example,
-    write_dataset,
-)
-from .errors import (
-    BackendError,
-    BackendTimeoutError,
-    ConfigError,
-    ConsistencyError,
-    DiscriminationFailedError,
-    GenerationFailedError,
-    GuardLimitError,
-    InstructSmithError,
-    ParseError,
-    ProtocolError,
-    RateLimitedError,
-    ScriptedMissError,
-    ServerBackendError,
-)
-from .exemplar_db import ExemplarDB, ExemplarEntry, SamplingPolicy, make_entry
-from .generator import (
-    InstructionInstance,
-    build_generation_prompt,
-    generate_instance,
-    parse_generator_output,
-    render_generator_output,
-)
-from .hermetic import canned_discrimination_backend, canned_generation_backend
-from .llm_backend import (
-    BackendConfig,
-    ChatMessage,
-    ChatReply,
-    ChatRequest,
-    MockChatBackend,
-    RetryPolicy,
-    ScriptEntry,
-    complete,
-    make_chat_backend,
-)
-from .pipeline import (
-    PipelineConfig,
-    RunSummary,
-    audit_and_plan,
-    load_pipeline_config,
-    run,
-)
-from .taskspec import (
-    TASK_KINDS,
-    MixPolicy,
-    TaskDefinition,
-    assign_tasks,
-    default_mix,
-    load_task_definitions,
-)
+from .pipeline import PipelineConfig, audit_and_plan, run
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BackendConfig",
-    "BackendError",
-    "BackendTimeoutError",
-    "BenchmarkItem",
-    "ChatMessage",
-    "ChatReply",
-    "ChatRequest",
-    "ConfigError",
-    "ConsistencyError",
-    "CoresetSelection",
-    "DecontamPlan",
-    "DiscriminationFailedError",
-    "DiscriminationReport",
-    "EmbeddingBackendConfig",
-    "ExemplarDB",
-    "ExemplarEntry",
-    "FilterConfig",
-    "FilterReport",
-    "GenerationFailedError",
-    "GuardLimitError",
-    "InstructSmithError",
-    "InstructionInstance",
-    "LeakageReport",
-    "MixPolicy",
-    "MockChatBackend",
-    "ParseError",
-    "PipelineConfig",
-    "ProtocolError",
-    "RateLimitedError",
-    "RawCodeRecord",
-    "RetryPolicy",
-    "RuleSet",
-    "RuleVerdict",
-    "RunSummary",
-    "SamplingPolicy",
-    "ScriptEntry",
-    "ScriptedMissError",
-    "ServerBackendError",
-    "TASK_KINDS",
-    "TaskDefinition",
-    "TrainingExample",
-    "__version__",
-    "apply_filters",
-    "apply_plan",
-    "assign_tasks",
-    "audit",
-    "audit_and_plan",
-    "build_discrimination_prompt",
-    "build_generation_prompt",
-    "canned_discrimination_backend",
-    "canned_generation_backend",
-    "complete",
-    "compute_label",
-    "default_blacklist",
-    "default_mix",
-    "discriminate",
-    "embed_batch",
-    "generate_instance",
-    "ingest_records",
-    "kcenter_greedy",
-    "kcenter_optimal_bruteforce",
-    "kcenter_radius",
-    "language_distribution",
-    "load_pipeline_config",
-    "load_ruleset",
-    "load_task_definitions",
-    "make_chat_backend",
-    "make_entry",
-    "parse_discrimination_output",
-    "parse_generator_output",
-    "plan_removal",
-    "read_dataset",
-    "render_discrimination_report",
-    "render_generator_output",
-    "render_prompt",
-    "run",
-    "stratified_kcenter_greedy",
-    "to_training_example",
-    "write_dataset",
-    "write_records",
-]
+__all__ = ["PipelineConfig", "__version__", "audit_and_plan", "run"]

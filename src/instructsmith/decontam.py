@@ -27,13 +27,7 @@ import numpy as np
 
 from .embedding import EmbeddingBackendConfig, embed_batch, stack_vectors
 from .errors import ConfigError
-from .ioutil import (
-    atomic_write_json,
-    atomic_write_jsonl,
-    atomic_write_text,
-    iter_jsonl,
-    read_json,
-)
+from .ioutil import atomic_write_json, atomic_write_text, iter_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -58,13 +52,6 @@ class BenchmarkItem:
             raise ValueError("bench_id must be non-empty")
         if not self.canonical_solution.strip():
             raise ValueError("canonical_solution must be non-empty")
-
-    def to_dict(self) -> dict:
-        return {
-            "bench_id": self.bench_id,
-            "canonical_solution": self.canonical_solution,
-            "benchmark": self.benchmark_name,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "BenchmarkItem":
@@ -93,10 +80,6 @@ class ItemNeighbors:
         if any(b > a for a, b in zip(sims, sims[1:])):
             raise ValueError(f"{self.bench_id}: neighbors not sorted descending")
 
-    @property
-    def top1(self) -> Neighbor:
-        return self.neighbors[0]
-
 
 @dataclass
 class LeakageReport:
@@ -116,19 +99,6 @@ class LeakageReport:
             ],
             "histogram": [[low, count] for low, count in self.histogram],
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LeakageReport":
-        per_item = [
-            ItemNeighbors(
-                bench_id=str(item["bench_id"]),
-                neighbors=[Neighbor(str(n["train_id"]), float(n["similarity"]))
-                           for n in item["neighbors"]])
-            for item in d["per_item"]
-        ]
-        histogram = [(float(low), int(count)) for low, count in d["histogram"]]
-        return cls(per_item=per_item, average_top1=float(d["average_top1"]),
-                   histogram=histogram)
 
 
 @dataclass
@@ -152,15 +122,6 @@ class DecontamPlan:
             "per_item_contributions": {
                 k: list(v) for k, v in self.per_item_contributions.items()},
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DecontamPlan":
-        return cls(
-            remove_train_ids=set(d["remove_train_ids"]),
-            per_item_contributions={
-                str(k): [str(t) for t in v]
-                for k, v in d["per_item_contributions"].items()},
-        )
 
 
 def similarity_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -314,16 +275,8 @@ def read_benchmark_file(path: str | Path) -> list[BenchmarkItem]:
     return items
 
 
-def write_benchmark_file(path: str | Path, items: Sequence[BenchmarkItem]) -> int:
-    return atomic_write_jsonl(path, [item.to_dict() for item in items])
-
-
 def write_leakage_report(path: str | Path, report: LeakageReport) -> None:
     atomic_write_json(path, report.to_dict())
-
-
-def read_leakage_report(path: str | Path) -> LeakageReport:
-    return LeakageReport.from_dict(read_json(path))
 
 
 def write_histogram_csv(path: str | Path, report: LeakageReport) -> None:

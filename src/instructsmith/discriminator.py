@@ -78,13 +78,6 @@ class RuleSet:
     def all_rules(self) -> list[Rule]:
         return [rule for step in self.steps for rule in step.rules]
 
-    def to_dict(self) -> dict:
-        return {"id": self.id,
-                "steps": [{"name": s.name,
-                           "rules": [{"id": r.rule_id, "text": r.text}
-                                     for r in s.rules]}
-                          for s in self.steps]}
-
     @classmethod
     def from_dict(cls, d: dict) -> "RuleSet":
         try:

@@ -10,7 +10,6 @@ cache is one binary ``.npy`` file of (id, vector) rows.
 from __future__ import annotations
 
 import hashlib
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -83,21 +82,13 @@ def mock_vector(text: str, model_tag: str, dim: int = DEFAULT_MOCK_DIM) -> np.nd
 
 
 class MockEmbeddingBackend:
-    """Hash-based embedding backend; records each chunk of texts it serves."""
+    """Hash-based embedding backend; it keeps no history of what it serves."""
 
     def __init__(self, model_name: str = "mock-embed", dim: int = DEFAULT_MOCK_DIM):
         self.model_name = model_name
         self.dim = dim
-        self.calls: list[list[str]] = []
-        self._lock = threading.Lock()
-
-    @classmethod
-    def from_config(cls, config: EmbeddingBackendConfig) -> "MockEmbeddingBackend":
-        return cls(model_name=config.model_name, dim=config.dim)
 
     def embed_chunk(self, texts: Sequence[str]) -> list[np.ndarray]:
-        with self._lock:
-            self.calls.append(list(texts))
         return [mock_vector(t, self.model_name, self.dim) for t in texts]
 
 
@@ -129,7 +120,7 @@ EmbeddingBackend = MockEmbeddingBackend | HttpEmbeddingBackend
 
 def make_embedding_backend(config: EmbeddingBackendConfig) -> EmbeddingBackend:
     if config.kind == "mock":
-        return MockEmbeddingBackend.from_config(config)
+        return MockEmbeddingBackend(config.model_name, config.dim)
     return HttpEmbeddingBackend(config)
 
 
@@ -160,11 +151,11 @@ def embed_batch(texts: Sequence[str], config: EmbeddingBackendConfig,
     """Embed ``texts`` in input order into an (n, d) float32 matrix,
     chunked by ``config.batch_size``.
 
-    A caller-supplied ``backend`` overrides the one built from config (used by
-    tests to inspect call logs). Chunks may run concurrently up to
-    ``config.max_in_flight``; results are reassembled in input order. Each
-    chunk is validated once: one finite row per text, all chunks of one
-    dimension; a chunk that fails raises ``ConsistencyError`` naming it.
+    A caller-supplied ``backend`` overrides the one built from config.
+    Chunks may run concurrently up to ``config.max_in_flight``; results are
+    reassembled in input order. Each chunk is validated once: one finite row
+    per text, all chunks of one dimension; a chunk that fails raises
+    ``ConsistencyError`` naming it.
     """
     if not texts:
         raise ValueError("texts must be non-empty")

@@ -14,7 +14,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterator
 
 from .discriminator import LABELS, DiscriminationReport
 from .errors import ConsistencyError
@@ -97,13 +96,15 @@ class ExemplarDB:
     """Append-only exemplar store with seeded sampling.
 
     Single writer, many readers: inserts and samples take one lock, so a
-    sample sees a consistent snapshot no older than the last insert. Binding
-    a ``path`` persists every insert immediately (flush per line).
+    sample sees a consistent snapshot no older than the last insert. A store
+    built with ``ExemplarDB()`` lives in memory; one opened with
+    ``ExemplarDB.load(path)`` persists every insert immediately (flush per
+    line).
     """
 
-    def __init__(self, path: str | Path | None = None):
+    def __init__(self) -> None:
+        # insertion (created_seq) order is the dict's own order
         self._entries: dict[str, ExemplarEntry] = {}
-        self._order: list[str] = []
         # Entry pools kept per (task, label) and per label in created_seq
         # order, so sampling stays O(draw) instead of rescanning the whole
         # store and a created_seq bound is a prefix found by bisection.
@@ -111,8 +112,7 @@ class ExemplarDB:
         self._label_pools: dict[str, list[ExemplarEntry]] = {}
         self._next_seq = 0
         self._lock = threading.Lock()
-        self._appender = JsonlAppender(path) if path is not None else None
-        self.path = Path(path) if path is not None else None
+        self._appender: JsonlAppender | None = None
 
     def _index_entry(self, entry: ExemplarEntry) -> None:
         self._task_pools.setdefault((entry.task_kind, entry.label),
@@ -120,22 +120,16 @@ class ExemplarDB:
         self._label_pools.setdefault(entry.label, []).append(entry)
 
     @classmethod
-    def load(cls, path: str | Path, *, tolerate_torn_tail: bool = True) -> "ExemplarDB":
-        """Rebuild a db from its file; appends continue at the same file."""
-        db = cls.__new__(cls)
-        db._entries = {}
-        db._order = []
-        db._task_pools = {}
-        db._label_pools = {}
-        db._next_seq = 0
-        db._lock = threading.Lock()
-        db.path = Path(path)
+    def load(cls, path: str | Path) -> "ExemplarDB":
+        """Rebuild a db from its file (created when absent); appends continue
+        at the same file."""
+        db = cls()
         # Open (and so repair) the appender before reading: a torn tail that
         # happens to parse must be dropped, not read once and then truncated
         # away by a later append.
-        db._appender = JsonlAppender(db.path)
+        db._appender = JsonlAppender(path)
         try:
-            for lineno, obj in iter_jsonl(db.path, tolerate_torn_tail=tolerate_torn_tail):
+            for lineno, obj in iter_jsonl(path, tolerate_torn_tail=True):
                 try:
                     entry = ExemplarEntry.from_dict(obj)
                 except (KeyError, TypeError, ValueError) as exc:
@@ -150,7 +144,6 @@ class ExemplarDB:
                         f"{path}:{lineno}: created_seq {entry.created_seq} is out "
                         f"of order")
                 db._entries[entry.entry_id] = entry
-                db._order.append(entry.entry_id)
                 db._index_entry(entry)
                 db._next_seq = max(db._next_seq, entry.created_seq + 1)
         except BaseException:
@@ -166,28 +159,19 @@ class ExemplarDB:
             entry.created_seq = self._next_seq
             self._next_seq += 1
             self._entries[entry.entry_id] = entry
-            self._order.append(entry.entry_id)
             self._index_entry(entry)
             if self._appender is not None:
                 self._appender.append(entry.to_dict())
         return entry
 
-    def get(self, entry_id: str) -> ExemplarEntry:
-        with self._lock:
-            return self._entries[entry_id]
-
     def __len__(self) -> int:
         with self._lock:
-            return len(self._order)
-
-    def __contains__(self, entry_id: str) -> bool:
-        with self._lock:
-            return entry_id in self._entries
+            return len(self._entries)
 
     def entries(self) -> list[ExemplarEntry]:
         """All entries in insertion (created_seq) order."""
         with self._lock:
-            return [self._entries[eid] for eid in self._order]
+            return list(self._entries.values())
 
     def sample(self, task: str, policy: SamplingPolicy | None = None,
                seed: int = 0, before_seq: int | None = None
@@ -230,6 +214,3 @@ class ExemplarDB:
         if self._appender is not None:
             self._appender.close()
             self._appender = None
-
-    def __iter__(self) -> Iterator[ExemplarEntry]:
-        return iter(self.entries())

@@ -18,7 +18,6 @@ from typing import Sequence
 from .errors import GenerationFailedError, ParseError
 from .llm_backend import ChatMessage, ChatRequest, complete
 
-OUTPUT_KEYS = ("task_name", "instruction", "information", "solution")
 REQUIRED_KEYS = ("task_name", "instruction", "solution")
 
 GENERATION_SYSTEM_TEXT = (

@@ -2,8 +2,7 @@
 
 One client shape serves both the generation model and the discrimination
 model; they differ only in their `BackendConfig`. The mock backend replays a
-finite script and records a byte-exact transcript of every request, which is
-what the prompt-construction tests assert against.
+finite script and keeps no request history.
 """
 
 from __future__ import annotations
@@ -150,13 +149,22 @@ class BackendConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(
                 f"{name}.timeout must be a number, got {d['timeout']!r}") from exc
+        kind = d.get("kind", "http")
+        if kind not in ("http", "mock"):
+            raise ConfigError(f"{name}.kind must be 'http' or 'mock', got {kind!r}")
+        if not isinstance(d.get("extra", {}), dict):
+            raise ConfigError(f"{name}.extra must be an object")
         known = {"kind", "endpoint", "model_name", "api_key_env", "timeout"}
         # unknown top-level keys and the contents of an explicit "extra"
         # object both land flat in extra
         extra = {k: v for k, v in d.items() if k not in known | {"retry", "extra"}}
-        if isinstance(d.get("extra"), dict):
-            extra.update(d["extra"])
-        return cls(kind=d.get("kind", "http"), endpoint=d.get("endpoint", ""),
+        extra.update(d.get("extra", {}))
+        for key in ("bad_modulus", "no_information_modulus"):
+            value = extra.get(key, 0)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(
+                    f"{name}.extra.{key} must be an integer, got {value!r}")
+        return cls(kind=kind, endpoint=d.get("endpoint", ""),
                    model_name=d.get("model_name", ""),
                    api_key_env=d.get("api_key_env", ""),
                    timeout=timeout, retry=retry, extra=extra)
@@ -317,27 +325,24 @@ def make_chat_backend(config: BackendConfig) -> ChatBackend:
         role = config.extra.get("role", "generation")
         if role == "discrimination":
             return hermetic.canned_discrimination_backend(
-                bad_modulus=int(config.extra.get("bad_modulus", 0) or 0),
+                bad_modulus=config.extra.get("bad_modulus", 0),
                 model_name=config.model_name or "mock-disc")
         return hermetic.canned_generation_backend(
             model_name=config.model_name or "mock-gen",
-            no_information_modulus=int(config.extra.get("no_information_modulus", 3) or 0))
+            no_information_modulus=config.extra.get("no_information_modulus", 3))
     raise ValueError(f"unknown backend kind {config.kind!r}")
 
 
-def complete(request: ChatRequest, backend: ChatBackend | BackendConfig,
+def complete(request: ChatRequest, backend: ChatBackend,
              policy: RetryPolicy | None = None,
              sleep: Callable[[float], None] = time.sleep) -> ChatReply:
     """Send one chat request with retry/backoff on transient failures.
 
-    ``backend`` may be a config (a client is built from it) or an already
-    constructed backend instance. Terminal failures re-raise the last
-    backend error.
+    ``policy`` defaults to the backend's config's retry policy, or
+    `DEFAULT_RETRY` for a backend without a config. Terminal failures
+    re-raise the last backend error.
     """
     if policy is None:
-        config = (backend if isinstance(backend, BackendConfig)
-                  else getattr(backend, "config", None))
+        config = getattr(backend, "config", None)
         policy = config.retry if config is not None else DEFAULT_RETRY
-    if isinstance(backend, BackendConfig):
-        backend = make_chat_backend(backend)
     return with_retry(lambda: backend.send(request), policy, sleep)

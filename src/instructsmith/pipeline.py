@@ -204,12 +204,24 @@ class PipelineConfig:
                 raise ConfigError(f"config is missing required key {req!r}")
 
         filter_d = dict(section("filter"))
-        if "blacklist" not in filter_d:
-            filter_d["blacklist"] = default_blacklist()
+        blacklist = filter_d.setdefault("blacklist", default_blacklist())
+        if (not isinstance(blacklist, list)
+                or not all(isinstance(word, str) for word in blacklist)):
+            raise ConfigError(
+                f"filter.blacklist must be a list of strings, got {blacklist!r}")
         try:
             filter_config = FilterConfig(**filter_d)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad filter config: {exc}") from exc
+
+        for key, names in (("coreset", ("k", "seed")),
+                           ("embedding_backend", ("batch_size", "dim",
+                                                  "max_in_flight"))):
+            for name in names:
+                value = section(key).get(name, 1)
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise ConfigError(
+                        f"{key}.{name} must be an integer, got {value!r}")
 
         try:
             coreset = CoresetConfig(**d["coreset"])
@@ -372,18 +384,6 @@ class RunSummary:
             "dataset_path": self.dataset_path,
             "target_accepted": self.target_accepted,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunSummary":
-        return cls(
-            counts={str(k): int(v) for k, v in d["counts"].items()},
-            realized_mix={str(k): dict(v)
-                          for k, v in d.get("realized_mix", {}).items()},
-            stage_seconds={str(k): float(v)
-                           for k, v in d.get("stage_seconds", {}).items()},
-            dataset_path=str(d.get("dataset_path", "")),
-            target_accepted=int(d.get("target_accepted", 0)),
-        )
 
 
 def _quarantine_entries(path: Path) -> list[dict]:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .apportion import largest_remainder
 from .errors import ConfigError
-from .ioutil import atomic_write_json, read_json
+from .ioutil import read_json
 
 TASK_KINDS = ("CodeGeneration", "CodeSummarization", "CodeTranslation",
               "CodeRepair")
@@ -53,16 +53,6 @@ class TaskDefinition:
             raise ConfigError(f"{self.kind}: generation_prompt must be non-empty")
         if not self.requirements or any(not r.strip() for r in self.requirements):
             raise ConfigError(f"{self.kind}: requirements must be non-empty")
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "definition": self.definition_text,
-            "prompt": self.generation_prompt,
-            "requirements": list(self.requirements),
-            "rule_set": self.rule_set_id,
-            "extra": dict(self.extra_params),
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "TaskDefinition":
@@ -158,9 +148,3 @@ def load_task_definitions(path: str | Path | None = None) -> dict[str, TaskDefin
     if missing:
         raise ConfigError(f"{path}: missing definitions for {', '.join(missing)}")
     return defs
-
-
-def write_task_definitions(path: str | Path,
-                           defs: dict[str, TaskDefinition]) -> None:
-    atomic_write_json(path, {
-        "tasks": [defs[k].to_dict() for k in TASK_KINDS if k in defs]})

@@ -199,6 +199,16 @@ class TestExitCodes:
                                      "retry": {"max_attempts": "3"}}}),
             ("discrimination_backend.retry",
              {"discrimination_backend": {"kind": "mock", "retry": "x"}}),
+            ("discrimination_backend.extra.bad_modulus",
+             {"discrimination_backend": {
+                 "kind": "mock",
+                 "extra": {"role": "discrimination", "bad_modulus": "x"}}}),
+            ("generation_backend.extra.no_information_modulus",
+             {"generation_backend": {
+                 "kind": "mock", "extra": {"no_information_modulus": 1.5}}}),
+            ("embedding_backend.dim",
+             {"embedding_backend": {"kind": "mock", "dim": 2.5}}),
+            ("coreset.seed", {"coreset": {"k": 30, "seed": "a"}}),
         ]])
     def test_non_numeric_config_value_is_usage_error(self, tmp_path, corpus,
                                                      key, override, capsys):
@@ -223,6 +233,10 @@ class TestExitCodes:
             ("task_file", {"task_file": 5}),
             ("exemplar_db", {"exemplar_db": 5}),
             ("output_path", {"output_path": 5}),
+            ("generation_backend.kind", {"generation_backend": {"kind": "bogus"}}),
+            ("generation_backend.extra",
+             {"generation_backend": {"kind": "mock", "extra": "x"}}),
+            ("filter.blacklist", {"filter": {"blacklist": "abc"}}),
         ]])
     def test_malformed_config_value_is_usage_error(self, tmp_path, corpus,
                                                    key, override, capsys):

@@ -1,5 +1,6 @@
 """Tests for the leakage audit: oracle exactness, planting, plans, IO."""
 
+import json
 import math
 
 import numpy as np
@@ -18,10 +19,8 @@ from instructsmith.decontam import (
     audit,
     plan_removal,
     read_benchmark_file,
-    read_leakage_report,
     top1_histogram,
     top_k_indices,
-    write_benchmark_file,
     write_histogram_csv,
     write_leakage_report,
 )
@@ -62,7 +61,7 @@ class TestAudit:
         leak_text = "def leaked():\n    return 42"
         train = train_set(20) + [("copy-0", leak_text)]
         report = audit(train, [bench(0, leak_text)], CONFIG, top_k=3)
-        top = report.per_item[0].top1
+        top = report.per_item[0].neighbors[0]
         assert top.train_id == "copy-0"
         assert top.similarity == pytest.approx(1.0, abs=1e-6)
 
@@ -309,8 +308,9 @@ class TestPlantedLeakEndToEnd:
         train = train_set(40) + [("planted-0", leak)]
         items = [bench(0, leak), bench(1)]
         before = audit(train, items, CONFIG, top_k=3)
-        assert before.per_item[0].top1.train_id == "planted-0"
-        assert before.per_item[0].top1.similarity >= 0.999
+        top = before.per_item[0].neighbors[0]
+        assert top.train_id == "planted-0"
+        assert top.similarity >= 0.999
 
         plan = plan_removal(before, n_per_item=1)
         assert "planted-0" in plan.remove_train_ids
@@ -325,7 +325,10 @@ class TestFileIO:
     def test_benchmark_round_trip(self, tmp_path):
         path = tmp_path / "bench.jsonl"
         items = [bench(i) for i in range(3)]
-        assert write_benchmark_file(path, items) == 3
+        path.write_text("".join(
+            json.dumps({"bench_id": b.bench_id,
+                        "canonical_solution": b.canonical_solution,
+                        "benchmark": b.benchmark_name}) + "\n" for b in items))
         assert read_benchmark_file(path) == items
 
     def test_empty_benchmark_file_rejected(self, tmp_path):
@@ -342,8 +345,7 @@ class TestFileIO:
         report = audit(train_set(8), [bench(0)], CONFIG, top_k=2)
         path = tmp_path / "report.json"
         write_leakage_report(path, report)
-        loaded = read_leakage_report(path)
-        assert loaded.to_dict() == report.to_dict()
+        assert json.loads(path.read_text()) == report.to_dict()
 
     def test_histogram_csv(self, tmp_path):
         report = audit(train_set(5), [bench(0)], CONFIG)

@@ -73,9 +73,6 @@ class TestRuleSets:
         reduced = rs.without_rule("a")
         assert [s.name for s in reduced.steps] == ["two"]
 
-    def test_dict_round_trip(self, ruleset):
-        assert RuleSet.from_dict(ruleset.to_dict()) == ruleset
-
 
 class TestPrompt:
     def test_rule_ids_appear_exactly_once(self, circle_instance, ruleset):

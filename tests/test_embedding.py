@@ -54,14 +54,27 @@ class TestMockVector:
         assert mock_vector("t", "m", 16).shape == (16,)
 
 
+class ChunkRecorder:
+    """Forwards each chunk to ``inner`` and keeps it, in call order."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.model_name = inner.model_name
+        self.chunks = []
+
+    def embed_chunk(self, texts):
+        self.chunks.append(list(texts))
+        return self.inner.embed_chunk(texts)
+
+
 class TestEmbedBatch:
     def test_chunking_five_texts_batch_two(self):
         config = EmbeddingBackendConfig(batch_size=2, dim=8)
-        backend = MockEmbeddingBackend(dim=8)
+        backend = ChunkRecorder(MockEmbeddingBackend(dim=8))
         texts = [f"text {i}" for i in range(5)]
         vectors = embed_batch(texts, config, backend=backend)
         assert vectors.shape == (5, 8) and vectors.dtype == np.float32
-        assert [len(c) for c in backend.calls] == [2, 2, 1]
+        assert [len(c) for c in backend.chunks] == [2, 2, 1]
         for text, vec in zip(texts, vectors):
             assert (vec == mock_vector(text, backend.model_name, 8)).all()
 

@@ -184,7 +184,7 @@ class TestSampleBound:
 
     def test_bound_survives_load(self, tmp_path):
         path = tmp_path / "exemplars.jsonl"
-        db = mixed_db(ExemplarDB(path))
+        db = mixed_db(ExemplarDB.load(path))
         db.close()
         loaded = ExemplarDB.load(path)
         loaded.close()
@@ -198,7 +198,7 @@ class TestSampleBound:
 
     def test_load_rejects_out_of_order_seq(self, tmp_path):
         path = tmp_path / "exemplars.jsonl"
-        db = filled_db(ExemplarDB(path))
+        db = filled_db(ExemplarDB.load(path))
         db.close()
         lines = path.read_text().splitlines()
         first = json.loads(lines[0])
@@ -226,7 +226,7 @@ class TestStats:
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "exemplars.jsonl"
-        db = filled_db(ExemplarDB(path))
+        db = filled_db(ExemplarDB.load(path))
         db.close()
         loaded = ExemplarDB.load(path)
         loaded.close()
@@ -237,7 +237,7 @@ class TestPersistence:
 
     def test_appends_continue_after_load(self, tmp_path):
         path = tmp_path / "exemplars.jsonl"
-        db = ExemplarDB(path)
+        db = ExemplarDB.load(path)
         db.insert(entry("e0"))
         db.insert(entry("e1"))
         db.close()
@@ -251,7 +251,7 @@ class TestPersistence:
 
     def test_torn_tail_tolerated(self, tmp_path):
         path = tmp_path / "exemplars.jsonl"
-        db = ExemplarDB(path)
+        db = ExemplarDB.load(path)
         db.insert(entry("e0"))
         db.close()
         with open(path, "a", encoding="utf-8") as fh:
@@ -265,7 +265,7 @@ class TestPersistence:
         # that parses; load must drop it so the entry can be redone without
         # the file ever holding a duplicate or a fused line.
         path = tmp_path / "exemplars.jsonl"
-        db = ExemplarDB(path)
+        db = ExemplarDB.load(path)
         db.insert(entry("e0"))
         db.insert(entry("e1"))
         db.close()
@@ -282,7 +282,7 @@ class TestPersistence:
 
     def test_sampling_matches_memory_db(self, tmp_path):
         path = tmp_path / "exemplars.jsonl"
-        db = filled_db(ExemplarDB(path))
+        db = filled_db(ExemplarDB.load(path))
         db.close()
         loaded = ExemplarDB.load(path)
         loaded.close()

@@ -247,7 +247,8 @@ class TestHttpBackend:
             config = BackendConfig(
                 endpoint=url,
                 retry=RetryPolicy(max_attempts=4, base_delay=0.0))
-            reply = complete(user_request("q"), config, sleep=lambda s: None)
+            reply = complete(user_request("q"), HttpChatBackend(config),
+                             sleep=lambda s: None)
         assert reply.content == "persistence pays"
         assert state["calls"] == 3
 

@@ -25,7 +25,6 @@ from instructsmith.pipeline import (
     STAGES,
     CheckpointState,
     PipelineConfig,
-    RunSummary,
     audit_and_plan,
     load_pipeline_config,
     run,
@@ -151,9 +150,9 @@ class TestRun:
                      "checkpoint.json", "summary.json", "dataset.jsonl"):
             assert (workdir / name).exists(), name
         assert len(read_dataset(workdir / "dataset.jsonl")) == 25
-        saved = RunSummary.from_dict(
-            json.loads((workdir / "summary.json").read_text()))
-        assert saved.counts == counts
+        saved = json.loads((workdir / "summary.json").read_text())
+        assert saved == summary.to_dict()
+        assert saved["counts"] == counts
 
     @pytest.mark.parametrize("n_records", [60, 2000])
     def test_checkpoint_written_once_per_stage(self, tmp_path, monkeypatch,
@@ -580,3 +579,14 @@ def test_offline_run_never_imports_requests(corpus, tmp_path):
          str(bench)], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "w" / "audit" / "decontam_plan.json").exists()
+
+
+def test_package_root_exports_only_the_entry_points():
+    import instructsmith
+
+    assert sorted(instructsmith.__all__) == [
+        "PipelineConfig", "__version__", "audit_and_plan", "run"]
+    assert instructsmith.PipelineConfig is PipelineConfig
+    assert instructsmith.run is run
+    assert instructsmith.audit_and_plan is audit_and_plan
+    assert instructsmith.__version__ == "0.1.0"

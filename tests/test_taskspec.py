@@ -1,5 +1,7 @@
 """Tests for task definitions, the task mix, and task assignment."""
 
+import json
+
 import pytest
 
 from instructsmith.errors import ConfigError
@@ -9,9 +11,9 @@ from instructsmith.taskspec import (
     TaskDefinition,
     assign_tasks,
     default_mix,
+    default_task_file_path,
     load_task_definitions,
     mix_counts,
-    write_task_definitions,
 )
 
 REPORTED_PERCENTS = {"CodeGeneration": 57.1, "CodeSummarization": 15.8,
@@ -109,6 +111,11 @@ class TestAssignTasks:
         assert sorted(assignment) == sorted(ids)
 
 
+def shipped_entries():
+    """The task entries of the shipped definitions file, as parsed JSON."""
+    return json.loads(default_task_file_path().read_text(encoding="utf-8"))["tasks"]
+
+
 class TestTaskFile:
     def test_shipped_file_has_reported_prompts_verbatim(self):
         defs = load_task_definitions()
@@ -126,27 +133,25 @@ class TestTaskFile:
         assert defs["CodeTranslation"].extra_params["target_languages"]
 
     def test_missing_kind_rejected(self, tmp_path):
-        defs = load_task_definitions()
-        del defs["CodeRepair"]
+        entries = shipped_entries()
         p = tmp_path / "tasks.json"
-        write_task_definitions(p, defs)
+        p.write_text(json.dumps({"tasks": [
+            e for e in entries if e["kind"] != "CodeRepair"]}), encoding="utf-8")
         with pytest.raises(ConfigError, match="CodeRepair"):
             load_task_definitions(p)
 
     def test_duplicate_kind_rejected(self, tmp_path):
-        defs = load_task_definitions()
-        entry = defs["CodeGeneration"].to_dict()
+        entry = next(e for e in shipped_entries() if e["kind"] == "CodeGeneration")
         p = tmp_path / "tasks.json"
-        import json
         p.write_text(json.dumps({"tasks": [entry, entry]}), encoding="utf-8")
         with pytest.raises(ConfigError, match="CodeGeneration"):
             load_task_definitions(p)
 
     def test_round_trip(self, tmp_path):
-        defs = load_task_definitions()
+        # a copy of the shipped file, loaded by path, gives the defaults
         p = tmp_path / "tasks.json"
-        write_task_definitions(p, defs)
-        assert load_task_definitions(p) == defs
+        p.write_text(json.dumps({"tasks": shipped_entries()}), encoding="utf-8")
+        assert load_task_definitions(p) == load_task_definitions()
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
