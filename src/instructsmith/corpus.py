@@ -73,7 +73,7 @@ class FilterConfig:
     def __post_init__(self) -> None:
         if not (0 < self.min_code_chars < self.max_code_chars):
             raise ValueError(
-                f"need 0 < min_code_chars < max_code_chars, got "
+                f"min_code_chars must be > 0 and < max_code_chars, got "
                 f"{self.min_code_chars}, {self.max_code_chars}")
         if self.match_scope not in MATCH_SCOPES:
             raise ValueError(f"match_scope must be one of {MATCH_SCOPES}")

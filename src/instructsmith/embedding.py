@@ -55,13 +55,6 @@ class EmbeddingBackendConfig:
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "EmbeddingBackendConfig":
-        kwargs = dict(d)
-        if "retry" in kwargs:
-            kwargs["retry"] = RetryPolicy(**kwargs["retry"])
-        return cls(**kwargs)
-
 
 def mock_vector(text: str, model_tag: str, dim: int = DEFAULT_MOCK_DIM) -> np.ndarray:
     """Deterministic pseudo-random unit vector for (model_tag, text).

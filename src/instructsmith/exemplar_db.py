@@ -36,7 +36,7 @@ class SamplingPolicy:
 
     def __post_init__(self) -> None:
         if self.n_good < 0 or self.n_bad < 0:
-            raise ValueError("sample counts must be >= 0")
+            raise ValueError("n_good and n_bad must be >= 0")
 
 
 @dataclass
@@ -129,7 +129,7 @@ class ExemplarDB:
         # away by a later append.
         db._appender = JsonlAppender(path)
         try:
-            for lineno, obj in iter_jsonl(path, tolerate_torn_tail=True):
+            for lineno, obj in iter_jsonl(path):
                 try:
                     entry = ExemplarEntry.from_dict(obj)
                 except (KeyError, TypeError, ValueError) as exc:

@@ -9,6 +9,8 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, BinaryIO, Iterable, Iterator
 
+from .errors import ConsistencyError
+
 log = logging.getLogger(__name__)
 
 
@@ -56,12 +58,10 @@ def read_json(path: str | Path) -> Any:
         return json.load(fh)
 
 
-def iter_jsonl(path: str | Path, *, tolerate_torn_tail: bool = False) -> Iterator[tuple[int, Any]]:
-    """Yield ``(line_number, parsed_object)`` for each non-blank line.
-
-    With ``tolerate_torn_tail`` a trailing line that fails to parse is ignored
-    (a crash may have torn the last append); a malformed line elsewhere raises.
-    """
+def iter_jsonl(path: str | Path) -> Iterator[tuple[int, Any]]:
+    """Yield ``(line_number, parsed_object)`` for each non-blank line; a line
+    that is not JSON raises `ConsistencyError` naming ``path:line``. A torn
+    final line is the caller's to drop first, with `repair_torn_tail`."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
     for i, raw in enumerate(lines, start=1):
@@ -70,10 +70,8 @@ def iter_jsonl(path: str | Path, *, tolerate_torn_tail: bool = False) -> Iterato
             continue
         try:
             yield i, json.loads(stripped)
-        except json.JSONDecodeError:
-            if tolerate_torn_tail and i == len(lines):
-                return
-            raise
+        except json.JSONDecodeError as exc:
+            raise ConsistencyError(f"{path}:{i}: not JSON: {exc}") from exc
 
 
 def repair_torn_tail(path: str | Path) -> int:

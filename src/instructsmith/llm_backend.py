@@ -14,12 +14,11 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Sequence, TypedDict, TypeVar
 
 from .errors import (
     BackendError,
     BackendTimeoutError,
-    ConfigError,
     ProtocolError,
     RateLimitedError,
     ScriptedMissError,
@@ -87,10 +86,6 @@ class RetryPolicy:
     retry_on: tuple[str, ...] = RETRYABLE_CLASSES
 
     def __post_init__(self) -> None:
-        for name in ("max_attempts", "base_delay", "multiplier", "jitter_fraction"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise TypeError(f"{name} must be a number, got {value!r}")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         if self.multiplier < 1.0:
@@ -99,7 +94,7 @@ class RetryPolicy:
             raise ValueError("jitter_fraction must be in [0, 1]")
         unknown = set(self.retry_on) - set(RETRYABLE_CLASSES)
         if unknown:
-            raise ValueError(f"unknown retry classes: {sorted(unknown)}")
+            raise ValueError(f"retry_on has unknown classes {sorted(unknown)}")
 
     def delay_for_attempt(self, attempt: int, rng: random.Random | None = None) -> float:
         """Backoff before retrying after failed attempt ``attempt`` (1-based)."""
@@ -113,6 +108,16 @@ class RetryPolicy:
 
 #: the policy of a backend that carries no config (built once, not per call)
 DEFAULT_RETRY = RetryPolicy()
+
+
+class BackendExtra(TypedDict, total=False):
+    """The ``extra`` keys of a backend. Both kinds take ``role``, the slot
+    the backend serves ("generation" or "discrimination"); only a mock takes
+    the other two, which tune its canned replies (see `hermetic`)."""
+
+    role: str
+    bad_modulus: int
+    no_information_modulus: int
 
 
 @dataclass
@@ -131,43 +136,20 @@ class BackendConfig:
     api_key_env: str = ""
     timeout: float = 60.0
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    extra: dict = field(default_factory=dict)
+    extra: BackendExtra = field(default_factory=dict)
 
-    @classmethod
-    def from_dict(cls, d: dict, name: str = "backend") -> "BackendConfig":
-        """Build from a config object; a bad value raises `ConfigError`
-        naming its key under ``name``."""
-        retry = d.get("retry", {})
-        if not isinstance(retry, dict):
-            raise ConfigError(f"{name}.retry must be an object")
-        try:
-            retry = RetryPolicy(**retry)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{name}.retry: {exc}") from exc
-        try:
-            timeout = float(d.get("timeout", 60.0))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(
-                f"{name}.timeout must be a number, got {d['timeout']!r}") from exc
-        kind = d.get("kind", "http")
-        if kind not in ("http", "mock"):
-            raise ConfigError(f"{name}.kind must be 'http' or 'mock', got {kind!r}")
-        if not isinstance(d.get("extra", {}), dict):
-            raise ConfigError(f"{name}.extra must be an object")
-        known = {"kind", "endpoint", "model_name", "api_key_env", "timeout"}
-        # unknown top-level keys and the contents of an explicit "extra"
-        # object both land flat in extra
-        extra = {k: v for k, v in d.items() if k not in known | {"retry", "extra"}}
-        extra.update(d.get("extra", {}))
-        for key in ("bad_modulus", "no_information_modulus"):
-            value = extra.get(key, 0)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(
-                    f"{name}.extra.{key} must be an integer, got {value!r}")
-        return cls(kind=kind, endpoint=d.get("endpoint", ""),
-                   model_name=d.get("model_name", ""),
-                   api_key_env=d.get("api_key_env", ""),
-                   timeout=timeout, retry=retry, extra=extra)
+    def __post_init__(self) -> None:
+        if self.kind not in ("http", "mock"):
+            raise ValueError(f"kind must be 'http' or 'mock', got {self.kind!r}")
+        if self.timeout <= 0:
+            raise ValueError(f"timeout must be > 0, got {self.timeout!r}")
+        if self.kind == "http" and set(self.extra) - {"role"}:
+            raise ValueError(f"extra of an http backend takes only 'role', "
+                             f"got {sorted(self.extra)}")
+        role = self.extra.get("role", "generation")
+        if role not in ("generation", "discrimination"):
+            raise ValueError(f"extra.role must be 'generation' or "
+                             f"'discrimination', got {role!r}")
 
 
 def post_json(endpoint: str, body: dict, *, api_key_env: str = "",

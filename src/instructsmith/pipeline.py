@@ -18,9 +18,11 @@ import queue
 import time
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from functools import cache
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import (Callable, Iterable, Sequence, TypedDict, get_args,
+                    get_origin, get_type_hints, is_typeddict)
 
 import numpy as np
 
@@ -80,6 +82,7 @@ from .taskspec import (
     default_mix,
     load_task_definitions,
     mix_counts,
+    validate_kind,
 )
 
 log = logging.getLogger(__name__)
@@ -111,9 +114,12 @@ class CoresetConfig:
         if self.metric not in METRICS:
             raise ConfigError(f"coreset.metric must be one of {METRICS}")
 
-    def to_dict(self) -> dict:
-        return {"k": self.k, "seed": self.seed, "metric": self.metric,
-                "stratify_by_language": self.stratify_by_language}
+
+class RetryBudget(TypedDict, total=False):
+    """Extra attempts per record after the first, per stage."""
+
+    generation: int
+    discrimination: int
 
 
 @dataclass
@@ -138,9 +144,8 @@ class PipelineConfig:
             kind="mock", extra={"role": "discrimination"}))
     exemplar_db: Path | None = None
     sampling: SamplingPolicy = field(default_factory=SamplingPolicy)
-    max_in_flight: int = 1
-    retries: dict[str, int] = field(
-        default_factory=lambda: {"generation": 2, "discrimination": 2})
+    max_in_flight: int = field(default=1, metadata={"json": "concurrency"})
+    retries: RetryBudget = field(default_factory=dict)
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -148,9 +153,12 @@ class PipelineConfig:
             raise ConfigError("target_accepted must be >= 1")
         if self.max_in_flight < 1:
             raise ConfigError("concurrency.max_in_flight must be >= 1")
-        for key in ("generation", "discrimination"):
-            if self.retries.get(key, 0) < 0:
+        self.retries = {"generation": 2, "discrimination": 2, **self.retries}
+        for key, value in self.retries.items():
+            if value < 0:
                 raise ConfigError(f"retries.{key} must be >= 0")
+        for kind in self.rulesets:
+            _named("rulesets", lambda: validate_kind(kind))
         self.corpus_path = Path(self.corpus_path)
         self.workdir = Path(self.workdir)
         if self.output_path is None:
@@ -164,167 +172,132 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict, base_dir: str | Path = ".") -> "PipelineConfig":
-        """Build a config from parsed JSON; relative paths resolve against
-        ``base_dir`` (the config file's directory)."""
-        base = Path(base_dir)
-
-        def path_of(key):
-            value = d.get(key)
-            if value is None:
-                return None
-            if not isinstance(value, str):
-                raise ConfigError(f"{key} must be a path string, got {value!r}")
-            p = Path(value)
-            return p if p.is_absolute() else base / p
-
-        def number(convert, value, key):
-            try:
-                return convert(value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{key} must be a number, got {value!r}") from exc
-
-        def section(key, default=None):
-            value = d.get(key, default or {})
-            if not isinstance(value, dict):
-                raise ConfigError(f"{key} must be an object")
-            return value
-
-        d = dict(d)
-        known = {
-            "corpus_path", "workdir", "output_path", "filter",
-            "embedding_backend", "coreset", "mix", "task_file", "rulesets",
-            "generation_backend", "discrimination_backend", "exemplar_db",
-            "sampling", "target_accepted", "concurrency", "retries", "seed",
-        }
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        for req in ("corpus_path", "workdir", "coreset", "target_accepted"):
-            if req not in d:
-                raise ConfigError(f"config is missing required key {req!r}")
-
-        filter_d = dict(section("filter"))
-        blacklist = filter_d.setdefault("blacklist", default_blacklist())
-        if (not isinstance(blacklist, list)
-                or not all(isinstance(word, str) for word in blacklist)):
-            raise ConfigError(
-                f"filter.blacklist must be a list of strings, got {blacklist!r}")
-        try:
-            filter_config = FilterConfig(**filter_d)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad filter config: {exc}") from exc
-
-        for key, names in (("coreset", ("k", "seed")),
-                           ("embedding_backend", ("batch_size", "dim",
-                                                  "max_in_flight"))):
-            for name in names:
-                value = section(key).get(name, 1)
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ConfigError(
-                        f"{key}.{name} must be an integer, got {value!r}")
-
-        try:
-            coreset = CoresetConfig(**d["coreset"])
-        except TypeError as exc:
-            raise ConfigError(f"bad coreset config: {exc}") from exc
-
-        mix = default_mix() if "mix" not in d else MixPolicy.from_raw(
-            {str(k): number(float, v, f"mix.{k}")
-             for k, v in section("mix").items()})
-
-        try:
-            sampling = SamplingPolicy(**d.get("sampling", {}))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad sampling config: {exc}") from exc
-
-        gen_backend = BackendConfig.from_dict(
-            section("generation_backend", {"kind": "mock"}), "generation_backend")
-        disc_backend = BackendConfig.from_dict(
-            section("discrimination_backend", {"kind": "mock"}),
-            "discrimination_backend")
-        disc_backend.extra.setdefault("role", "discrimination")
-
-        retries = {"generation": 2, "discrimination": 2}
-        retries.update({str(k): number(int, v, f"retries.{k}")
-                        for k, v in section("retries").items()})
-
-        try:
-            embedding_backend = EmbeddingBackendConfig.from_dict(
-                section("embedding_backend", {"kind": "mock"}))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad embedding_backend config: {exc}") from exc
-
-        return cls(
-            corpus_path=path_of("corpus_path"),
-            workdir=path_of("workdir"),
-            output_path=path_of("output_path"),
-            filter=filter_config,
-            embedding_backend=embedding_backend,
-            coreset=coreset,
-            mix=mix,
-            task_file=path_of("task_file"),
-            rulesets={str(k): str(v) for k, v in section("rulesets").items()},
-            generation_backend=gen_backend,
-            discrimination_backend=disc_backend,
-            exemplar_db=path_of("exemplar_db"),
-            sampling=sampling,
-            target_accepted=number(int, d["target_accepted"], "target_accepted"),
-            max_in_flight=number(int, section("concurrency").get("max_in_flight", 1),
-                                 "concurrency.max_in_flight"),
-            retries=retries,
-            seed=number(int, d.get("seed", 0), "seed"),
-        )
+        """Parse the JSON config object ``d``; relative paths resolve against
+        ``base_dir`` (the config file's directory). Any key or value the
+        schema does not allow raises `ConfigError` naming its dotted key."""
+        config = _parse(cls, d, "", Path(base_dir))
+        if "blacklist" not in d.get("filter", {}):
+            config.filter = replace(config.filter, blacklist=default_blacklist())
+        config.discrimination_backend.extra.setdefault("role", "discrimination")
+        return config
 
     def to_dict(self) -> dict:
-        return {
-            "corpus_path": str(self.corpus_path),
-            "workdir": str(self.workdir),
-            "output_path": str(self.output_path),
-            "filter": {
-                "min_code_chars": self.filter.min_code_chars,
-                "max_code_chars": self.filter.max_code_chars,
-                "blacklist": list(self.filter.blacklist),
-                "match_scope": self.filter.match_scope,
-            },
-            "embedding_backend": {
-                "kind": self.embedding_backend.kind,
-                "endpoint": self.embedding_backend.endpoint,
-                "model_name": self.embedding_backend.model_name,
-                "dim": self.embedding_backend.dim,
-                "batch_size": self.embedding_backend.batch_size,
-                "max_in_flight": self.embedding_backend.max_in_flight,
-            },
-            "coreset": self.coreset.to_dict(),
-            "mix": dict(self.mix.weights),
-            "task_file": str(self.task_file) if self.task_file else None,
-            "rulesets": dict(self.rulesets),
-            "generation_backend": {
-                "kind": self.generation_backend.kind,
-                "endpoint": self.generation_backend.endpoint,
-                "model_name": self.generation_backend.model_name,
-                "extra": dict(self.generation_backend.extra),
-            },
-            "discrimination_backend": {
-                "kind": self.discrimination_backend.kind,
-                "endpoint": self.discrimination_backend.endpoint,
-                "model_name": self.discrimination_backend.model_name,
-                "extra": dict(self.discrimination_backend.extra),
-            },
-            "exemplar_db": str(self.exemplar_db),
-            "sampling": {
-                "n_good": self.sampling.n_good,
-                "n_bad": self.sampling.n_bad,
-                "same_task_only": self.sampling.same_task_only,
-            },
-            "target_accepted": self.target_accepted,
-            "concurrency": {"max_in_flight": self.max_in_flight},
-            "retries": dict(self.retries),
-            "seed": self.seed,
-        }
+        """The config as its JSON object, less the backend fields that only
+        say how a model is reached; the fingerprint hashes it."""
+        return _unparse(self)
 
     def fingerprint(self) -> str:
         payload = json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")
         return hashlib.sha256(payload).hexdigest()[:16]
+
+
+# -- config schema -------------------------------------------------------------
+# The config dataclasses are the schema: a field's name is its JSON key (inside
+# the object its "json" metadata names, if any), its annotation the type of
+# the value, and its default what an absent key means. TypedDict fields are
+# objects whose keys are all optional. Range checks live in each class's
+# __post_init__, so a config built in code is checked the same way.
+
+#: backend fields that change how a model is reached, not what a run makes
+_UNFINGERPRINTED = ("api_key_env", "timeout", "retry")
+
+_EXPECTED = {int: "an integer", float: "a number", bool: "true or false",
+             str: "a string", Path: "a path string", dict: "an object",
+             list: "a list", tuple: "a list"}
+
+
+@cache
+def config_keys(cls) -> tuple[tuple[tuple[str, ...], str, object], ...]:
+    """(JSON key path, field name, type) of each field of config class ``cls``."""
+    hints = get_type_hints(cls)
+    if is_typeddict(cls):
+        return tuple(((name,), name, tp) for name, tp in hints.items())
+    return tuple(((f.metadata["json"], f.name) if "json" in f.metadata
+                  else (f.name,), f.name, hints[f.name]) for f in fields(cls))
+
+
+def _named(key: str, make: Callable):
+    """``make()``, with a check that fails in it re-raised as a `ConfigError`
+    whose message leads with ``key``."""
+    try:
+        return make()
+    except (ConfigError, ValueError) as exc:
+        msg = str(exc)
+        raise ConfigError(msg if msg.startswith(key) else f"{key}.{msg}") from exc
+
+
+def _parse(tp, value, key: str, base: Path):
+    """``value``, found at dotted ``key`` of the config JSON, as type ``tp``."""
+    args = get_args(tp)
+    if type(None) in args:  # X | None
+        return None if value is None else _parse(args[0], value, key, base)
+    if tp is MixPolicy:  # the JSON holds the raw weights
+        weights = _parse(dict[str, float], value, key, base)
+        return _named(key, lambda: MixPolicy.from_raw(weights))
+    if is_dataclass(tp) or is_typeddict(tp):
+        return _parse_object(tp, value, key, base)
+    kind = get_origin(tp) or tp
+    accepted = {float: (int, float), Path: str, tuple: list}.get(kind, kind)
+    # bool is an int subclass, but true is neither an integer nor a number
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{key} must be {_EXPECTED[kind]}, got {value!r}")
+    if kind is dict:
+        return {k: _parse(args[1], v, f"{key}.{k}", base) for k, v in value.items()}
+    if kind in (list, tuple):
+        return kind(_parse(args[0], v, f"{key}[{i}]", base)
+                    for i, v in enumerate(value))
+    if kind is Path:
+        return Path(value) if Path(value).is_absolute() else base / value
+    return float(value) if kind is float else value
+
+
+def _parse_object(cls, value, key: str, base: Path):
+    by_path = {path: (name, tp) for path, name, tp in config_keys(cls)}
+    kwargs = {}
+
+    def dotted(*path: str) -> str:
+        return ".".join((key, *path) if key else path)
+
+    def read(obj, at: tuple[str, ...]) -> None:
+        if not isinstance(obj, dict):
+            raise ConfigError(f"{dotted(*at) or 'config'} must be an object, "
+                              f"got {obj!r}")
+        for k, v in obj.items():
+            path = (*at, k)
+            if path in by_path:
+                name, tp = by_path[path]
+                kwargs[name] = _parse(tp, v, dotted(*path), base)
+            elif any(p[:len(path)] == path for p in by_path):
+                read(v, path)
+            else:
+                raise ConfigError(f"unknown config key {dotted(*path)!r}")
+
+    read(value, ())
+    if is_typeddict(cls):
+        return kwargs
+    for f in fields(cls):
+        if (f.name not in kwargs and f.default is MISSING
+                and f.default_factory is MISSING):
+            raise ConfigError(f"config is missing required key {dotted(f.name)!r}")
+    return _named(key, lambda: cls(**kwargs))
+
+
+def _unparse(value):
+    """``value`` as its JSON config, the inverse of `_parse`."""
+    if isinstance(value, MixPolicy):
+        return dict(value.weights)
+    if is_dataclass(value):
+        out: dict = {}
+        for path, name, _ in config_keys(type(value)):
+            if name not in _UNFINGERPRINTED:
+                where = out.setdefault(path[0], {}) if len(path) > 1 else out
+                where[path[-1]] = _unparse(getattr(value, name))
+        return out
+    if isinstance(value, dict):
+        return {k: _unparse(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_unparse(v) for v in value]
+    return str(value) if isinstance(value, Path) else value
 
 
 def load_pipeline_config(path: str | Path) -> PipelineConfig:
@@ -390,7 +363,7 @@ def _quarantine_entries(path: Path) -> list[dict]:
     repair_torn_tail(path)
     if not path.exists():
         return []
-    return [obj for _, obj in iter_jsonl(path, tolerate_torn_tail=True)]
+    return [obj for _, obj in iter_jsonl(path)]
 
 
 def _require_artifact(path: Path, stage: str) -> Path:

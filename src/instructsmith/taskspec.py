@@ -32,7 +32,7 @@ RAW_MIX_PERCENTS = {
 
 def validate_kind(kind: str) -> str:
     if kind not in TASK_KINDS:
-        raise ConfigError(f"unknown task kind {kind!r}; expected one of {TASK_KINDS}")
+        raise ConfigError(f"{kind} is not a task kind; expected one of {TASK_KINDS}")
     return kind
 
 

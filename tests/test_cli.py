@@ -7,13 +7,19 @@ hermetic mock backends make every invocation deterministic and offline.
 from __future__ import annotations
 
 import json
+from dataclasses import is_dataclass
 from pathlib import Path
+from typing import get_args, get_origin, is_typeddict
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from instructsmith.cli import main
 from instructsmith.emitter import read_dataset
 from instructsmith.ioutil import read_json
+from instructsmith.pipeline import PipelineConfig, config_keys
+from instructsmith.taskspec import TASK_KINDS, MixPolicy
 
 
 def write_corpus(path: Path, n: int = 40) -> None:
@@ -30,6 +36,12 @@ def write_corpus(path: Path, n: int = 40) -> None:
         })
     path.write_text("".join(json.dumps(r) + "\n" for r in rows),
                     encoding="utf-8")
+
+
+def _nested(key: str, value) -> dict:
+    """A config override that sets dotted ``key`` to ``value``."""
+    head, _, rest = key.partition(".")
+    return {head: _nested(rest, value) if rest else value}
 
 
 def write_config(path: Path, corpus: Path, workdir: Path, **overrides) -> None:
@@ -272,6 +284,169 @@ class TestExitCodes:
         assert main(["run", "--config", str(config), "--resume"]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "embeddings.npy is missing" in err
+
+    @pytest.mark.parametrize("key,override", [
+        pytest.param(key, override, id=f"{key}={value}")
+        for key, value, override in [
+            (key, value, _nested(key, value)) for key, value in [
+                ("target_accepted", 2.9), ("target_accepted", True),
+                ("seed", "7"), ("retries.generation", 1.5),
+                ("concurrency.max_in_flight", 2.5),
+                ("filter.min_code_chars", 10.5), ("sampling.n_good", 1.5),
+                ("generation_backend.retry.max_attempts", 2.5),
+                ("discrimination_backend.retry.max_attempts", 2.5),
+                ("embedding_backend.retry.max_attempts", 2.5),
+                ("retries.generatoin", 1), ("concurrency.max_inflight", 2),
+                ("generation_backend.endpont", "http://x"),
+                ("generation_backend.role", "generation"),
+                ("generation_backend.endpoint", 5),
+                ("generation_backend.timeout", -5),
+                ("generation_backend.timeout", True),
+                ("embedding_backend.model_name", 5),
+                ("sampling.same_task_only", "no"),
+                ("coreset.stratify_by_language", "yes"),
+                ("rulesets.CodeGeneration", 5), ("mix.CodeGeneration", True),
+                ("rulesets.CodeGeneraton", "codegen-default"),
+                ("generation_backend.extra.role", "judge"),
+            ]]])
+    def test_rejected_config_value_is_usage_error(self, tmp_path, corpus,
+                                                  key, override, capsys):
+        cfg = tmp_path / "config.json"
+        write_config(cfg, corpus, tmp_path / "work", **override)
+        rc = main(["run", "--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and key in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "work").exists()
+
+    @pytest.mark.parametrize("log", ["exemplars.jsonl", "quarantine.jsonl"])
+    def test_resume_over_corrupt_log_line_is_error(self, tmp_path, corpus, log,
+                                                   capsys):
+        config = tmp_path / "config.json"
+        workdir = tmp_path / "work"
+        write_config(config, corpus, workdir)
+        assert main(["run", "--config", str(config)]) == 0
+        path = workdir / log
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)[:5]
+        damaged = "".join(lines) + "{garbage\n"
+        path.write_text(damaged, encoding="utf-8")
+        checkpoint = read_json(workdir / "checkpoint.json")
+        (workdir / "checkpoint.json").write_text(
+            json.dumps({**checkpoint, "stage": "assigned"}), encoding="utf-8")
+        capsys.readouterr()
+        for _ in range(2):  # the first resume must not append past the line
+            assert main(["run", "--config", str(config), "--resume"]) == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and f"{path}:{len(lines) + 1}" in err
+            assert "Traceback" not in err
+            assert path.read_text(encoding="utf-8") == damaged
+
+    def test_audit_non_json_bench_line_is_error(self, tmp_path, capsys):
+        train = tmp_path / "train.jsonl"
+        train.write_text(json.dumps({
+            "instruction": "Write it.", "input": "", "output": "def f(): pass",
+            "_task": "CodeGeneration", "_source_id": "r1"}) + "\n",
+            encoding="utf-8")
+        bench = tmp_path / "bench.jsonl"
+        bench.write_text(json.dumps({"bench_id": "b1",
+                                     "canonical_solution": "def g(): pass"})
+                         + "\n{garbage\n", encoding="utf-8")
+        rc = main(["audit", "--train", str(train), "--bench", str(bench),
+                   "--report", str(tmp_path / "report.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{bench}:2" in err
+        assert not (tmp_path / "report.json").exists()
+
+
+def _leaf_keys(cls, prefix=()):
+    """(JSON key path, JSON type) of every key of the config schema under
+    config class ``cls``, objects included, from the parser's own walk."""
+    for path, _, tp in config_keys(cls):
+        if len(path) > 1:  # a field kept in a section object of the JSON
+            yield prefix + path[:-1], dict
+        path = prefix + path
+        if type(None) in get_args(tp):
+            tp = get_args(tp)[0]
+        if tp is MixPolicy:  # the JSON holds the raw weights
+            tp = dict[str, float]
+        if is_dataclass(tp) or is_typeddict(tp):
+            yield path, dict
+            yield from _leaf_keys(tp, path)
+        elif get_origin(tp) is dict:
+            yield path, dict
+            for kind in TASK_KINDS:
+                yield path + (kind,), get_args(tp)[1]
+        else:
+            yield path, get_origin(tp) or tp
+
+
+SCHEMA = dict(_leaf_keys(PipelineConfig))
+
+#: values of the wrong JSON type for each schema type
+WRONG = {
+    int: [2.5, "7", True, None, [1]],
+    float: ["1.5", True, None, {}],
+    str: [5, True, None, ["a"]],
+    bool: ["no", 1, None],
+    Path: [5, True, ["a.jsonl"]],
+    dict: ["x", 5, True, ["x"]],
+    list: ["abc", [5], {}],
+    tuple: ["timeout", [5]],
+}
+
+
+def _typos(key: str) -> list[str]:
+    swapped = key[1] + key[0] + key[2:] if len(key) > 1 else key
+    return [key + "s", key[1:] or "x" + key, swapped]
+
+
+@st.composite
+def bad_override(draw):
+    """(dotted key, config override) with one wrong-typed value or one
+    misspelled key."""
+    if draw(st.booleans()):
+        path = draw(st.sampled_from(sorted(SCHEMA)))
+        value = draw(st.sampled_from(WRONG[SCHEMA[path]]))
+    else:
+        parent = draw(st.sampled_from(
+            [()] + sorted(p for p, tp in SCHEMA.items() if tp is dict)))
+        siblings = {p[-1] for p in SCHEMA if p[:-1] == parent}
+        name = draw(st.sampled_from(sorted(siblings)))
+        typo = draw(st.sampled_from(_typos(name)))
+        assume(typo not in siblings)
+        path, value = parent + (typo,), 1
+    key = ".".join(path)
+    return key, _nested(key, value)
+
+
+class TestConfigSchema:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(bad=bad_override())
+    def test_any_bad_key_or_type_is_usage_error(self, tmp_path, corpus, bad,
+                                                capsys):
+        key, override = bad
+        cfg = tmp_path / "config.json"
+        write_config(cfg, corpus, tmp_path / "work")
+        cfg.write_text(json.dumps({**read_json(cfg), **override}),
+                       encoding="utf-8")
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and key in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "work").exists()
+
+    def test_schema_covers_every_section(self):
+        assert {path[0] for path in SCHEMA} == {
+            "corpus_path", "workdir", "output_path", "filter",
+            "embedding_backend", "coreset", "mix", "task_file", "rulesets",
+            "generation_backend", "discrimination_backend", "exemplar_db",
+            "sampling", "target_accepted", "concurrency", "retries", "seed"}
+        assert SCHEMA[("concurrency", "max_in_flight")] is int
+        assert SCHEMA[("generation_backend", "extra", "bad_modulus")] is int
 
 
 class TestStageCommands:

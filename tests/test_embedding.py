@@ -26,6 +26,7 @@ from instructsmith.errors import (
     ServerBackendError,
 )
 from instructsmith.llm_backend import RetryPolicy
+from instructsmith.pipeline import PipelineConfig
 from vector_oracles import cosine_similarity, euclidean_distance
 
 
@@ -356,8 +357,10 @@ def test_config_validation():
 
 
 def test_config_from_dict():
-    config = EmbeddingBackendConfig.from_dict({
-        "kind": "mock", "model_name": "m", "dim": 16,
-        "retry": {"max_attempts": 2}})
+    config = PipelineConfig.from_dict({
+        "corpus_path": "c.jsonl", "workdir": "w", "coreset": {"k": 1},
+        "target_accepted": 1,
+        "embedding_backend": {"kind": "mock", "model_name": "m", "dim": 16,
+                              "retry": {"max_attempts": 2}}}).embedding_backend
     assert config.dim == 16
     assert config.retry.max_attempts == 2

@@ -1,11 +1,11 @@
 """Tests for atomic writes and line-delimited JSON helpers."""
 
-import json
 import os
 import stat
 
 import pytest
 
+from instructsmith.errors import ConsistencyError
 from instructsmith.ioutil import (
     JsonlAppender,
     atomic_write_json,
@@ -68,19 +68,24 @@ def test_iter_jsonl_line_numbers_skip_blanks(tmp_path):
 
 
 def test_iter_jsonl_torn_tail_tolerated(tmp_path):
+    # a torn tail is not JSON; it is tolerated once repair drops it
     target = tmp_path / "rows.jsonl"
     target.write_text('{"a": 1}\n{"b": 2}\n{"c": ', encoding="utf-8")
-    with pytest.raises(json.JSONDecodeError):
+    with pytest.raises(ConsistencyError, match=f"{target}:3"):
         list(iter_jsonl(target))
-    assert [obj for _, obj in iter_jsonl(target, tolerate_torn_tail=True)] == [
-        {"a": 1}, {"b": 2}]
+    repair_torn_tail(target)
+    assert [obj for _, obj in iter_jsonl(target)] == [{"a": 1}, {"b": 2}]
 
 
 def test_iter_jsonl_mid_file_corruption_always_raises(tmp_path):
+    # a complete line that is not JSON raises wherever it is, last included
     target = tmp_path / "rows.jsonl"
-    target.write_text('{"a": 1}\n{bad\n{"b": 2}\n', encoding="utf-8")
-    with pytest.raises(json.JSONDecodeError):
-        list(iter_jsonl(target, tolerate_torn_tail=True))
+    for text, lineno in (('{"a": 1}\n{bad\n{"b": 2}\n', 2),
+                         ('{"a": 1}\n{bad\n', 2)):
+        target.write_text(text, encoding="utf-8")
+        assert repair_torn_tail(target) == 0
+        with pytest.raises(ConsistencyError, match=f"{target}:{lineno}"):
+            list(iter_jsonl(target))
 
 
 def test_appender_flushes_each_line(tmp_path):

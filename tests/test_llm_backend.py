@@ -6,6 +6,7 @@ from httpstub import http_stub
 from instructsmith.embedding import EmbeddingBackendConfig, HttpEmbeddingBackend
 from instructsmith.errors import (
     BackendError,
+    ConfigError,
     ProtocolError,
     RateLimitedError,
     ScriptedMissError,
@@ -22,6 +23,7 @@ from instructsmith.llm_backend import (
     ScriptEntry,
     complete,
 )
+from instructsmith.pipeline import PipelineConfig
 from sensitive import Recorder
 
 
@@ -254,13 +256,23 @@ class TestHttpBackend:
 
 
 def test_backend_config_from_dict_round_trip():
-    config = BackendConfig.from_dict({
+    base = {"corpus_path": "c.jsonl", "workdir": "w", "coreset": {"k": 1},
+            "target_accepted": 1}
+    backend = {
         "kind": "http", "endpoint": "http://x/v1", "model_name": "m",
-        "api_key_env": "K", "timeout": 12.5,
+        "api_key_env": "K", "timeout": 12,
         "retry": {"max_attempts": 5, "base_delay": 0.1},
-        "role": "generation",
-    })
+    }
+    config = PipelineConfig.from_dict(
+        {**base, "generation_backend": backend}).generation_backend
     assert config.endpoint == "http://x/v1"
-    assert config.timeout == 12.5
+    assert config.timeout == 12.0 and isinstance(config.timeout, float)
     assert config.retry.max_attempts == 5
-    assert config.extra == {"role": "generation"}
+    assert config.extra == {}
+    # a key of extra given beside it is a misspelling, not an extra key
+    with pytest.raises(ConfigError, match="generation_backend.role"):
+        PipelineConfig.from_dict(
+            {**base, "generation_backend": {**backend, "role": "generation"}})
+    with pytest.raises(ConfigError, match="generation_backend.extra"):
+        PipelineConfig.from_dict({**base, "generation_backend": {
+            **backend, "extra": {"bad_modulus": 3}}})

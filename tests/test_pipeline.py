@@ -130,6 +130,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_pipeline_config(bad)
 
+    def test_fingerprints_match_earlier_releases(self, tmp_path, monkeypatch):
+        # a changed fingerprint makes every checkpointed run refuse to resume
+        readme = (Path(__file__).parent.parent / "README.md").read_text(
+            encoding="utf-8")
+        block = re.search(r"cat > config.json << 'EOF'\n(.*?)\nEOF\n",
+                          readme, re.S).group(1)
+        monkeypatch.chdir(tmp_path)
+        Path("config.json").write_text(block, encoding="utf-8")
+        assert load_pipeline_config("config.json").fingerprint() == \
+            "4378f3147f499f3c"
+        assert PipelineConfig.from_dict({
+            "corpus_path": "c.jsonl", "workdir": "w", "coreset": {"k": 5},
+            "target_accepted": 3}).fingerprint() == "94fff441fbb31e49"
+
     def test_checkpoint_state_validation(self):
         with pytest.raises(ConsistencyError):
             CheckpointState(stage="warp")
