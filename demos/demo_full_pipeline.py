@@ -56,8 +56,8 @@ print(f"  output starts: {first.output.splitlines()[0]}")
 # Every judged instance — kept or rejected — lands in the exemplar store.
 db = ExemplarDB.load(config.exemplar_db)
 by_label = {}
-for entry in db.entries():
-    by_label[entry.label] = by_label.get(entry.label, 0) + 1
+for row in db.entries():
+    by_label[row.label] = by_label.get(row.label, 0) + 1
 db.close()
 print(f"\nexemplar store: {by_label}")
 

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .embedding import EmbeddingBackendConfig, embed_batch, stack_vectors
-from .errors import ConfigError
+from .errors import ConfigError, ConsistencyError
 from .ioutil import atomic_write_json, atomic_write_text, iter_jsonl
 
 log = logging.getLogger(__name__)
@@ -262,14 +262,20 @@ def apply_plan(plan: DecontamPlan, train: Sequence[tuple[str, object]]) -> list:
 
 
 def read_benchmark_file(path: str | Path) -> list[BenchmarkItem]:
+    """Read a benchmark file; a damaged line, JSON or not, is a
+    `ConfigError` naming ``path:line``: the file is user input."""
     items = []
-    for lineno, obj in iter_jsonl(path):
-        try:
-            items.append(BenchmarkItem.from_dict(obj))
-        except KeyError as exc:
-            raise ConfigError(f"{path}:{lineno}: missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}:{lineno}: bad benchmark item: {exc}") from exc
+    try:
+        for lineno, obj in iter_jsonl(path):
+            try:
+                items.append(BenchmarkItem.from_dict(obj))
+            except KeyError as exc:
+                raise ConfigError(f"{path}:{lineno}: missing key {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(
+                    f"{path}:{lineno}: bad benchmark item: {exc}") from exc
+    except ConsistencyError as exc:  # a line that is not JSON
+        raise ConfigError(str(exc)) from exc
     if not items:
         raise ConfigError(f"{path}: benchmark file is empty")
     return items

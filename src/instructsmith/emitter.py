@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable
 
 from .errors import ConsistencyError
 from .generator import InstructionInstance
@@ -101,18 +101,21 @@ def render_prompt(example: TrainingExample, *,
     return _template(name).replace("{instruction}", example.instruction)
 
 
-def write_dataset(examples: Sequence[TrainingExample],
+def write_dataset(examples: Iterable[TrainingExample],
                   path: str | Path) -> dict:
-    """Atomically write the dataset file; returns {count, per_task_counts}."""
+    """Atomically write the dataset file, one example per line, consuming
+    ``examples`` as it writes (a generator is never listed); returns
+    {count, per_task_counts}."""
     per_task = {kind: 0 for kind in TASK_KINDS}
-    rows = []
-    for example in examples:
-        per_task[example.task_kind] += 1
-        rows.append(example.to_dict())
-    atomic_write_jsonl(path, rows)
-    summary = {"count": len(rows), "per_task_counts": per_task}
-    log.info("wrote %d examples to %s", len(rows), path)
-    return summary
+
+    def rows():
+        for example in examples:
+            per_task[example.task_kind] += 1
+            yield example.to_dict()
+
+    count = atomic_write_jsonl(path, rows())
+    log.info("wrote %d examples to %s", count, path)
+    return {"count": count, "per_task_counts": per_task}
 
 
 def read_dataset(path: str | Path) -> list[TrainingExample]:

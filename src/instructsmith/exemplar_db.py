@@ -1,14 +1,16 @@
 """Store of judged instances, sampled back into prompts as few-shot examples.
 
 Entries append to a line-delimited JSON file as they are inserted; an
-in-memory index is rebuilt on load. Good and Bad cases are both kept: a bad
-exemplar (with the reasons it failed) teaches the generator what to avoid.
+in-memory index of slim rows is rebuilt on load. Good and Bad cases are both
+kept: a bad exemplar (with the reasons it failed) teaches the generator what
+to avoid.
 """
 
 from __future__ import annotations
 
 import logging
 import random
+import sys
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -16,8 +18,9 @@ from operator import attrgetter
 from pathlib import Path
 
 from .discriminator import LABELS, DiscriminationReport
+from .emitter import TrainingExample, to_training_example
 from .errors import ConsistencyError
-from .generator import InstructionInstance
+from .generator import InstructionInstance, render_exemplar
 from .ioutil import JsonlAppender, iter_jsonl
 from .taskspec import TASK_KINDS
 
@@ -80,6 +83,35 @@ class ExemplarEntry:
         )
 
 
+@dataclass(frozen=True, slots=True)
+class Exemplar:
+    """What the store keeps of one entry: the fields sampling, prompts and
+    emit read. ``block`` is the entry's exemplar prompt block, rendered once;
+    ``example`` is the training example of a Good entry (None for Bad)."""
+
+    created_seq: int
+    entry_id: str
+    source_record_id: str
+    task_kind: str
+    label: str
+    block: str
+    example: TrainingExample | None = None
+
+    @classmethod
+    def of(cls, entry: ExemplarEntry) -> "Exemplar":
+        return cls(
+            created_seq=entry.created_seq,
+            entry_id=entry.entry_id,
+            source_record_id=entry.instance.source_record_id,
+            # one shared string per kind and label, not one per loaded row
+            task_kind=sys.intern(entry.task_kind),
+            label=sys.intern(entry.label),
+            block=render_exemplar(entry),
+            example=(to_training_example(entry.instance)
+                     if entry.label == "Good" else None),
+        )
+
+
 def make_entry(instance: InstructionInstance, report: DiscriminationReport,
                entry_id: str = "") -> ExemplarEntry:
     """Build an entry from a judged instance; created_seq is assigned on insert."""
@@ -99,30 +131,35 @@ class ExemplarDB:
     sample sees a consistent snapshot no older than the last insert. A store
     built with ``ExemplarDB()`` lives in memory; one opened with
     ``ExemplarDB.load(path)`` persists every insert immediately (flush per
-    line).
+    line), and its file keeps each entry whole.
+
+    In memory the store holds one `Exemplar` row per entry, not the entry:
+    the instance, its generation metadata and the discriminator's report are
+    dropped once the row's prompt block is rendered, at insert or at load.
     """
 
     def __init__(self) -> None:
         # insertion (created_seq) order is the dict's own order
-        self._entries: dict[str, ExemplarEntry] = {}
-        # Entry pools kept per (task, label) and per label in created_seq
+        self._rows: dict[str, Exemplar] = {}
+        # Row pools kept per (task, label) and per label in created_seq
         # order, so sampling stays O(draw) instead of rescanning the whole
         # store and a created_seq bound is a prefix found by bisection.
-        self._task_pools: dict[tuple[str, str], list[ExemplarEntry]] = {}
-        self._label_pools: dict[str, list[ExemplarEntry]] = {}
+        self._task_pools: dict[tuple[str, str], list[Exemplar]] = {}
+        self._label_pools: dict[str, list[Exemplar]] = {}
         self._next_seq = 0
         self._lock = threading.Lock()
         self._appender: JsonlAppender | None = None
 
-    def _index_entry(self, entry: ExemplarEntry) -> None:
-        self._task_pools.setdefault((entry.task_kind, entry.label),
-                                    []).append(entry)
-        self._label_pools.setdefault(entry.label, []).append(entry)
+    def _index(self, row: Exemplar) -> None:
+        self._rows[row.entry_id] = row
+        self._task_pools.setdefault((row.task_kind, row.label), []).append(row)
+        self._label_pools.setdefault(row.label, []).append(row)
 
     @classmethod
     def load(cls, path: str | Path) -> "ExemplarDB":
         """Rebuild a db from its file (created when absent); appends continue
-        at the same file."""
+        at the same file. The file is read line by line, and each entry is
+        reduced to its row as it is read."""
         db = cls()
         # Open (and so repair) the appender before reading: a torn tail that
         # happens to parse must be dropped, not read once and then truncated
@@ -132,61 +169,63 @@ class ExemplarDB:
             for lineno, obj in iter_jsonl(path):
                 try:
                     entry = ExemplarEntry.from_dict(obj)
+                    row = Exemplar.of(entry)
                 except (KeyError, TypeError, ValueError) as exc:
                     raise ConsistencyError(
                         f"{path}:{lineno}: bad exemplar entry: {exc}") from exc
-                if entry.entry_id in db._entries:
+                if row.entry_id in db._rows:
                     log.warning("%s:%d: duplicate entry id %r ignored",
-                                path, lineno, entry.entry_id)
+                                path, lineno, row.entry_id)
                     continue
-                if entry.created_seq < db._next_seq - 1:
+                if row.created_seq < db._next_seq - 1:
                     raise ConsistencyError(
-                        f"{path}:{lineno}: created_seq {entry.created_seq} is out "
+                        f"{path}:{lineno}: created_seq {row.created_seq} is out "
                         f"of order")
-                db._entries[entry.entry_id] = entry
-                db._index_entry(entry)
-                db._next_seq = max(db._next_seq, entry.created_seq + 1)
+                db._index(row)
+                db._next_seq = max(db._next_seq, row.created_seq + 1)
         except BaseException:
             db.close()  # a store that fails to load leaves no open log
             raise
         return db
 
-    def insert(self, entry: ExemplarEntry) -> ExemplarEntry:
-        """Add one entry, assigning the next created_seq. Duplicate ids reject."""
+    def insert(self, entry: ExemplarEntry) -> Exemplar:
+        """Add one entry, assigning the next created_seq, and return its row.
+        Duplicate ids reject. The file (if any) gets the whole entry; the
+        store keeps only the row."""
         with self._lock:
-            if entry.entry_id in self._entries:
+            if entry.entry_id in self._rows:
                 raise ValueError(f"duplicate entry id {entry.entry_id!r}")
             entry.created_seq = self._next_seq
+            row = Exemplar.of(entry)
             self._next_seq += 1
-            self._entries[entry.entry_id] = entry
-            self._index_entry(entry)
+            self._index(row)
             if self._appender is not None:
                 self._appender.append(entry.to_dict())
-        return entry
+        return row
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._entries)
+            return len(self._rows)
 
-    def entries(self) -> list[ExemplarEntry]:
-        """All entries in insertion (created_seq) order."""
+    def entries(self) -> list[Exemplar]:
+        """All rows in insertion (created_seq) order."""
         with self._lock:
-            return list(self._entries.values())
+            return list(self._rows.values())
 
     def sample(self, task: str, policy: SamplingPolicy | None = None,
                seed: int = 0, before_seq: int | None = None
-               ) -> list[ExemplarEntry]:
-        """Seeded draw of up to n_good + n_bad entries, goods first.
+               ) -> list[Exemplar]:
+        """Seeded draw of up to n_good + n_bad rows, goods first.
 
-        Only entries with ``created_seq < before_seq`` are drawn (all when
+        Only rows with ``created_seq < before_seq`` are drawn (all when
         None). Sampling is without replacement from created_seq-ordered
-        pools, so the result is fully determined by (the entries below the
-        bound, task, policy, seed); entries inserted later never change it.
+        pools, so the result is fully determined by (the rows below the
+        bound, task, policy, seed); rows inserted later never change it.
         """
         if policy is None:
             policy = SamplingPolicy()
         rng = random.Random(seed)
-        picked: list[ExemplarEntry] = []
+        picked: list[Exemplar] = []
         with self._lock:
             if policy.same_task_only:
                 goods = self._task_pools.get((task, "Good"), [])
@@ -205,9 +244,8 @@ class ExemplarDB:
         """Exact (task_kind, label) counts, zero-filled for the known kinds."""
         counts = {(kind, label): 0 for kind in TASK_KINDS for label in LABELS}
         with self._lock:
-            for entry in self._entries.values():
-                key = (entry.task_kind, entry.label)
-                counts[key] = counts.get(key, 0) + 1
+            for (kind, label), pool in self._task_pools.items():
+                counts[(kind, label)] = len(pool)
         return counts
 
     def close(self) -> None:

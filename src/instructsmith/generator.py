@@ -140,9 +140,10 @@ def render_generator_output(instance: InstructionInstance) -> str:
             f"solution:\n{instance.solution}")
 
 
-def _render_exemplar(entry) -> str:
-    """One exemplar block: label banner, the instance, and (for bad cases)
-    the reasons the discriminator rejected it."""
+def render_exemplar(entry) -> str:
+    """One exemplar block of an `ExemplarEntry`: label banner, the instance,
+    and (for bad cases) the reasons the discriminator rejected it. The store
+    renders it once per entry."""
     lines = [f"{entry.label.upper()} EXAMPLE:", render_generator_output(entry.instance)]
     if entry.label == "Bad":
         reasons = [f"- ({v.rule_id}) {v.reason}"
@@ -158,9 +159,10 @@ def _render_exemplar(entry) -> str:
 def build_generation_prompt(record, taskdef, exemplars: Sequence = ()) -> GenerationPrompt:
     """Assemble the full generation prompt for one raw-code record.
 
-    Pure function of its arguments; section order is fixed: task, definition,
-    requirements, target language (translation only), exemplars, raw code,
-    output-format directive.
+    ``exemplars`` are store rows (`ExemplarDB.sample`); each one's rendered
+    block goes in as it is. Pure function of its arguments; section order is
+    fixed: task, definition, requirements, target language (translation
+    only), exemplars, raw code, output-format directive.
     """
     parts: list[str] = [f"Task: {taskdef.generation_prompt}"]
     if taskdef.definition_text:
@@ -171,8 +173,7 @@ def build_generation_prompt(record, taskdef, exemplars: Sequence = ()) -> Genera
     target = taskdef.extra_params.get("target_language", "")
     if target:
         parts.append(f"Target language: {target}")
-    for entry in exemplars:
-        parts.append(_render_exemplar(entry))
+    parts.extend(row.block for row in exemplars)
     if getattr(record, "comment", ""):
         parts.append(f"Comment on the raw code:\n{record.comment}")
     parts.append(f"Raw code:\n```\n{record.code}\n```")
@@ -184,7 +185,7 @@ def build_generation_prompt(record, taskdef, exemplars: Sequence = ()) -> Genera
     return GenerationPrompt(
         system_text=GENERATION_SYSTEM_TEXT,
         user_text="\n\n".join(parts),
-        exemplar_ids=[entry.entry_id for entry in exemplars],
+        exemplar_ids=[row.entry_id for row in exemplars],
     )
 
 

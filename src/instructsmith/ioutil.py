@@ -46,11 +46,18 @@ def atomic_write_json(path: str | Path, obj: Any, *, indent: int = 2) -> None:
 
 
 def atomic_write_jsonl(path: str | Path, rows: Iterable[dict]) -> int:
-    """Atomically write one JSON object per line. Returns the row count."""
-    lines = [json.dumps(row, ensure_ascii=False) for row in rows]
-    text = "".join(line + "\n" for line in lines)
-    atomic_write_text(path, text)
-    return len(lines)
+    """Atomically write one JSON object per line; returns the row count.
+
+    Rows are encoded and written one at a time into the temp file, so
+    ``rows`` may be a generator and only one line is held at once. If
+    ``rows`` raises, the temp file is removed and ``path`` is left as it
+    was."""
+    count = 0
+    with atomic_open(path) as fh:
+        for row in rows:
+            fh.write((json.dumps(row, ensure_ascii=False) + "\n").encode("utf-8"))
+            count += 1
+    return count
 
 
 def read_json(path: str | Path) -> Any:
@@ -59,19 +66,21 @@ def read_json(path: str | Path) -> Any:
 
 
 def iter_jsonl(path: str | Path) -> Iterator[tuple[int, Any]]:
-    """Yield ``(line_number, parsed_object)`` for each non-blank line; a line
-    that is not JSON raises `ConsistencyError` naming ``path:line``. A torn
-    final line is the caller's to drop first, with `repair_torn_tail`."""
+    """Yield ``(line_number, parsed_object)`` for each non-blank line, reading
+    the file line by line; a line that is not JSON raises `ConsistencyError`
+    naming ``path:line``. A torn final line is the caller's to drop first,
+    with `repair_torn_tail`. The file closes when the iteration ends or the
+    generator is closed or dropped."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    for i, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        try:
-            yield i, json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise ConsistencyError(f"{path}:{i}: not JSON: {exc}") from exc
+        for i, raw in enumerate(fh, start=1):
+            stripped = raw.strip()
+            if not stripped:
+                continue
+            try:
+                obj = json.loads(stripped)
+            except json.JSONDecodeError as exc:
+                raise ConsistencyError(f"{path}:{i}: not JSON: {exc}") from exc
+            yield i, obj
 
 
 def repair_torn_tail(path: str | Path) -> int:

@@ -20,6 +20,7 @@ from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import cache
+from itertools import islice
 from pathlib import Path
 from typing import (Callable, Iterable, Sequence, TypedDict, get_args,
                     get_origin, get_type_hints, is_typeddict)
@@ -58,14 +59,14 @@ from .embedding import (
     read_embedding_cache,
     write_embedding_cache,
 )
-from .emitter import read_dataset, to_training_example, write_dataset
+from .emitter import read_dataset, write_dataset
 from .errors import (
     ConfigError,
     ConsistencyError,
     DiscriminationFailedError,
     GenerationFailedError,
 )
-from .exemplar_db import ExemplarDB, ExemplarEntry, SamplingPolicy, make_entry
+from .exemplar_db import Exemplar, ExemplarDB, SamplingPolicy, make_entry
 from .generator import generate_instance
 from .ioutil import (
     JsonlAppender,
@@ -467,11 +468,11 @@ def generate_exemplars(config: PipelineConfig, records: Sequence[RawCodeRecord],
     conversation stays unparseable are appended to the quarantine log and
     to ``quarantined``.
     """
-    entries = db.entries()
-    seq_of = {e.instance.source_record_id: e.created_seq for e in entries}
+    rows = db.entries()
+    seq_of = {row.source_record_id: row.created_seq for row in rows}
     processed = set(seq_of)
     processed.update(str(q["record_id"]) for q in quarantined)
-    accepted = sum(1 for e in entries if e.label == "Good")
+    accepted = sum(1 for row in rows if row.label == "Good")
     if all(r.id in processed for r in records):
         return
     taskdefs = load_task_definitions(config.task_file)
@@ -566,13 +567,12 @@ def generate_exemplars(config: PipelineConfig, records: Sequence[RawCodeRecord],
                 after_record(record.id, outcome)
 
 
-def emit_dataset(entries: Iterable[ExemplarEntry], target: int | None,
+def emit_dataset(rows: Iterable[Exemplar], target: int | None,
                  output_path: str | Path) -> dict:
-    """Emit stage: the first ``target`` Good entries (all when None) become
-    the training dataset; returns its summary."""
-    goods = [e for e in entries if e.label == "Good"][:target]
-    return write_dataset([to_training_example(e.instance) for e in goods],
-                         output_path)
+    """Emit stage: the training examples of the first ``target`` Good rows
+    (all when None) become the training dataset; returns its summary."""
+    goods = (row.example for row in rows if row.label == "Good")
+    return write_dataset(islice(goods, target), output_path)
 
 
 def run(config: PipelineConfig, *, resume: bool = False,
@@ -696,8 +696,8 @@ def run(config: PipelineConfig, *, resume: bool = False,
     finally:
         db.close()
 
-    good_count = sum(1 for e in db.entries() if e.label == "Good")
-    bad_count = sum(1 for e in db.entries() if e.label == "Bad")
+    labels = [row.label for row in db.entries()]
+    good_count, bad_count = labels.count("Good"), labels.count("Bad")
     emitted = dataset_summary["count"]
     realized_mix = {}
     for kind in TASK_KINDS:
@@ -779,11 +779,11 @@ def audit_and_plan(train_path: str | Path, bench_path: str | Path,
     atomic_write_json(out_dir / "decontam_plan.json", plan.to_dict())
     kept_pairs = apply_plan(plan, train)
     kept_index = {tid for tid, _ in kept_pairs}
-    cleaned = [ex for (tid, _), ex in zip(train, examples) if tid in kept_index]
+    cleaned = (ex for (tid, _), ex in zip(train, examples) if tid in kept_index)
     cleaned_summary = write_dataset(cleaned, out_dir / "dataset.cleaned.jsonl")
     return {
         "average_top1": report.average_top1,
-        "removed": len(examples) - len(cleaned),
+        "removed": len(examples) - cleaned_summary["count"],
         "remaining": cleaned_summary["count"],
         "report_path": str(out_dir / "leakage_report.json"),
         "plan_path": str(out_dir / "decontam_plan.json"),

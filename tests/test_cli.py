@@ -354,7 +354,7 @@ class TestExitCodes:
                          + "\n{garbage\n", encoding="utf-8")
         rc = main(["audit", "--train", str(train), "--bench", str(bench),
                    "--report", str(tmp_path / "report.json")])
-        assert rc == 1
+        assert rc == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"{bench}:2" in err
         assert not (tmp_path / "report.json").exists()

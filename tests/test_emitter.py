@@ -137,6 +137,15 @@ class TestWriteDataset:
             "CodeGeneration": 3, "CodeSummarization": 1,
             "CodeTranslation": 0, "CodeRepair": 0}
 
+    def test_generator_writes_what_a_list_does(self, tmp_path):
+        examples = [example(source=f"r{i}", task=task)
+                    for i, task in enumerate(["CodeRepair", "CodeGeneration"] * 3)]
+        listed = write_dataset(examples, tmp_path / "a.jsonl")
+        streamed = write_dataset(iter(examples), tmp_path / "b.jsonl")
+        assert streamed == listed
+        assert ((tmp_path / "b.jsonl").read_bytes()
+                == (tmp_path / "a.jsonl").read_bytes())
+
     def test_empty_sequence(self, tmp_path):
         path = tmp_path / "data.jsonl"
         summary = write_dataset([], path)

@@ -1,8 +1,11 @@
 """Tests for the exemplar store: inserts, seeded sampling, persistence."""
 
+import gc
 import json
 import random
 import threading
+import tracemalloc
+import weakref
 
 import pytest
 
@@ -290,6 +293,96 @@ class TestPersistence:
         for seed in range(10):
             assert ([e.entry_id for e in db.sample("CodeGeneration", policy, seed)]
                     == [e.entry_id for e in loaded.sample("CodeGeneration", policy, seed)])
+
+
+class TestMemory:
+    """The store keeps rows, not the entries it was given or read."""
+
+    @pytest.mark.parametrize("persisted", [False, True])
+    def test_insert_drops_instance_and_report(self, tmp_path, persisted):
+        db = ExemplarDB.load(tmp_path / "x.jsonl") if persisted else ExemplarDB()
+        refs = []
+        for label in ("Good", "Bad"):
+            e = entry(f"w-{label}", label)
+            refs += [weakref.ref(e.instance), weakref.ref(e.report)]
+            row = db.insert(e)
+            del e
+        db.close()
+        gc.collect()
+        assert [r() for r in refs] == [None] * 4
+        assert row.label == "Bad" and row.source_record_id == "rec-w-Bad"
+        assert [r.entry_id for r in db.entries()] == ["w-Good", "w-Bad"]
+
+    def test_load_drops_instance_and_report(self, tmp_path, monkeypatch):
+        path = tmp_path / "x.jsonl"
+        filled_db(ExemplarDB.load(path)).close()
+        refs = []
+        from_dict = ExemplarEntry.from_dict
+
+        def watched(d):
+            e = from_dict(d)
+            refs.extend([weakref.ref(e.instance), weakref.ref(e.report)])
+            return e
+
+        monkeypatch.setattr(ExemplarEntry, "from_dict", staticmethod(watched))
+        loaded = ExemplarDB.load(path)
+        loaded.close()
+        gc.collect()
+        assert len(refs) == 2 * len(loaded) == 12
+        assert [r() for r in refs] == [None] * 12
+        assert loaded.entries() == filled_db().entries()
+
+    def test_load_holds_under_2048_bytes_per_entry(self, tmp_path):
+        # Entries shaped like a mock run's: five rule verdicts with reasons,
+        # generation metadata, one in sixteen Bad. Kept whole, such entries
+        # cost about 4,100 B each; their rows about 1,100 B.
+        path = tmp_path / "exemplars.jsonl"
+        n = 1000
+        rules = ["instruction_language", "solution_relevance",
+                 "solution_code_only", "solution_readability",
+                 "solution_imports"]
+        writer = ExemplarDB.load(path)
+        for i in range(n):
+            tag = f"{i * 2654435761 % 2**40:010x}"
+            instance = InstructionInstance(
+                task_name=f"Canned Task {tag}",
+                instruction=(f"Write a Python function named f_{tag} that "
+                             f"reproduces the behavior of the snippet tagged "
+                             f"{tag}."),
+                information=(f"The reference snippet is tagged {tag}; the "
+                             f"function must return the constant derived "
+                             f"from that tag." if i % 2 else ""),
+                solution=f"def f_{tag}():\n    return {i * 7919 % 100000}",
+                source_record_id=f"c{i:05d}", task_kind="CodeGeneration",
+                generation_meta={
+                    "model": "mock-gen", "attempts": 1,
+                    "exemplar_ids": [f"c{i - 1:05d}:CodeGeneration",
+                                     f"c{i - 2:05d}:CodeGeneration"],
+                    "usage": {"prompt_tokens": 500 + i % 50,
+                              "completion_tokens": 60 + i % 20}})
+            bad = i % 16 == 5
+            report = DiscriminationReport(
+                instance_ref=instance.source_record_id,
+                verdicts=[RuleVerdict(rule, "no" if bad and k == 2 else "yes",
+                                      f"the instance satisfies rule {rule}")
+                          for k, rule in enumerate(rules)],
+                overall="no" if bad else "yes",
+                overall_reasons=("Rule solution_code_only is not satisfied."
+                                 if bad else "All the rules are satisfied."))
+            writer.insert(make_entry(instance, report))
+        writer.close()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            db = ExemplarDB.load(path)
+            db.close()
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(db) == n
+        assert grown / n < 2048, f"{grown / n:.0f} B per entry"
 
 
 def test_concurrent_readers_during_inserts():

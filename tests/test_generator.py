@@ -15,7 +15,7 @@ from instructsmith.errors import (
     ParseError,
     ProtocolError,
 )
-from instructsmith.exemplar_db import ExemplarEntry
+from instructsmith.exemplar_db import Exemplar, ExemplarEntry
 from instructsmith.generator import (
     InstructionInstance,
     build_generation_prompt,
@@ -45,8 +45,9 @@ def good_entry(entry_id="ex-good"):
         instance_ref="rec-1",
         verdicts=[RuleVerdict("instruction_language", "yes", "Python is named.")],
         overall="yes")
-    return ExemplarEntry(entry_id=entry_id, instance=instance, report=report,
-                         label="Good", task_kind="CodeGeneration")
+    return Exemplar.of(ExemplarEntry(
+        entry_id=entry_id, instance=instance, report=report, label="Good",
+        task_kind="CodeGeneration"))
 
 
 def bad_entry(entry_id="ex-bad"):
@@ -66,8 +67,9 @@ def bad_entry(entry_id="ex-bad"):
         ],
         overall="no",
         overall_reasons="The instance violates two rules.")
-    return ExemplarEntry(entry_id=entry_id, instance=instance, report=report,
-                         label="Bad", task_kind="CodeGeneration")
+    return Exemplar.of(ExemplarEntry(
+        entry_id=entry_id, instance=instance, report=report, label="Bad",
+        task_kind="CodeGeneration"))
 
 
 class TestParse:

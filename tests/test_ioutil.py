@@ -1,7 +1,9 @@
 """Tests for atomic writes and line-delimited JSON helpers."""
 
+import gc
 import os
 import stat
+import tracemalloc
 
 import pytest
 
@@ -59,6 +61,50 @@ def test_jsonl_round_trip_and_count(tmp_path):
     rows = [{"i": i} for i in range(5)]
     assert atomic_write_jsonl(target, rows) == 5
     assert [obj for _, obj in iter_jsonl(target)] == rows
+
+
+def test_jsonl_write_failing_midway_leaves_target_and_no_temp(tmp_path):
+    target = tmp_path / "rows.jsonl"
+    atomic_write_jsonl(target, [{"old": True}])
+    before = target.read_bytes()
+
+    def rows():
+        for i in range(3):
+            yield {"i": i}
+        raise RuntimeError("source failed")
+
+    with pytest.raises(RuntimeError, match="source failed"):
+        atomic_write_jsonl(target, rows())
+    assert target.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["rows.jsonl"]
+
+
+def test_jsonl_write_holds_one_row_at_a_time(tmp_path):
+    # 2,000 rows of ~1 KiB: writing the whole file at once would hold it
+    # several times over (about 6 MiB); streaming holds one line.
+    rows = ({"i": i, "text": "x" * 1000} for i in range(2000))
+    tracemalloc.start()
+    try:
+        atomic_write_jsonl(tmp_path / "rows.jsonl", rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "rows.jsonl").stat().st_size > 2_000_000
+    assert peak < 256 * 1024, f"peak {peak} B"
+
+
+def test_iter_jsonl_abandoned_midway_closes_file(tmp_path):
+    # A file left open would raise ResourceWarning when the generator is
+    # dropped, which the suite turns into an error.
+    target = tmp_path / "rows.jsonl"
+    atomic_write_jsonl(target, ({"i": i} for i in range(100)))
+    for lineno, _ in iter_jsonl(target):
+        if lineno == 3:
+            break
+    rows = iter_jsonl(target)
+    assert next(rows) == (1, {"i": 0})
+    del rows
+    gc.collect()
 
 
 def test_iter_jsonl_line_numbers_skip_blanks(tmp_path):

@@ -433,7 +433,7 @@ def logged_record_ids(workdir):
     """The record ids in the exemplar log and in the quarantine log."""
     db = ExemplarDB.load(workdir / "exemplars.jsonl")
     try:
-        ids = [e.instance.source_record_id for e in db.entries()]
+        ids = [e.source_record_id for e in db.entries()]
     finally:
         db.close()
     quarantine = workdir / "quarantine.jsonl"
@@ -534,7 +534,7 @@ def test_scheduler_stress_commits_in_position_order(tmp_path):
     assert committed == order[:len(committed)]
     assert len(committed) == summary.counts["generated"]
     db = ExemplarDB.load(workdir / "exemplars.jsonl")
-    stored = [e.instance.source_record_id for e in db.entries()]
+    stored = [e.source_record_id for e in db.entries()]
     db.close()
     quarantine = workdir / "quarantine.jsonl"
     quarantined = [json.loads(line)["record_id"]
