@@ -8,10 +8,9 @@ reply stays parseable when rules are added or removed from the set.
 
 from __future__ import annotations
 
-import dataclasses
-import functools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -29,18 +28,23 @@ DISCRIMINATION_SYSTEM_TEXT = (
 
 DEFAULT_DISCRIMINATION_TEMPERATURE = 0.0
 
-_ANSWER_RE = re.compile(r"<answer:\s*(yes|no)\s*,\s*(.*?)>",
-                        re.IGNORECASE | re.DOTALL)
-_ANY_ANSWER_TOKEN_RE = re.compile(r"<answer:\s*([A-Za-z]+)", re.IGNORECASE)
+_SYSTEM_MESSAGE = ChatMessage("system", DISCRIMINATION_SYSTEM_TEXT)
+_PROMPT_HEAD = ("Judge the following instruction instance against the rules, "
+                "step by step.\n\nInstance:\n")
+_ANSWER_FORMAT = (
+    "For every rule above, repeat the rule text and append your verdict "
+    "as \"<answer: yes, reason>\" or \"<answer: no, reason>\". After all "
+    "rules, write a line \"Overall answer: yes\" or \"Overall answer: "
+    "no\", then \"Reasons:\" followed by a short justification.")
+
+# Each "<answer:" token, and, when the token opens a whole span
+# "<answer: token, reason>", the reason. The span is read by a lookahead, so
+# the scan goes on right after the token and also finds the tokens written
+# inside a reason. A span ends at its first ">".
+_ANSWER_RE = re.compile(r"<answer:\s*([A-Za-z]+)(?:(?=\s*,\s*([^>]*)>))?",
+                        re.IGNORECASE)
 _OVERALL_RE = re.compile(r"Overall answer:\s*(yes|no)", re.IGNORECASE)
 _REASONS_RE = re.compile(r"Reasons:\s*(.*)\s*$", re.IGNORECASE | re.DOTALL)
-
-
-@functools.lru_cache(maxsize=256)
-def _rule_anchor(rule_text: str) -> re.Pattern:
-    """The rule text as a case-insensitive, whitespace-flexible pattern."""
-    return re.compile(r"\s+".join(re.escape(tok) for tok in rule_text.split()),
-                      re.IGNORECASE)
 
 
 @dataclass
@@ -78,6 +82,28 @@ class RuleSet:
     def all_rules(self) -> list[Rule]:
         return [rule for step in self.steps for rule in step.rules]
 
+    @cached_property
+    def prompt_rules(self) -> str:
+        """The numbered rules of every step and the answer-format directive:
+        the fixed tail of each discrimination prompt for this set."""
+        blocks = []
+        for si, step in enumerate(self.steps, start=1):
+            lines = [f"- Step {si}: {step.name}:"]
+            for ri, rule in enumerate(step.rules, start=1):
+                lines.append(f"  {ri}. [{rule.rule_id}] {rule.text}")
+            blocks.append("\n".join(lines))
+        blocks.append(_ANSWER_FORMAT)
+        return "\n\n".join(blocks)
+
+    @cached_property
+    def anchors(self) -> list[tuple[str, re.Pattern]]:
+        """Each rule's id and its text as a case-insensitive pattern with
+        any run of whitespace between words, in rule order."""
+        return [(rule.rule_id,
+                 re.compile(r"\s+".join(map(re.escape, rule.text.split())),
+                            re.IGNORECASE))
+                for rule in self.all_rules()]
+
     @classmethod
     def from_dict(cls, d: dict) -> "RuleSet":
         try:
@@ -88,15 +114,6 @@ class RuleSet:
             return cls(id=str(d["id"]), steps=steps)
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"bad ruleset schema: {exc}") from exc
-
-    def without_rule(self, rule_id: str) -> "RuleSet":
-        """Copy with one rule removed (empty steps dropped)."""
-        steps = []
-        for step in self.steps:
-            rules = [r for r in step.rules if r.rule_id != rule_id]
-            if rules:
-                steps.append(RuleStep(name=step.name, rules=rules))
-        return RuleSet(id=self.id, steps=steps)
 
 
 @dataclass
@@ -182,21 +199,8 @@ def load_ruleset(source: str | Path) -> RuleSet:
 def build_discrimination_prompt(instance: InstructionInstance,
                                 ruleset: RuleSet) -> str:
     """Render the instance and every rule, with per-rule answer instructions."""
-    parts = [
-        "Judge the following instruction instance against the rules, step by step.",
-        f"Instance:\n{render_generator_output(instance)}",
-    ]
-    for si, step in enumerate(ruleset.steps, start=1):
-        lines = [f"- Step {si}: {step.name}:"]
-        for ri, rule in enumerate(step.rules, start=1):
-            lines.append(f"  {ri}. [{rule.rule_id}] {rule.text}")
-        parts.append("\n".join(lines))
-    parts.append(
-        "For every rule above, repeat the rule text and append your verdict "
-        "as \"<answer: yes, reason>\" or \"<answer: no, reason>\". After all "
-        "rules, write a line \"Overall answer: yes\" or \"Overall answer: "
-        "no\", then \"Reasons:\" followed by a short justification.")
-    return "\n\n".join(parts)
+    return (f"{_PROMPT_HEAD}{render_generator_output(instance)}\n\n"
+            f"{ruleset.prompt_rules}")
 
 
 def parse_discrimination_output(text: str, ruleset: RuleSet, *,
@@ -208,40 +212,43 @@ def parse_discrimination_output(text: str, ruleset: RuleSet, *,
     back to the next unclaimed span in order. Extra spans (from rules not in
     this set) are ignored, which keeps reduced rule sets parseable.
     """
-    bad_tokens = [m.group(1) for m in _ANY_ANSWER_TOKEN_RE.finditer(text)
-                  if m.group(1).lower() not in ANSWERS]
+    # One scan: a token other than yes/no fails the reply; a yes/no span
+    # that starts past the last span taken is the next span.
+    bad_tokens: list[str] = []
+    spans: list[tuple[int, int, str, str]] = []  # start, end, answer, reason
+    span_end = 0
+    for m in _ANSWER_RE.finditer(text):
+        token, reason = m.group(1, 2)
+        answer = token.lower()
+        if answer not in ANSWERS:
+            bad_tokens.append(token)
+        elif reason is not None and m.start() >= span_end:
+            span_end = m.end(2) + 1
+            spans.append((m.start(), span_end, answer, reason))
     if bad_tokens:
         raise ParseError(f"unrecognized answer tokens: {', '.join(bad_tokens)}")
-    answers = list(_ANSWER_RE.finditer(text))
-    used = [False] * len(answers)
+    unused = list(range(len(spans)))
     verdicts: list[RuleVerdict] = []
     absent: list[str] = []
     cursor = 0
-    for rule in ruleset.all_rules():
-        m = _rule_anchor(rule.text).search(text, cursor)
-        chosen = None
-        if m is not None:
-            for j, am in enumerate(answers):
-                if not used[j] and am.start() >= m.end():
-                    chosen = (j, am)
-                    break
-        if chosen is None:
-            for j, am in enumerate(answers):
-                if not used[j]:
-                    chosen = (j, am)
-                    break
-        if chosen is None:
-            absent.append(rule.rule_id)
+    for rule_id, anchor in ruleset.anchors:
+        if not unused:
+            absent.append(rule_id)
             continue
-        j, am = chosen
-        used[j] = True
-        reason = am.group(2).strip()
+        # the first unclaimed span after the rule text, else the first
+        # unclaimed span
+        chosen = unused[0]
+        m = anchor.search(text, cursor)
+        if m is not None and spans[chosen][0] < m.end():
+            chosen = next((j for j in unused if spans[j][0] >= m.end()), chosen)
+        unused.remove(chosen)
+        _, end, answer, reason = spans[chosen]
+        reason = reason.strip()
         if not reason:
-            absent.append(rule.rule_id)
+            absent.append(rule_id)
             continue
-        verdicts.append(RuleVerdict(rule_id=rule.rule_id,
-                                    answer=am.group(1).lower(), reason=reason))
-        cursor = am.end()
+        verdicts.append(RuleVerdict(rule_id, answer, reason))
+        cursor = end
     if absent:
         raise ParseError(
             f"no verdict found for rules: {', '.join(absent)}", missing=absent)
@@ -285,24 +292,21 @@ def discriminate(instance: InstructionInstance, ruleset: RuleSet, backend,
     """Judge one instance, retrying when the reply does not parse."""
     if retries < 0:
         raise ValueError("retries must be >= 0")
-    prompt = build_discrimination_prompt(instance, ruleset)
+    request = ChatRequest(
+        messages=[_SYSTEM_MESSAGE,
+                  ChatMessage("user", build_discrimination_prompt(instance, ruleset))],
+        temperature=temperature, max_output=max_output)
     attempts = retries + 1
     last_reply = ""
     last_error: ParseError | None = None
-    for attempt in range(1, attempts + 1):
-        request = ChatRequest(
-            messages=[ChatMessage("system", DISCRIMINATION_SYSTEM_TEXT),
-                      ChatMessage("user", prompt)],
-            temperature=temperature, max_output=max_output)
+    for _ in range(attempts):
         reply = complete(request, backend)
         last_reply = reply.content
         try:
-            report = parse_discrimination_output(reply.content, ruleset)
+            return parse_discrimination_output(
+                reply.content, ruleset, instance_ref=instance.source_record_id)
         except ParseError as exc:
             last_error = exc
-            continue
-        return dataclasses.replace(report,
-                                   instance_ref=instance.source_record_id)
     raise DiscriminationFailedError(
         f"no parseable analysis for {instance.source_record_id or instance.task_name!r} "
         f"in {attempts} attempts: {last_error}",

@@ -9,7 +9,6 @@ exemplar sample.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import re
 from dataclasses import dataclass, field
@@ -24,6 +23,13 @@ GENERATION_SYSTEM_TEXT = (
     "You are a data generator for code instruction tuning. Produce one "
     "instruction instance grounded in the raw code you are given, following "
     "the task definition and every requirement exactly.")
+
+_SYSTEM_MESSAGE = ChatMessage("system", GENERATION_SYSTEM_TEXT)
+_OUTPUT_FORMAT = (
+    "Now produce one new instruction instance for the raw code above. "
+    "Reply with exactly four labeled fields in this order: task_name:, "
+    "instruction:, information:, solution:. The information value may be "
+    "empty. Put the solution value on the lines after \"solution:\".")
 
 _KEY_RE = re.compile(
     r"^[ \t]*(task_name|instruction|information|solution)[ \t]*:",
@@ -75,7 +81,8 @@ class InstructionInstance:
 
 @dataclass
 class GenerationPrompt:
-    system_text: str
+    """One generation prompt's user text (the system text is a constant)."""
+
     user_text: str
     exemplar_ids: list[str] = field(default_factory=list)
 
@@ -97,8 +104,11 @@ def _strip_fence(text: str) -> str:
 
 
 def parse_generator_output(text: str, *, source_record_id: str = "",
-                           task_kind: str = "") -> InstructionInstance:
-    """Parse a model reply shaped as four labeled fields.
+                           task_kind: str = "",
+                           generation_meta: dict | None = None
+                           ) -> InstructionInstance:
+    """Parse a model reply shaped as four labeled fields into an instance
+    carrying the given provenance.
 
     Key labels match case-insensitively at line starts; each value runs to the
     next label. The solution value is de-fenced but otherwise byte-preserved.
@@ -129,6 +139,7 @@ def parse_generator_output(text: str, *, source_record_id: str = "",
         solution=values["solution"],
         source_record_id=source_record_id,
         task_kind=task_kind,
+        generation_meta=generation_meta or {},
     )
 
 
@@ -161,29 +172,16 @@ def build_generation_prompt(record, taskdef, exemplars: Sequence = ()) -> Genera
 
     ``exemplars`` are store rows (`ExemplarDB.sample`); each one's rendered
     block goes in as it is. Pure function of its arguments; section order is
-    fixed: task, definition, requirements, target language (translation
-    only), exemplars, raw code, output-format directive.
+    fixed: the task's prompt header (task, definition, requirements, target
+    language), exemplars, raw code, output-format directive.
     """
-    parts: list[str] = [f"Task: {taskdef.generation_prompt}"]
-    if taskdef.definition_text:
-        parts.append(f"Task definition:\n{taskdef.definition_text}")
-    numbered = "\n".join(f"{i}. {req}"
-                         for i, req in enumerate(taskdef.requirements, start=1))
-    parts.append(f"Requirements:\n{numbered}")
-    target = taskdef.extra_params.get("target_language", "")
-    if target:
-        parts.append(f"Target language: {target}")
+    parts: list[str] = [taskdef.prompt_header]
     parts.extend(row.block for row in exemplars)
     if getattr(record, "comment", ""):
         parts.append(f"Comment on the raw code:\n{record.comment}")
     parts.append(f"Raw code:\n```\n{record.code}\n```")
-    parts.append(
-        "Now produce one new instruction instance for the raw code above. "
-        "Reply with exactly four labeled fields in this order: task_name:, "
-        "instruction:, information:, solution:. The information value may be "
-        "empty. Put the solution value on the lines after \"solution:\".")
+    parts.append(_OUTPUT_FORMAT)
     return GenerationPrompt(
-        system_text=GENERATION_SYSTEM_TEXT,
         user_text="\n\n".join(parts),
         exemplar_ids=[row.entry_id for row in exemplars],
     )
@@ -222,26 +220,18 @@ def generate_instance(record, taskdef, db, backend, retries: int = 2, *,
                                   before_seq=before_seq)
         prompt = build_generation_prompt(record, taskdef, exemplars)
         request = ChatRequest(
-            messages=[ChatMessage("system", prompt.system_text),
-                      ChatMessage("user", prompt.user_text)],
+            messages=[_SYSTEM_MESSAGE, ChatMessage("user", prompt.user_text)],
             temperature=temperature, max_output=max_output)
         reply = complete(request, backend)
         last_reply = reply.content
         try:
-            instance = parse_generator_output(reply.content)
+            return parse_generator_output(
+                reply.content, source_record_id=record.id, task_kind=taskdef.kind,
+                generation_meta={"model": reply.model_name, "attempts": attempt,
+                                 "exemplar_ids": prompt.exemplar_ids,
+                                 "usage": dict(reply.usage)})
         except ParseError as exc:
             last_error = exc
-            continue
-        return dataclasses.replace(
-            instance,
-            source_record_id=record.id,
-            task_kind=taskdef.kind,
-            generation_meta={
-                "model": reply.model_name,
-                "attempts": attempt,
-                "exemplar_ids": list(prompt.exemplar_ids),
-                "usage": dict(reply.usage),
-            })
     raise GenerationFailedError(
         f"no parseable reply for record {record.id} in {attempts} attempts: "
         f"{last_error}", last_reply=last_reply, attempts=attempts)

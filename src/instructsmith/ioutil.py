@@ -13,6 +13,10 @@ from .errors import ConsistencyError
 
 log = logging.getLogger(__name__)
 
+# One encoder for every JSONL line; json.dumps(row, ensure_ascii=False) would
+# build a new one per call. Encoding keeps no state between calls.
+_LINE_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
 
 @contextmanager
 def atomic_open(path: str | Path) -> Iterator[BinaryIO]:
@@ -55,7 +59,7 @@ def atomic_write_jsonl(path: str | Path, rows: Iterable[dict]) -> int:
     count = 0
     with atomic_open(path) as fh:
         for row in rows:
-            fh.write((json.dumps(row, ensure_ascii=False) + "\n").encode("utf-8"))
+            fh.write((_LINE_ENCODER.encode(row) + "\n").encode("utf-8"))
             count += 1
     return count
 
@@ -134,7 +138,7 @@ class JsonlAppender:
         self._fh = open(self.path, "a", encoding="utf-8", newline="\n")
 
     def append(self, row: dict) -> None:
-        self._fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+        self._fh.write(_LINE_ENCODER.encode(row) + "\n")
         self._fh.flush()
 
     def close(self) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
@@ -53,6 +54,22 @@ class TaskDefinition:
             raise ConfigError(f"{self.kind}: generation_prompt must be non-empty")
         if not self.requirements or any(not r.strip() for r in self.requirements):
             raise ConfigError(f"{self.kind}: requirements must be non-empty")
+
+    @cached_property
+    def prompt_header(self) -> str:
+        """The sections that open every generation prompt for this task:
+        task, definition, numbered requirements and, for translation, the
+        target language."""
+        parts = [f"Task: {self.generation_prompt}"]
+        if self.definition_text:
+            parts.append(f"Task definition:\n{self.definition_text}")
+        numbered = "\n".join(f"{i}. {req}"
+                             for i, req in enumerate(self.requirements, start=1))
+        parts.append(f"Requirements:\n{numbered}")
+        target = self.extra_params.get("target_language", "")
+        if target:
+            parts.append(f"Target language: {target}")
+        return "\n\n".join(parts)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TaskDefinition":

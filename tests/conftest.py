@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from instructsmith.discriminator import RuleSet, RuleStep
 from instructsmith.generator import InstructionInstance
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -23,6 +24,14 @@ CIRCLE_FIELDS = {
 
 def golden_text(name: str) -> str:
     return (GOLDEN_DIR / name).read_text(encoding="utf-8")
+
+
+def reduced_ruleset(ruleset: RuleSet, *rule_ids: str) -> RuleSet:
+    """``ruleset`` without the named rules; a step left empty is dropped."""
+    kept = [(step.name, [r for r in step.rules if r.rule_id not in rule_ids])
+            for step in ruleset.steps]
+    return RuleSet(id=ruleset.id,
+                   steps=[RuleStep(name, rules) for name, rules in kept if rules])
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,9 @@ from instructsmith.corpus import (
     FilterConfig,
     FilterReport,
     RawCodeRecord,
+    _blacklist_pattern,
     apply_filters,
+    default_blacklist,
     ingest_records,
     language_distribution,
     write_records,
@@ -301,6 +304,58 @@ def test_idempotence_property(records, min_chars, span):
     kept2, report2 = apply_filters(kept, cfg)
     assert kept2 == kept
     assert sum(report2.rejected.values()) == 0
+
+
+# Blacklist entries are lowercase. These add ones whose letters have
+# non-ASCII case-insensitive equivalents: "ſ" (long s) matches s, the Kelvin
+# sign matches k, and "İ" (dotted capital I) matches i.
+FOLD_WORDS = default_blacklist() + ["kit", "stack", "is", "ink", "ſpam", "ıd",
+                                    "k8s", "-flag", " go"]
+FOLDS = {"s": "ſ", "k": "\u212a", "i": "\u0130"}
+
+
+def plain_blacklist_pattern(words):
+    """The blacklist pattern without the first-character lookahead."""
+    return re.compile(rf"\b(?:{'|'.join(re.escape(w) for w in words)})\b",
+                      re.IGNORECASE)
+
+
+@st.composite
+def fold_haystacks(draw):
+    """Text made of blacklist words, some upper-cased or with letters swapped
+    for their non-ASCII equivalents, between varied separators."""
+    parts = []
+    for _ in range(draw(st.integers(0, 5))):
+        word = draw(st.sampled_from(FOLD_WORDS))
+        for ch in word:
+            how = draw(st.sampled_from(["keep", "keep", "upper", "fold"]))
+            parts.append(ch.upper() if how == "upper"
+                         else FOLDS.get(ch, ch) if how == "fold" else ch)
+        parts.append(draw(st.sampled_from([" ", "", "_", "x", ".", "\n", "é"])))
+    parts.append(draw(st.text(max_size=12)))
+    return "".join(parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(words=st.lists(st.sampled_from(FOLD_WORDS), min_size=1, max_size=4,
+                      unique=True),
+       haystack=fold_haystacks())
+def test_blacklist_pattern_matches_plain_alternation(words, haystack):
+    found = _blacklist_pattern(words).search(haystack) is not None
+    assert found == (plain_blacklist_pattern(words).search(haystack) is not None)
+
+
+@pytest.mark.parametrize("word,haystack,found", [
+    ("image", "an \u0130MAGE here", True),
+    ("stack", "a ſtack frame", True),
+    ("kit", "the \u212aIT", True),
+    ("is", "this is", True),
+    ("is", "this", False),
+    ("go to", "then go\tto", False),
+])
+def test_blacklist_case_folding(word, haystack, found):
+    assert (_blacklist_pattern([word]).search(haystack) is not None) is found
+    assert (plain_blacklist_pattern([word]).search(haystack) is not None) is found
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import reduced_ruleset
 from instructsmith.corpus import RawCodeRecord
 from instructsmith.discriminator import (
     discriminate,
@@ -140,7 +141,7 @@ class TestEndToEndLoop:
         gen = canned_generation_backend()
         instance = generate_instance(record(3), TASKDEFS["CodeGeneration"],
                                      None, gen)
-        reduced = RULESET.without_rule("solution_imports")
+        reduced = reduced_ruleset(RULESET, "solution_imports")
         report = discriminate(instance, reduced, canned_discrimination_backend())
         assert len(report.verdicts) == len(RULESET.all_rules()) - 1
 

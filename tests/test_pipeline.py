@@ -1,5 +1,6 @@
 """End-to-end pipeline tests: staging, accounting, resume, determinism."""
 
+import hashlib
 import json
 import os
 import re
@@ -261,6 +262,37 @@ class TestRun:
         else:
             # r000 was not among the records processed before the target hit
             assert summary.counts["quarantined"] == 0
+
+
+# sha256 of dataset.jsonl and exemplars.jsonl for the 60-record corpus above:
+# any change to a prompt, a parse or the log encoding moves one of them.
+PINNED_DIGESTS = {
+    "canned-w1": {
+        "dataset.jsonl":
+            "3125f50790ffca434a8bd43d9920210f99db51f6f17db4730eda9b5f75b72995",
+        "exemplars.jsonl":
+            "6f9ae73bf7594872bb7f9eb4cc7d040ba1b9078a9076b16d2fcf5c90ea3ac3bc",
+    },
+    "sensitive-w4": {
+        "dataset.jsonl":
+            "74ab6517944aa538445446641195db1d0acf1975188c391e301211f308183e56",
+        "exemplars.jsonl":
+            "797052794475c9b966206b9effef6e1afc13cfa5c4c153a4f85a3f0c70ad8a73",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_pinned_bytes(corpus, tmp_path, name):
+    if name == "canned-w1":
+        run(make_config(corpus, tmp_path / "w"))
+    else:
+        run(make_config(corpus, tmp_path / "w", concurrency={"max_in_flight": 4}),
+            generation_backend=exemplar_sensitive_backend(),
+            discrimination_backend=canned_discrimination_backend(bad_modulus=5))
+    digests = {file: hashlib.sha256((tmp_path / "w" / file).read_bytes()).hexdigest()
+               for file in PINNED_DIGESTS[name]}
+    assert digests == PINNED_DIGESTS[name]
 
 
 class Boom(RuntimeError):
