@@ -7,13 +7,11 @@ a spread-out subset with the greedy k-center rule, and compares the greedy
 covering radius against the exact optimum on a small instance.
 """
 
+import itertools
+
 import numpy as np
 
-from instructsmith.coreset import (
-    kcenter_greedy,
-    kcenter_optimal_bruteforce,
-    kcenter_radius,
-)
+from instructsmith.coreset import kcenter_greedy, kcenter_radius
 from instructsmith.embedding import EmbeddingBackendConfig, embed_batch
 
 # The mock backend maps text deterministically onto the unit sphere, so
@@ -32,13 +30,16 @@ print(f"selected indices: {selection.selected_indices}")
 trace = ", ".join(f"{r:.3f}" for r in selection.radius_trace)
 print(f"radius trace (non-increasing): {trace}")
 
-# On instances small enough to enumerate, compare against the true optimum.
-# Greedy is guaranteed to land within a factor of two.
+# On instances small enough to enumerate, compare against the true optimum:
+# the radius of every 3-center set, the first smallest kept. Greedy is
+# guaranteed to land within a factor of two.
 rng = np.random.default_rng(12)
 points = rng.standard_normal((10, 3))
 greedy = kcenter_greedy(points, k=3, seed=0)
 greedy_radius = kcenter_radius(points, greedy.selected_indices)
-optimal_centers, optimal_radius = kcenter_optimal_bruteforce(points, k=3)
+optimal_centers = min(itertools.combinations(range(len(points)), 3),
+                      key=lambda centers: kcenter_radius(points, centers))
+optimal_radius = kcenter_radius(points, optimal_centers)
 print(f"greedy radius  {greedy_radius:.4f} at centers "
       f"{sorted(greedy.selected_indices)}")
 print(f"optimal radius {optimal_radius:.4f} at centers "

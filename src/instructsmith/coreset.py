@@ -1,4 +1,4 @@
-"""KCenterGreedy coreset selection with a brute-force verification oracle.
+"""KCenterGreedy coreset selection.
 
 The greedy loop keeps, for every point, its minimum distance to the selected
 set and updates it in place after each pick (one distance row per pick into
@@ -9,22 +9,18 @@ reproducible.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .apportion import largest_remainder
-from .errors import ConsistencyError, GuardLimitError
+from .errors import ConsistencyError
 from .ioutil import atomic_write_json, read_json
 
-METRICS = ("euclidean", "cosine_distance")
+if TYPE_CHECKING:  # the functions that compute on vectors import numpy
+    import numpy as np
 
-# combinatorial guard for the exact oracle
-BRUTEFORCE_MAX_N = 12
-BRUTEFORCE_MAX_K = 4
+METRICS = ("euclidean", "cosine_distance")
 
 
 @dataclass
@@ -52,6 +48,7 @@ class CoresetSelection:
 
 def _as_matrix(vectors: np.ndarray) -> np.ndarray:
     """``vectors`` as a float64 (n, d) matrix."""
+    import numpy as np
     mat = np.asarray(vectors, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] == 0:
         raise ValueError("vectors must form a non-empty 2-D matrix")
@@ -70,6 +67,7 @@ class _MinDistance:
     """
 
     def __init__(self, vectors: np.ndarray, metric: str):
+        import numpy as np
         mat = _as_matrix(vectors)
         if metric == "euclidean":
             self.norms2 = np.einsum("ij,ij->i", mat, mat)
@@ -92,6 +90,7 @@ class _MinDistance:
 
     def add(self, center: int) -> float:
         """Select ``center``; returns the radius of the selection so far."""
+        import numpy as np
         dots, dist = self._dots, self._dist
         np.matmul(self.mat, self.mat[center], out=dots)
         if self.metric == "euclidean":
@@ -124,6 +123,7 @@ def kcenter_greedy(vectors: np.ndarray, k: int, seed: int = 0,
     Each later pick is the unselected point farthest from the selected set,
     ties broken by lowest index.
     """
+    import numpy as np
     if k < 1:
         raise ValueError("k must be >= 1")
     min_dist = _MinDistance(vectors, metric)
@@ -155,32 +155,6 @@ def kcenter_radius(vectors: np.ndarray, centers: Sequence[int],
     for idx in centers:
         radius = min_dist.add(idx)
     return radius
-
-
-def kcenter_optimal_bruteforce(vectors, k: int, metric: str = "euclidean"
-                               ) -> tuple[list[int], float]:
-    """Exact k-center optimum by enumerating all size-k index subsets.
-
-    Guarded to n <= 12 and k <= 4; ties go to the lexicographically smallest
-    index set (the enumeration order of itertools.combinations).
-    """
-    mat = _as_matrix(vectors)
-    n = mat.shape[0]
-    if n > BRUTEFORCE_MAX_N or k > BRUTEFORCE_MAX_K:
-        raise GuardLimitError(
-            f"bruteforce limited to n <= {BRUTEFORCE_MAX_N}, k <= "
-            f"{BRUTEFORCE_MAX_K}; got n={n}, k={k}")
-    if not (1 <= k <= n):
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    best_centers: tuple[int, ...] | None = None
-    best_radius = np.inf
-    for combo in itertools.combinations(range(n), k):
-        radius = kcenter_radius(mat, combo, metric)
-        if radius < best_radius:
-            best_radius = radius
-            best_centers = combo
-    assert best_centers is not None
-    return list(best_centers), float(best_radius)
 
 
 def stratified_kcenter_greedy(vectors, labels: Sequence[str], k: int,

@@ -19,15 +19,17 @@ import bisect
 import csv
 import io
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .embedding import EmbeddingBackendConfig, embed_batch, stack_vectors
 from .errors import ConfigError, ConsistencyError
 from .ioutil import atomic_write_json, atomic_write_text, iter_jsonl
+
+if TYPE_CHECKING:  # the functions that compute on vectors import numpy
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -129,6 +131,7 @@ def similarity_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Zero-norm rows get similarity 0 rather than NaN. Math in float64.
     """
+    import numpy as np
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     a_norm = np.linalg.norm(a, axis=1, keepdims=True)
@@ -149,7 +152,7 @@ def top1_histogram(top1_sims: Sequence[float],
     """
     if not 0.0 < bin_width <= 2.0:
         raise ConfigError("bin_width must be in (0, 2]")
-    n_bins = int(np.ceil(2.0 / bin_width))
+    n_bins = math.ceil(2.0 / bin_width)
     lows = [round(-1.0 + i * bin_width, 10) for i in range(n_bins)]
     counts = [0] * n_bins
     for s in top1_sims:
@@ -167,6 +170,7 @@ def top_k_indices(sims: np.ndarray, k: int) -> np.ndarray:
     value descending), and the first k of each row are kept. The sort is
     stable and the candidates come in column order, so equal values keep it.
     """
+    import numpy as np
     n_rows, n_cols = sims.shape
     if not 1 <= k <= n_cols:
         raise ValueError(f"k must be in [1, {n_cols}], got {k}")
@@ -188,6 +192,7 @@ def audit(train: Sequence[tuple[str, str]], bench: Sequence[BenchmarkItem],
     earlier training row, so results are deterministic. Bench items are
     scanned in blocks of ``BLOCK_SIMILARITIES // len(train)`` rows.
     """
+    import numpy as np
     if top_k < 1:
         raise ConfigError("top_k must be >= 1")
     if not train:
@@ -282,7 +287,8 @@ def read_benchmark_file(path: str | Path) -> list[BenchmarkItem]:
 
 
 def write_leakage_report(path: str | Path, report: LeakageReport) -> None:
-    atomic_write_json(path, report.to_dict())
+    # compact: any indent makes json fall back to its pure-Python encoder
+    atomic_write_json(path, report.to_dict(), indent=None)
 
 
 def write_histogram_csv(path: str | Path, report: LeakageReport) -> None:

@@ -13,13 +13,14 @@ import hashlib
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import BackendError, ConsistencyError, ProtocolError
 from .ioutil import atomic_open
 from .llm_backend import RetryPolicy, post_json, with_retry
+
+if TYPE_CHECKING:  # the functions that compute on vectors import numpy
+    import numpy as np
 
 DEFAULT_MOCK_DIM = 64
 
@@ -63,6 +64,7 @@ def mock_vector(text: str, model_tag: str, dim: int = DEFAULT_MOCK_DIM) -> np.nd
     normal draws are normalized to unit length. Distinct texts collide only
     if their hashes do, so vectors are distinct in practice.
     """
+    import numpy as np
     digest = hashlib.sha256(f"{model_tag}\0{text}".encode("utf-8")).digest()
     seed = int.from_bytes(digest[:8], "big")
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -93,6 +95,7 @@ class HttpEmbeddingBackend:
         self.model_name = config.model_name
 
     def embed_chunk(self, texts: Sequence[str]) -> list[np.ndarray]:
+        import numpy as np
         body = {"model": self.config.model_name, "input": list(texts)}
         obj = post_json(self.config.endpoint, body,
                         api_key_env=self.config.api_key_env,
@@ -121,6 +124,7 @@ def _chunk_matrix(vectors, chunk_index: int, rows: int,
                   dim: int | None) -> np.ndarray:
     """One chunk's vectors as a validated (rows, d) float32 matrix, where d
     must equal ``dim`` when it is given."""
+    import numpy as np
     try:
         mat = np.asarray(vectors, dtype=np.float32)
     except (TypeError, ValueError) as exc:
@@ -150,6 +154,7 @@ def embed_batch(texts: Sequence[str], config: EmbeddingBackendConfig,
     per text, all chunks of one dimension; a chunk that fails raises
     ``ConsistencyError`` naming it.
     """
+    import numpy as np
     if not texts:
         raise ValueError("texts must be non-empty")
     for i, t in enumerate(texts):
@@ -182,6 +187,7 @@ def embed_batch(texts: Sequence[str], config: EmbeddingBackendConfig,
 
 def stack_vectors(vectors: np.ndarray) -> np.ndarray:
     """``vectors`` as an (n, d) float32 matrix, with no copy when it is one."""
+    import numpy as np
     mat = np.asarray(vectors, dtype=np.float32)
     if mat.ndim != 2 or mat.size == 0:
         raise ValueError(f"expected a non-empty (n, d) matrix, got shape {mat.shape}")
@@ -192,6 +198,7 @@ def write_embedding_cache(path, ids: Sequence[str], vectors: np.ndarray) -> int:
     """Write one structured ``.npy`` array of (id, float32 vector) rows to
     exactly ``path``, atomically; returns the row count. The same ids and
     vectors always give the same bytes."""
+    import numpy as np
     vectors = stack_vectors(vectors)
     if len(ids) != len(vectors):
         raise ValueError("ids and vectors must have equal length")
@@ -208,6 +215,7 @@ def write_embedding_cache(path, ids: Sequence[str], vectors: np.ndarray) -> int:
 def read_embedding_cache(path) -> tuple[list[str], np.ndarray]:
     """Read a cache file back as (ids, (n, d) float32 vectors). A file that
     is not a complete cache, or that repeats an id, is a ConsistencyError."""
+    import numpy as np
     with open(path, "rb") as fh:
         try:
             table = np.lib.format.read_array(fh, allow_pickle=False)

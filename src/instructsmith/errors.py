@@ -15,10 +15,6 @@ class ConsistencyError(InstructSmithError):
     """Data that must agree internally does not (e.g. mixed vector dims)."""
 
 
-class GuardLimitError(InstructSmithError):
-    """A combinatorial guard refused to run an exponential computation."""
-
-
 class ParseError(InstructSmithError):
     """A model reply did not match the expected structured format.
 

@@ -45,7 +45,7 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         fh.write(text.encode("utf-8"))
 
 
-def atomic_write_json(path: str | Path, obj: Any, *, indent: int = 2) -> None:
+def atomic_write_json(path: str | Path, obj: Any, *, indent: int | None = 2) -> None:
     atomic_write_text(path, json.dumps(obj, ensure_ascii=False, indent=indent) + "\n")
 
 

@@ -22,10 +22,8 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import cache
 from itertools import islice
 from pathlib import Path
-from typing import (Callable, Iterable, Sequence, TypedDict, get_args,
-                    get_origin, get_type_hints, is_typeddict)
-
-import numpy as np
+from typing import (TYPE_CHECKING, Callable, Iterable, Sequence, TypedDict,
+                    get_args, get_origin, get_type_hints, is_typeddict)
 
 from .corpus import (
     FilterConfig,
@@ -85,6 +83,9 @@ from .taskspec import (
     mix_counts,
     validate_kind,
 )
+
+if TYPE_CHECKING:  # numpy loads at the first stage that computes on vectors
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -429,20 +430,36 @@ def assign_selected(selected_ids: Sequence[str], mix: MixPolicy, seed: int,
     return assignment
 
 
-class _InlineExecutor(Executor):
-    """Runs each submitted call on the calling thread and returns its future
-    already completed: the executor of a window one record wide, where a pool
-    thread would only add a handoff per record. An ``Exception`` is stored in
-    the future, as a pool does; any other ``BaseException`` (for example
-    ``KeyboardInterrupt``) propagates at once."""
+class _Settled:
+    """A call made at once, with the two members of a ``Future`` that the
+    window loop reads and none of its locks. An ``Exception`` is kept for
+    ``result`` to raise, as a pool's future keeps it; any other
+    ``BaseException`` (for example ``KeyboardInterrupt``) propagates."""
 
-    def submit(self, fn, /, *args) -> Future:
-        future: Future = Future()
+    __slots__ = ("_value", "_error")
+
+    def __init__(self, fn, args):
+        self._value = self._error = None
         try:
-            future.set_result(fn(*args))
+            self._value = fn(*args)
         except Exception as exc:
-            future.set_exception(exc)
-        return future
+            self._error = exc
+
+    def result(self):
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+    def add_done_callback(self, fn) -> None:
+        fn(self)
+
+
+class _InlineExecutor(Executor):
+    """The executor of a window one record wide: each call runs on the
+    calling thread, where a pool thread would only add a handoff per record."""
+
+    def submit(self, fn, /, *args) -> _Settled:
+        return _Settled(fn, args)
 
 
 def generate_exemplars(config: PipelineConfig, records: Sequence[RawCodeRecord],
@@ -522,7 +539,7 @@ def generate_exemplars(config: PipelineConfig, records: Sequence[RawCodeRecord],
     visible = [1 + max((seq for rid, seq in seq_of.items()
                         if rid not in run_ids), default=-1)]
     finished: queue.SimpleQueue = queue.SimpleQueue()
-    results: dict[int, Future] = {}
+    results: dict[int, Future | _Settled] = {}
     running = head = nxt = 0
     with JsonlAppender(config.workdir / QUARANTINE_FILE) as qlog, \
             (_InlineExecutor() if width == 1

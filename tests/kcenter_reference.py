@@ -1,13 +1,24 @@
-"""Reference greedy k-center: the straightforward per-pick loop.
+"""Reference k-center: the straightforward greedy loop and the exact optimum.
 
-Each pick builds a fresh distance row and a fresh ``np.where`` mask over the
-selected points. The in-place update in ``instructsmith.coreset`` must give
-the same picks and the same radius trace, bit for bit.
+Each greedy pick builds a fresh distance row and a fresh ``np.where`` mask
+over the selected points. The in-place update in ``instructsmith.coreset``
+must give the same picks and the same radius trace, bit for bit. The exact
+optimum enumerates every center set, so it is guarded to tiny inputs.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
+
+# combinatorial guard for the exact oracle
+BRUTEFORCE_MAX_N = 12
+BRUTEFORCE_MAX_K = 4
+
+
+class GuardLimitError(Exception):
+    """The exact oracle refused an input too large to enumerate."""
 
 
 def prepare(vectors, metric):
@@ -60,3 +71,20 @@ def reference_kcenter_greedy(vectors, k, seed=0, metric="euclidean",
     while len(selected) < m:
         pick(int(np.argmax(np.where(selected_mask, -1.0, min_dist))))
     return selected, trace
+
+
+def kcenter_optimal_bruteforce(vectors, k, metric="euclidean"):
+    """(centers, radius) of the exact k-center optimum over all size-k index
+    subsets. Guarded to n <= 12 and k <= 4; ties go to the lexicographically
+    smallest index set (the enumeration order of itertools.combinations)."""
+    mat = np.asarray(vectors, dtype=np.float64)
+    n = mat.shape[0]
+    if n > BRUTEFORCE_MAX_N or k > BRUTEFORCE_MAX_K:
+        raise GuardLimitError(
+            f"bruteforce limited to n <= {BRUTEFORCE_MAX_N}, k <= "
+            f"{BRUTEFORCE_MAX_K}; got n={n}, k={k}")
+    if not (1 <= k <= n):
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    best = min(itertools.combinations(range(n), k),
+               key=lambda centers: replay_trace(mat, centers, metric)[-1])
+    return list(best), replay_trace(mat, best, metric)[-1]

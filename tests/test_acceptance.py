@@ -22,11 +22,7 @@ import pytest
 
 from conftest import CIRCLE_FIELDS, golden_text
 from instructsmith import pipeline
-from instructsmith.coreset import (
-    kcenter_greedy,
-    kcenter_optimal_bruteforce,
-    kcenter_radius,
-)
+from instructsmith.coreset import kcenter_greedy, kcenter_radius
 from instructsmith.corpus import ingest_records, language_distribution
 from instructsmith.decontam import (
     BenchmarkItem,
@@ -48,6 +44,7 @@ from instructsmith.generator import (
     parse_generator_output,
     render_generator_output,
 )
+from kcenter_reference import kcenter_optimal_bruteforce
 
 
 @contextlib.contextmanager

@@ -7,14 +7,17 @@ from instructsmith.apportion import largest_remainder
 from instructsmith.coreset import (
     CoresetSelection,
     kcenter_greedy,
-    kcenter_optimal_bruteforce,
     kcenter_radius,
     read_selection,
     stratified_kcenter_greedy,
     write_selection,
 )
-from instructsmith.errors import GuardLimitError
-from kcenter_reference import reference_kcenter_greedy, replay_trace
+from kcenter_reference import (
+    GuardLimitError,
+    kcenter_optimal_bruteforce,
+    reference_kcenter_greedy,
+    replay_trace,
+)
 
 POINTS_1D = np.array([[0.0], [1.0], [10.0]])
 

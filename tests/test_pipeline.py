@@ -55,7 +55,7 @@ def corpus(tmp_path):
     return write_corpus(tmp_path / "corpus.jsonl")
 
 
-def make_config(corpus_path, workdir, **overrides):
+def config_dict(corpus_path, workdir, **overrides):
     d = {
         "corpus_path": str(corpus_path),
         "workdir": str(workdir),
@@ -68,7 +68,18 @@ def make_config(corpus_path, workdir, **overrides):
         "seed": 7,
     }
     d.update(overrides)
-    return PipelineConfig.from_dict(d)
+    return d
+
+
+def make_config(corpus_path, workdir, **overrides):
+    return PipelineConfig.from_dict(config_dict(corpus_path, workdir, **overrides))
+
+
+def readme_config() -> str:
+    """The config file of the README's quick start."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    return re.search(r"cat > config.json << 'EOF'\n(.*?)\nEOF\n", readme,
+                     re.S).group(1)
 
 
 class TestConfig:
@@ -133,12 +144,8 @@ class TestConfig:
 
     def test_fingerprints_match_earlier_releases(self, tmp_path, monkeypatch):
         # a changed fingerprint makes every checkpointed run refuse to resume
-        readme = (Path(__file__).parent.parent / "README.md").read_text(
-            encoding="utf-8")
-        block = re.search(r"cat > config.json << 'EOF'\n(.*?)\nEOF\n",
-                          readme, re.S).group(1)
         monkeypatch.chdir(tmp_path)
-        Path("config.json").write_text(block, encoding="utf-8")
+        Path("config.json").write_text(readme_config(), encoding="utf-8")
         assert load_pipeline_config("config.json").fingerprint() == \
             "4378f3147f499f3c"
         assert PipelineConfig.from_dict({
@@ -611,20 +618,98 @@ if "requests" in sys.modules:
 """
 
 
-def test_offline_run_never_imports_requests(corpus, tmp_path):
-    # requests is imported on the first HTTP send, so a mock run and an
-    # audit in a fresh interpreter never load it
-    bench = tmp_path / "bench.jsonl"
-    bench.write_text(json.dumps({"bench_id": "b1",
-                                 "canonical_solution": "def f(): pass"}) + "\n")
+def fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a fresh interpreter that imports this tree."""
     src = Path(pipeline.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run(
-        [sys.executable, "-c", OFFLINE_RUN, str(corpus), str(tmp_path / "w"),
-         str(bench)], env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def write_bench(tmp_path) -> Path:
+    bench = tmp_path / "bench.jsonl"
+    bench.write_text(json.dumps({"bench_id": "b1",
+                                 "canonical_solution": "def f(): pass"}) + "\n")
+    return bench
+
+
+def test_offline_run_never_imports_requests(corpus, tmp_path):
+    # requests is imported on the first HTTP send, so a mock run and an
+    # audit in a fresh interpreter never load it
+    bench = write_bench(tmp_path)
+    proc = fresh_python("-c", OFFLINE_RUN, str(corpus), str(tmp_path / "w"),
+                        str(bench))
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "w" / "audit" / "decontam_plan.json").exists()
+
+
+NUMPY_STEPS = """
+import json
+import sys
+
+
+def check(step):
+    if "numpy" in sys.modules:
+        sys.exit(f"numpy was imported by {step}")
+
+
+import instructsmith
+check("import instructsmith")
+import instructsmith.cli
+check("import instructsmith.cli")
+from instructsmith.embedding import make_embedding_backend
+from instructsmith.llm_backend import make_chat_backend
+readme_config, run_config, bench = sys.argv[1:]
+config = instructsmith.PipelineConfig.from_dict(json.loads(readme_config))
+check("PipelineConfig.from_dict")
+make_chat_backend(config.generation_backend)
+make_chat_backend(config.discrimination_backend)
+make_embedding_backend(config.embedding_backend)
+check("building the mock backends")
+config = instructsmith.PipelineConfig.from_dict(json.loads(run_config))
+instructsmith.run(config)
+if "numpy" not in sys.modules:
+    sys.exit("a run never loaded numpy")
+instructsmith.audit_and_plan(config.workdir / "dataset.jsonl", bench,
+                             config.workdir / "audit")
+"""
+
+
+def test_numpy_loads_only_where_vectors_are_computed(corpus, tmp_path):
+    # importing, parsing a config and building backends leave numpy out; the
+    # embed stage loads it, and the run still makes the pinned bytes
+    workdir = tmp_path / "w"
+    proc = fresh_python("-c", NUMPY_STEPS, readme_config(),
+                        json.dumps(config_dict(corpus, workdir)),
+                        str(write_bench(tmp_path)))
+    assert proc.returncode == 0, proc.stderr
+    digests = {file: hashlib.sha256((workdir / file).read_bytes()).hexdigest()
+               for file in PINNED_DIGESTS["canned-w1"]}
+    assert digests == PINNED_DIGESTS["canned-w1"]
+    assert (workdir / "audit" / "decontam_plan.json").exists()
+
+
+def imported_modules(importtime_stderr: str) -> set[str]:
+    """The modules a ``python -X importtime`` run imported."""
+    return {line.rsplit("|", 1)[1].strip()
+            for line in importtime_stderr.splitlines()
+            if line.startswith("import time:") and "|" in line}
+
+
+def test_cli_calls_without_vectors_never_import_numpy(corpus, tmp_path):
+    workdir = tmp_path / "w"
+    run(make_config(corpus, workdir))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config_dict(corpus, workdir, target_acepted=3)))
+    for args, code in ((["stats", "--workdir", str(workdir)], 0),
+                       (["--help"], 0),
+                       (["run", "--config", str(bad)], 2)):
+        proc = fresh_python("-X", "importtime", "-m", "instructsmith", *args)
+        assert proc.returncode == code, (args, proc.stderr[-2000:])
+        modules = imported_modules(proc.stderr)
+        assert "instructsmith.cli" in modules
+        assert "numpy" not in modules, args
 
 
 def test_package_root_exports_only_the_entry_points():
