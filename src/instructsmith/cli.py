@@ -2,7 +2,8 @@
 
 Every stage reads and writes the same files the orchestrated run uses, so
 any prefix of the pipeline can be reproduced or patched by hand. Exit codes:
-0 success, 1 operational failure, 2 usage or configuration error.
+0 success, 1 operational failure, 2 usage or configuration error, 130
+interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -11,19 +12,15 @@ import argparse
 import json
 import logging
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import pipeline
 from .corpus import FilterConfig, default_blacklist, ingest_records, write_records
 from .coreset import METRICS, read_selection
-from .decontam import (
-    audit,
-    read_benchmark_file,
-    write_histogram_csv,
-    write_leakage_report,
-)
+from .decontam import write_histogram_csv, write_leakage_report
 from .embedding import EmbeddingBackendConfig, read_embedding_cache
-from .emitter import read_dataset
+from .emitter import iter_dataset
 from .errors import ConfigError, ConsistencyError, InstructSmithError
 from .exemplar_db import ExemplarDB
 from .ioutil import read_json
@@ -146,11 +143,9 @@ def cmd_emit(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    backend = _embedding_config(args)
-    examples = read_dataset(args.train)
-    train = pipeline.dataset_as_train_pairs(examples, args.embed_field)
-    bench = read_benchmark_file(args.bench)
-    report = audit(train, bench, backend, top_k=args.top_k)
+    _, report = pipeline.audit_dataset(args.train, args.bench,
+                                       _embedding_config(args), args.top_k,
+                                       args.embed_field)
     write_leakage_report(args.report, report)
     write_histogram_csv(Path(args.report).with_suffix(".csv"), report)
     _print({"average_top1": report.average_top1,
@@ -188,11 +183,9 @@ def cmd_stats(args) -> int:
         return 0
     dataset = workdir / pipeline.DATASET_FILE
     if dataset.exists():
-        examples = read_dataset(dataset)
-        per_task: dict[str, int] = {}
-        for ex in examples:
-            per_task[ex.task_kind] = per_task.get(ex.task_kind, 0) + 1
-        _print({"dataset_examples": len(examples), "per_task": per_task})
+        per_task = Counter(ex.task_kind for ex in iter_dataset(dataset))
+        _print({"dataset_examples": sum(per_task.values()),
+                "per_task": dict(per_task)})
         return 0
     print(f"no run artifacts found under {workdir}", file=sys.stderr)
     return 1
@@ -323,6 +316,12 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        # the work so far is on disk; a resumable command picks it up
+        hint = (f"; `instructsmith {args.command} --resume` continues it"
+                if hasattr(args, "resume") else "")
+        print(f"interrupted{hint}", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

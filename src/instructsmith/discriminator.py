@@ -265,26 +265,6 @@ def parse_discrimination_output(text: str, ruleset: RuleSet, *,
     )
 
 
-def render_discrimination_report(report: DiscriminationReport,
-                                 ruleset: RuleSet) -> str:
-    """Render a report in the reply format the parser accepts (round-trip)."""
-    by_id = {v.rule_id: v for v in report.verdicts}
-    wanted = {r.rule_id for r in ruleset.all_rules()}
-    if wanted - set(by_id):
-        raise ValueError(
-            f"report lacks verdicts for rules: {sorted(wanted - set(by_id))}")
-    lines = ["Analysis:"]
-    for si, step in enumerate(ruleset.steps, start=1):
-        lines.append(f"- Step {si}: {step.name}:")
-        for ri, rule in enumerate(step.rules, start=1):
-            verdict = by_id[rule.rule_id]
-            lines.append(f"  {ri}. {rule.text} "
-                         f"<answer: {verdict.answer}, {verdict.reason}>")
-    lines.append(f"- Overall answer: {report.overall}")
-    lines.append(f"- Reasons: {report.overall_reasons}")
-    return "\n".join(lines)
-
-
 def discriminate(instance: InstructionInstance, ruleset: RuleSet, backend,
                  retries: int = 2, *,
                  temperature: float = DEFAULT_DISCRIMINATION_TEMPERATURE,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import ConsistencyError
 from .generator import InstructionInstance
@@ -118,15 +118,21 @@ def write_dataset(examples: Iterable[TrainingExample],
     return {"count": count, "per_task_counts": per_task}
 
 
-def read_dataset(path: str | Path) -> list[TrainingExample]:
-    """Read a dataset file back into examples (strict: no torn tails)."""
-    examples = []
+def iter_dataset(path: str | Path) -> Iterator[TrainingExample]:
+    """Yield a dataset file's examples one line at a time, validating each
+    (strict: no torn tails); a bad row is a `ConsistencyError` naming
+    ``path:line``."""
     for lineno, obj in iter_jsonl(path):
         try:
-            examples.append(TrainingExample.from_dict(obj))
+            example = TrainingExample.from_dict(obj)
         except KeyError as exc:
             raise ConsistencyError(f"{path}:{lineno}: missing key {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ConsistencyError(
                 f"{path}:{lineno}: bad dataset row: {exc}") from exc
-    return examples
+        yield example
+
+
+def read_dataset(path: str | Path) -> list[TrainingExample]:
+    """Read a dataset file back into examples (strict: no torn tails)."""
+    return list(iter_dataset(path))

@@ -14,13 +14,14 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import queue
 import time
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import cache
-from itertools import islice
+from itertools import islice, zip_longest
 from pathlib import Path
 from typing import (TYPE_CHECKING, Callable, Iterable, Sequence, TypedDict,
                     get_args, get_origin, get_type_hints, is_typeddict)
@@ -57,7 +58,7 @@ from .embedding import (
     read_embedding_cache,
     write_embedding_cache,
 )
-from .emitter import read_dataset, write_dataset
+from .emitter import iter_dataset, write_dataset
 from .errors import (
     ConfigError,
     ConsistencyError,
@@ -748,23 +749,31 @@ def run(config: PipelineConfig, *, resume: bool = False,
     return summary
 
 
-def dataset_as_train_pairs(examples, embed_field: str = "output"
-                           ) -> list[tuple[str, str]]:
-    """Unique-id (id, text) pairs for auditing a dataset file.
+def _train_pair(i: int, example, embed_field: str) -> tuple[str, str]:
+    train_id = (f"{i}:{example.source_record_id}" if example.source_record_id
+                else str(i))
+    if embed_field == "output":
+        return train_id, example.output
+    return train_id, example.instruction + "\n" + example.output
 
-    ``embed_field`` picks what gets embedded: the "output" (code) field or
-    "instruction+output".
-    """
+
+def audit_dataset(train_path: str | Path, bench_path: str | Path,
+                  backend: EmbeddingBackendConfig, top_k: int, embed_field: str):
+    """Audit a dataset file against a benchmark file, the front half of the
+    `audit` and `decontaminate` commands. The dataset is streamed into
+    unique-id (id, text) pairs; ``embed_field`` picks the text: the "output"
+    (code) field or "instruction+output". Returns ``(pairs, report)``."""
     if embed_field not in ("output", "instruction+output"):
         raise ConfigError("embed_field must be 'output' or 'instruction+output'")
+    train = [_train_pair(i, ex, embed_field)
+             for i, ex in enumerate(iter_dataset(train_path))]
+    bench = read_benchmark_file(bench_path)
+    return train, audit(train, bench, backend, top_k=top_k)
 
-    def text_of(ex):
-        if embed_field == "output":
-            return ex.output
-        return ex.instruction + "\n" + ex.output
 
-    return [(f"{i}:{ex.source_record_id}" if ex.source_record_id else str(i),
-             text_of(ex)) for i, ex in enumerate(examples)]
+def _file_identity(path: str | Path) -> tuple[int, int, int]:
+    st = os.stat(path)
+    return st.st_ino, st.st_size, st.st_mtime_ns
 
 
 def audit_and_plan(train_path: str | Path, bench_path: str | Path,
@@ -774,6 +783,11 @@ def audit_and_plan(train_path: str | Path, bench_path: str | Path,
                    *, embed_field: str = "output") -> dict:
     """Decontamination driver: audit a dataset file against a benchmark file,
     write the report, histogram CSV, plan, and the cleaned dataset.
+
+    The dataset is read twice as a stream, never held as examples: once for
+    the pairs the audit embeds, once to write the rows the plan keeps. If
+    the file changed in between, a `ConsistencyError` stops the second pass
+    and no cleaned file is written.
     """
     # checked before anything is read, embedded or written
     if top_k < 1:
@@ -786,21 +800,29 @@ def audit_and_plan(train_path: str | Path, bench_path: str | Path,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     backend = backend or EmbeddingBackendConfig()
-    examples = read_dataset(train_path)
-    train = dataset_as_train_pairs(examples, embed_field)
-    bench = read_benchmark_file(bench_path)
-    report = audit(train, bench, backend, top_k=top_k)
+    identity = _file_identity(train_path)
+    train, report = audit_dataset(train_path, bench_path, backend, top_k,
+                                  embed_field)
     write_leakage_report(out_dir / "leakage_report.json", report)
     write_histogram_csv(out_dir / "leakage_histogram.csv", report)
     plan = plan_removal(report, n_per_item=n_per_item)
     atomic_write_json(out_dir / "decontam_plan.json", plan.to_dict())
-    kept_pairs = apply_plan(plan, train)
-    kept_index = {tid for tid, _ in kept_pairs}
-    cleaned = (ex for (tid, _), ex in zip(train, examples) if tid in kept_index)
-    cleaned_summary = write_dataset(cleaned, out_dir / "dataset.cleaned.jsonl")
+    kept_ids = {tid for tid, _ in apply_plan(plan, train)}
+
+    def cleaned():
+        changed = ConsistencyError(f"{train_path}: changed during the audit")
+        for pair, row in zip_longest(train, enumerate(iter_dataset(train_path))):
+            if row is None or pair != _train_pair(*row, embed_field):
+                raise changed
+            if pair[0] in kept_ids:
+                yield row[1]
+        if _file_identity(train_path) != identity:
+            raise changed
+
+    cleaned_summary = write_dataset(cleaned(), out_dir / "dataset.cleaned.jsonl")
     return {
         "average_top1": report.average_top1,
-        "removed": len(examples) - cleaned_summary["count"],
+        "removed": len(train) - cleaned_summary["count"],
         "remaining": cleaned_summary["count"],
         "report_path": str(out_dir / "leakage_report.json"),
         "plan_path": str(out_dir / "decontam_plan.json"),

@@ -5,6 +5,9 @@ It scans the whole reply once for answer tokens, once more for answer spans,
 and searches each rule's text from the last claimed span. The differential
 test in `test_discriminator.py` requires the shipped parser to return the
 same report, or raise the same error, on every reply it generates.
+
+`render_discrimination_report` writes a report back out in the reply format
+the parser accepts, for round-trip tests.
 """
 
 from __future__ import annotations
@@ -91,3 +94,23 @@ def reference_parse(text: str, ruleset: RuleSet, *,
         overall=overall_m.group(1).lower(),
         overall_reasons=overall_reasons,
     )
+
+
+def render_discrimination_report(report: DiscriminationReport,
+                                 ruleset: RuleSet) -> str:
+    """Render a report in the reply format the parser accepts (round-trip)."""
+    by_id = {v.rule_id: v for v in report.verdicts}
+    wanted = {r.rule_id for r in ruleset.all_rules()}
+    if wanted - set(by_id):
+        raise ValueError(
+            f"report lacks verdicts for rules: {sorted(wanted - set(by_id))}")
+    lines = ["Analysis:"]
+    for si, step in enumerate(ruleset.steps, start=1):
+        lines.append(f"- Step {si}: {step.name}:")
+        for ri, rule in enumerate(step.rules, start=1):
+            verdict = by_id[rule.rule_id]
+            lines.append(f"  {ri}. {rule.text} "
+                         f"<answer: {verdict.answer}, {verdict.reason}>")
+    lines.append(f"- Overall answer: {report.overall}")
+    lines.append(f"- Reasons: {report.overall_reasons}")
+    return "\n".join(lines)

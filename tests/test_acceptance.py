@@ -35,7 +35,6 @@ from instructsmith.discriminator import (
     compute_label,
     load_ruleset,
     parse_discrimination_output,
-    render_discrimination_report,
 )
 from instructsmith.embedding import EmbeddingBackendConfig
 from instructsmith.emitter import read_dataset, render_prompt, to_training_example
@@ -44,6 +43,7 @@ from instructsmith.generator import (
     parse_generator_output,
     render_generator_output,
 )
+from discrimination_reference import render_discrimination_report
 from kcenter_reference import kcenter_optimal_bruteforce
 
 

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from instructsmith import cli
 from instructsmith.cli import main
 from instructsmith.emitter import read_dataset
 from instructsmith.ioutil import read_json
@@ -144,6 +145,21 @@ class TestExitCodes:
         assert main(args) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"{train}:1" in err and "_task" in err
+
+    @pytest.mark.parametrize("argv,hint", [
+        (["run", "--config", "config.json"], "`instructsmith run --resume`"),
+        (["stats", "--workdir", "work"], None)])
+    def test_ctrl_c_is_one_line_and_130(self, monkeypatch, capsys, argv, hint):
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, f"cmd_{argv[0]}", interrupted)
+        assert main(argv) == 130
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.err.startswith("interrupted")
+        assert (hint in captured.err) if hint else "--resume" not in captured.err
 
     def test_emit_missing_exemplars_is_error(self, tmp_path, capsys):
         missing = tmp_path / "absent" / "exemplars.jsonl"
@@ -632,6 +648,20 @@ class TestRunCommand:
         assert main(["stats", "--workdir", str(workdir)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["counts"]["emitted"] == 12
+
+    def test_stats_counts_a_bare_dataset(self, tmp_path, capsys):
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        rows = [{"instruction": f"Do {i}.", "input": "", "output": f"x = {i}",
+                 "_task": kind, "_source_id": f"r{i}"}
+                for i, kind in enumerate(["CodeRepair", "CodeGeneration",
+                                          "CodeRepair"])]
+        (workdir / "dataset.jsonl").write_text(
+            "".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        assert main(["stats", "--workdir", str(workdir)]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "dataset_examples": 3,
+            "per_task": {"CodeRepair": 2, "CodeGeneration": 1}}
 
 
 class TestAuditCommands:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,6 +154,32 @@ class TestTopKIndices:
         with pytest.raises(ValueError):
             top_k_indices(np.zeros((2, 3)), k)
 
+    @settings(max_examples=200, deadline=None)
+    @given(case=tied_matrix_and_k(), slice_rows=st.integers(0, 3))
+    def test_several_slices_match_stable_argsort(self, case, slice_rows):
+        # slices of 1 to 3 rows, or shorter than one row (one row each)
+        sims, k = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(decontam, "SLICE_SIMILARITIES",
+                       max(1, slice_rows * sims.shape[1]))
+            got = top_k_indices(sims, k)
+        want = np.stack([np.argsort(-row, kind="stable")[:k] for row in sims])
+        np.testing.assert_array_equal(got, want)
+
+    def test_wide_block_ranks_without_a_copy_of_it(self):
+        # 64 x 4096 similarities (2 MiB) in 100 levels, so ties are common:
+        # ranking holds a slice, the candidate mask and the candidates
+        sims = np.round(np.random.default_rng(5).random((64, 4096)), 2)
+        tracemalloc.start()
+        try:
+            got = top_k_indices(sims, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sims.nbytes / 2
+        want = np.stack([np.argsort(-row, kind="stable")[:5] for row in sims])
+        np.testing.assert_array_equal(got, want)
+
 
 class TestBlockedAudit:
     def test_duplicate_texts_tie_and_earlier_row_wins(self):
@@ -200,6 +227,38 @@ class TestBlockedAudit:
             assert [n.train_id for n in item.neighbors] == [t for t, _ in want]
             for n, (_, ws) in zip(item.neighbors, want):
                 assert n.similarity == pytest.approx(ws, abs=1e-9)
+
+    def test_scan_holds_one_block(self, monkeypatch):
+        # 3,000 training rows in blocks of 87 x 3,000 similarities (2 MiB):
+        # once both embedding matrices exist, the scan adds one block, the
+        # ranking's slice and mask, and similarity_matrix's float64 copy of
+        # the training matrix (two copies' worth while it takes the norms);
+        # not two blocks
+        budget = 2**18
+        monkeypatch.setattr(decontam, "BLOCK_SIMILARITIES", budget)
+        matrices, held = [], []
+        real = decontam.stack_vectors
+
+        def stack_then_reset_peak(vectors):
+            matrix = real(vectors)
+            matrices.append(matrix)
+            if len(matrices) == 2:  # train, then bench
+                tracemalloc.reset_peak()
+                held.append(tracemalloc.get_traced_memory()[0])
+            return matrix
+
+        monkeypatch.setattr(decontam, "stack_vectors", stack_then_reset_peak)
+        train = train_set(3000)
+        items = [bench(i) for i in range(200)]
+        tracemalloc.start()
+        try:
+            report = audit(train, items, CONFIG, top_k=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.per_item) == 200
+        train_copies = 2 * matrices[0].size * 8
+        assert peak - held[0] < 1.5 * budget * 8 + train_copies
 
 
 class TestHistogram:

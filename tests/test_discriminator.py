@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import golden_text, reduced_ruleset
-from discrimination_reference import reference_parse
+from discrimination_reference import (reference_parse,
+                                     render_discrimination_report)
 from instructsmith.discriminator import (
     DiscriminationReport,
     Rule,
@@ -17,7 +18,6 @@ from instructsmith.discriminator import (
     discriminate,
     load_ruleset,
     parse_discrimination_output,
-    render_discrimination_report,
 )
 from instructsmith.errors import (
     ConfigError,

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -602,6 +603,72 @@ class TestAuditDriver:
         assert (tmp_path / "audit" / "decontam_plan.json").exists()
         cleaned = read_dataset(tmp_path / "audit" / "dataset.cleaned.jsonl")
         assert all(ex.output != leaked for ex in cleaned)
+
+    @staticmethod
+    def write_rows(path, n, pad=0, outputs=None):
+        """A dataset of ``n`` rows whose instruction and input carry ``pad``
+        extra characters each."""
+        path.write_text("".join(json.dumps({
+            "instruction": f"Write helper {i}. " + "x" * pad, "input": "y" * pad,
+            "output": (outputs or {}).get(i, f"def helper_{i}(x):\n    return x + {i}"),
+            "_task": "CodeGeneration", "_source_id": f"r{i}"}) + "\n"
+            for i in range(n)), encoding="utf-8")
+        return path
+
+    def test_peak_does_not_grow_with_unembedded_fields(self, tmp_path):
+        bench = tmp_path / "bench.jsonl"
+        bench.write_text("".join(json.dumps({
+            "bench_id": f"b{j}", "canonical_solution": f"def solve_{j}(): return {j}"})
+            + "\n" for j in range(20)), encoding="utf-8")
+        peaks = []
+        # the first audit pays one-time costs (imports, caches)
+        for name, pad in (("warm", 0), ("short", 0), ("long", 8000)):
+            dataset = self.write_rows(tmp_path / f"{name}.jsonl", 200, pad)
+            tracemalloc.start()
+            try:
+                audit_and_plan(dataset, bench, tmp_path / name, n_per_item=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        extra = 200 * 2 * 8000  # what the long rows add to the file
+        assert peaks[2] - peaks[1] < extra / 10
+        cleaned = read_dataset(tmp_path / "long" / "dataset.cleaned.jsonl")
+        assert len(cleaned) == 200 - 20 and len(cleaned[0].input) == 8000
+
+    def test_bad_row_stops_before_anything_is_written(self, tmp_path):
+        dataset = self.write_rows(tmp_path / "d.jsonl", 5)
+        with open(dataset, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"instruction": "x", "output": "y",
+                                 "_task": "Poetry"}) + "\n")
+        bench = write_bench(tmp_path)
+        with pytest.raises(ConsistencyError, match=f"{re.escape(str(dataset))}:6"):
+            audit_and_plan(dataset, bench, tmp_path / "out")
+        assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("change", ["drop_row", "add_row", "output",
+                                        "instruction"])
+    def test_dataset_changed_between_passes(self, tmp_path, monkeypatch,
+                                            change):
+        dataset = self.write_rows(tmp_path / "d.jsonl", 6)
+        real = pipeline.plan_removal
+
+        def plan_then_change(report, n_per_item):
+            if change == "drop_row":
+                self.write_rows(dataset, 5)
+            elif change == "add_row":
+                self.write_rows(dataset, 7)
+            elif change == "output":
+                self.write_rows(dataset, 6, outputs={4: "def other(): pass"})
+            else:  # a field the audit does not embed
+                self.write_rows(dataset, 6, pad=1)
+            return real(report, n_per_item=n_per_item)
+
+        monkeypatch.setattr(pipeline, "plan_removal", plan_then_change)
+        with pytest.raises(ConsistencyError, match="changed during the audit"):
+            audit_and_plan(dataset, write_bench(tmp_path), tmp_path / "out",
+                           n_per_item=1)
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "decontam_plan.json", "leakage_histogram.csv", "leakage_report.json"]
 
 
 OFFLINE_RUN = """
