@@ -4,6 +4,10 @@ Every stage reads and writes the same files the orchestrated run uses, so
 any prefix of the pipeline can be reproduced or patched by hand. Exit codes:
 0 success, 1 operational failure, 2 usage or configuration error, 130
 interrupted (Ctrl-C).
+
+A stage's modules load when the stage runs, as in `pipeline`: ``--help``,
+``stats`` and a config error load none of the generate, coreset or
+decontamination modules.
 """
 
 from __future__ import annotations
@@ -17,14 +21,10 @@ from pathlib import Path
 
 from . import pipeline
 from .corpus import FilterConfig, default_blacklist, ingest_records, write_records
-from .coreset import METRICS, read_selection
-from .decontam import write_histogram_csv, write_leakage_report
-from .embedding import EmbeddingBackendConfig, read_embedding_cache
-from .emitter import iter_dataset
+from .embedding import METRICS, EmbeddingBackendConfig, read_embedding_cache
 from .errors import ConfigError, ConsistencyError, InstructSmithError
-from .exemplar_db import ExemplarDB
-from .ioutil import read_json
-from .taskspec import default_mix, mix_counts
+from .ioutil import iter_jsonl
+from .taskspec import LABELS, TASK_KINDS, default_mix, mix_counts
 
 log = logging.getLogger(__name__)
 
@@ -42,6 +42,25 @@ def _load_config(args) -> pipeline.PipelineConfig | None:
 def _embedding_config(args) -> EmbeddingBackendConfig:
     config = _load_config(args)
     return config.embedding_backend if config else EmbeddingBackendConfig()
+
+
+def _exemplar_counts(path: Path) -> dict[str, int]:
+    """"kind/label" entry counts of exemplar log ``path``, zero-filled for the
+    known kinds. The log is only read: an unterminated last line is skipped,
+    not cut off, and a repeated entry id counts once, as a load keeps it."""
+    counts = Counter({(kind, label): 0 for kind in TASK_KINDS for label in LABELS})
+    seen = set()
+    for lineno, obj in iter_jsonl(path, complete_only=True):
+        try:
+            entry_id = str(obj["entry_id"])
+            key = (str(obj["task_kind"]), str(obj["label"]))
+        except (KeyError, TypeError) as exc:
+            raise ConsistencyError(
+                f"{path}:{lineno}: bad exemplar entry: {exc!r}") from exc
+        if entry_id not in seen:
+            seen.add(entry_id)
+            counts[key] += 1
+    return {f"{kind}/{label}": n for (kind, label), n in sorted(counts.items())}
 
 
 def cmd_ingest(args) -> int:
@@ -107,6 +126,7 @@ def cmd_select(args) -> int:
 
 def cmd_assign(args) -> int:
     config = _load_config(args)
+    from .coreset import read_selection
     mix = config.mix if config else default_mix()
     selection = read_selection(args.selection)
     assignment = pipeline.assign_selected(selection.selected_ids, mix,
@@ -121,12 +141,9 @@ def cmd_generate(args) -> int:
     if args.seed is not None:
         config.seed = args.seed
     pipeline.run(config, resume=args.resume, stop_after="generating")
-    db = ExemplarDB.load(config.exemplar_db)
-    stats = {f"{kind}/{label}": count
-             for (kind, label), count in sorted(db.stats().items())}
-    _print({"exemplars": len(db), "by_task_and_label": stats,
+    stats = _exemplar_counts(config.exemplar_db)
+    _print({"exemplars": sum(stats.values()), "by_task_and_label": stats,
             "db": str(config.exemplar_db)})
-    db.close()
     return 0
 
 
@@ -135,6 +152,7 @@ def cmd_emit(args) -> int:
     if not path.is_file():
         # loading would create the log as an empty file
         raise FileNotFoundError(f"{path}: no such exemplar log")
+    from .exemplar_db import ExemplarDB
     db = ExemplarDB.load(path)
     summary = pipeline.emit_dataset(db.entries(), args.target, args.output)
     db.close()
@@ -143,6 +161,7 @@ def cmd_emit(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    from .decontam import write_histogram_csv, write_leakage_report
     _, report = pipeline.audit_dataset(args.train, args.bench,
                                        _embedding_config(args), args.top_k,
                                        args.embed_field)
@@ -168,21 +187,19 @@ def cmd_stats(args) -> int:
     workdir = Path(args.workdir)
     summary_path = workdir / pipeline.SUMMARY_FILE
     if summary_path.exists():
-        _print(read_json(summary_path))
+        _print(pipeline.read_artifact(summary_path))
         return 0
     db_path = workdir / pipeline.EXEMPLARS_FILE
     if db_path.exists():
-        db = ExemplarDB.load(db_path)
-        stats = {f"{kind}/{label}": count
-                 for (kind, label), count in sorted(db.stats().items())}
-        db.close()
         quarantine = workdir / pipeline.QUARANTINE_FILE
-        quarantined = (len(quarantine.read_text().splitlines())
+        quarantined = (sum(1 for _ in iter_jsonl(quarantine, complete_only=True))
                        if quarantine.exists() else 0)
-        _print({"exemplars": stats, "quarantined": quarantined})
+        _print({"exemplars": _exemplar_counts(db_path),
+                "quarantined": quarantined})
         return 0
     dataset = workdir / pipeline.DATASET_FILE
     if dataset.exists():
+        from .emitter import iter_dataset
         per_task = Counter(ex.task_kind for ex in iter_dataset(dataset))
         _print({"dataset_examples": sum(per_task.values()),
                 "per_task": dict(per_task)})

@@ -14,13 +14,12 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from .apportion import largest_remainder
+from .embedding import METRICS
 from .errors import ConsistencyError
 from .ioutil import atomic_write_json, read_json
 
 if TYPE_CHECKING:  # the functions that compute on vectors import numpy
     import numpy as np
-
-METRICS = ("euclidean", "cosine_distance")
 
 
 @dataclass

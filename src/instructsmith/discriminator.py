@@ -19,7 +19,6 @@ from .generator import InstructionInstance, render_generator_output
 from .llm_backend import ChatMessage, ChatRequest, complete
 
 ANSWERS = ("yes", "no")
-LABELS = ("Good", "Bad")
 
 DISCRIMINATION_SYSTEM_TEXT = (
     "You are a strict discriminator for code instruction data. Check the "

@@ -24,6 +24,9 @@ if TYPE_CHECKING:  # the functions that compute on vectors import numpy
 
 DEFAULT_MOCK_DIM = 64
 
+#: the distances the coreset selection can take between embedding vectors
+METRICS = ("euclidean", "cosine_distance")
+
 
 @dataclass
 class EmbeddingBackendConfig:
@@ -149,10 +152,11 @@ def embed_batch(texts: Sequence[str], config: EmbeddingBackendConfig,
     chunked by ``config.batch_size``.
 
     A caller-supplied ``backend`` overrides the one built from config.
-    Chunks may run concurrently up to ``config.max_in_flight``; results are
-    reassembled in input order. Each chunk is validated once: one finite row
-    per text, all chunks of one dimension; a chunk that fails raises
-    ``ConsistencyError`` naming it.
+    Chunks may run concurrently up to ``config.max_in_flight``; each is
+    validated as it is taken in input order (one finite row per text, all
+    chunks of one dimension; a chunk that fails raises ``ConsistencyError``
+    naming it) and copied into the result, so one chunk's vectors are held
+    beside the result, not every chunk's.
     """
     import numpy as np
     if not texts:
@@ -162,27 +166,32 @@ def embed_batch(texts: Sequence[str], config: EmbeddingBackendConfig,
             raise ValueError(f"text at index {i} is empty")
     if backend is None:
         backend = make_embedding_backend(config)
-    chunks = [list(texts[i:i + config.batch_size])
-              for i in range(0, len(texts), config.batch_size)]
+    size = config.batch_size
+    starts = range(0, len(texts), size)
 
-    def embed_chunk(chunk_index: int) -> list[np.ndarray]:
+    def embed_chunk(start: int) -> list[np.ndarray]:
         try:
-            return with_retry(lambda: backend.embed_chunk(chunks[chunk_index]),
+            return with_retry(lambda: backend.embed_chunk(texts[start:start + size]),
                               config.retry, sleep)
         except BackendError as exc:
-            exc.chunk_index = chunk_index
+            exc.chunk_index = start // size
             raise
 
-    if config.max_in_flight > 1 and len(chunks) > 1:
+    def fill(per_chunk) -> np.ndarray:
+        out = None
+        for start, vectors in zip(starts, per_chunk):
+            rows = min(size, len(texts) - start)
+            mat = _chunk_matrix(vectors, start // size, rows,
+                                None if out is None else out.shape[1])
+            if out is None:
+                out = np.empty((len(texts), mat.shape[1]), dtype=np.float32)
+            out[start:start + rows] = mat
+        return out
+
+    if config.max_in_flight > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
-            per_chunk = list(pool.map(embed_chunk, range(len(chunks))))
-    else:
-        per_chunk = [embed_chunk(ci) for ci in range(len(chunks))]
-    mats: list[np.ndarray] = []
-    for ci, vectors in enumerate(per_chunk):
-        dim = mats[0].shape[1] if mats else None
-        mats.append(_chunk_matrix(vectors, ci, len(chunks[ci]), dim))
-    return np.concatenate(mats)
+            return fill(pool.map(embed_chunk, starts))
+    return fill(map(embed_chunk, starts))
 
 
 def stack_vectors(vectors: np.ndarray) -> np.ndarray:

@@ -17,29 +17,16 @@ from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 
-from .discriminator import LABELS, DiscriminationReport
+from .discriminator import DiscriminationReport
 from .emitter import TrainingExample, to_training_example
 from .errors import ConsistencyError
 from .generator import InstructionInstance, render_exemplar
 from .ioutil import JsonlAppender, iter_jsonl
-from .taskspec import TASK_KINDS
+from .taskspec import LABELS, TASK_KINDS, SamplingPolicy
 
 log = logging.getLogger(__name__)
 
 _SEQ = attrgetter("created_seq")
-
-
-@dataclass
-class SamplingPolicy:
-    """How many good/bad exemplars to draw for one generation prompt."""
-
-    n_good: int = 1
-    n_bad: int = 1
-    same_task_only: bool = True
-
-    def __post_init__(self) -> None:
-        if self.n_good < 0 or self.n_bad < 0:
-            raise ValueError("n_good and n_bad must be >= 0")
 
 
 @dataclass

@@ -69,14 +69,18 @@ def read_json(path: str | Path) -> Any:
         return json.load(fh)
 
 
-def iter_jsonl(path: str | Path) -> Iterator[tuple[int, Any]]:
+def iter_jsonl(path: str | Path, *, complete_only: bool = False
+               ) -> Iterator[tuple[int, Any]]:
     """Yield ``(line_number, parsed_object)`` for each non-blank line, reading
     the file line by line; a line that is not JSON raises `ConsistencyError`
     naming ``path:line``. A torn final line is the caller's to drop first,
-    with `repair_torn_tail`. The file closes when the iteration ends or the
+    with `repair_torn_tail`, or to skip, with ``complete_only``, which leaves
+    the file as it is. The file closes when the iteration ends or the
     generator is closed or dropped."""
     with open(path, "r", encoding="utf-8") as fh:
         for i, raw in enumerate(fh, start=1):
+            if complete_only and not raw.endswith("\n"):
+                break  # only the last line can lack its terminator
             stripped = raw.strip()
             if not stripped:
                 continue

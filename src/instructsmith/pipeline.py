@@ -7,11 +7,16 @@ progress during generation is derived from the append-only exemplar and
 quarantine files, never from the checkpoint, which makes the run safe to
 kill at any point. The stage functions are shared with the stage
 subcommands of the CLI.
+
+A stage's modules load when the stage runs: importing this module, parsing
+a config and building backends load none of ``coreset``, ``decontam``,
+``discriminator``, ``emitter``, ``exemplar_db`` or ``generator``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import logging
 import os
@@ -35,38 +40,19 @@ from .corpus import (
     ingest_records,
     write_records,
 )
-from .coreset import (
-    METRICS,
-    CoresetSelection,
-    kcenter_greedy,
-    read_selection,
-    stratified_kcenter_greedy,
-    write_selection,
-)
-from .decontam import (
-    apply_plan,
-    audit,
-    plan_removal,
-    read_benchmark_file,
-    write_histogram_csv,
-    write_leakage_report,
-)
-from .discriminator import RuleSet, discriminate, load_ruleset
 from .embedding import (
+    METRICS,
     EmbeddingBackendConfig,
     embed_batch,
     read_embedding_cache,
     write_embedding_cache,
 )
-from .emitter import iter_dataset, write_dataset
 from .errors import (
     ConfigError,
     ConsistencyError,
     DiscriminationFailedError,
     GenerationFailedError,
 )
-from .exemplar_db import Exemplar, ExemplarDB, SamplingPolicy, make_entry
-from .generator import generate_instance
 from .ioutil import (
     JsonlAppender,
     atomic_write_json,
@@ -77,6 +63,7 @@ from .ioutil import (
 from .llm_backend import BackendConfig, make_chat_backend
 from .taskspec import (
     MixPolicy,
+    SamplingPolicy,
     TASK_KINDS,
     assign_tasks,
     default_mix,
@@ -85,8 +72,12 @@ from .taskspec import (
     validate_kind,
 )
 
-if TYPE_CHECKING:  # numpy loads at the first stage that computes on vectors
+if TYPE_CHECKING:  # numpy and the stage modules load at the stage that needs them
     import numpy as np
+
+    from .coreset import CoresetSelection
+    from .discriminator import RuleSet
+    from .exemplar_db import Exemplar, ExemplarDB
 
 log = logging.getLogger(__name__)
 
@@ -102,6 +93,32 @@ QUARANTINE_FILE = "quarantine.jsonl"
 CHECKPOINT_FILE = "checkpoint.json"
 SUMMARY_FILE = "summary.json"
 DATASET_FILE = "dataset.jsonl"
+
+
+def _on_first_call(module: str, name: str) -> Callable:
+    """A stand-in for function ``name`` of ``module`` (relative to this
+    package) that imports the module at its first call. It is an attribute
+    of this module from import on, and callers look it up at call time, so
+    replacing it (as tests and tracers do) works as for a plain import."""
+    target = None
+
+    def call(*args, **kwargs):
+        nonlocal target
+        if target is None:
+            target = getattr(importlib.import_module(module, __package__), name)
+        return target(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+kcenter_greedy = _on_first_call(".coreset", "kcenter_greedy")
+generate_instance = _on_first_call(".generator", "generate_instance")
+discriminate = _on_first_call(".discriminator", "discriminate")
+write_dataset = _on_first_call(".emitter", "write_dataset")
+audit = _on_first_call(".decontam", "audit")
+plan_removal = _on_first_call(".decontam", "plan_removal")
+apply_plan = _on_first_call(".decontam", "apply_plan")
 
 
 @dataclass
@@ -376,6 +393,16 @@ def _require_artifact(path: Path, stage: str) -> Path:
     return path
 
 
+def read_artifact(path: Path, parse: Callable = lambda obj: obj):
+    """``parse`` of the JSON in workdir file ``path``; a file that is not
+    JSON, or that ``parse`` cannot read, is a `ConsistencyError` naming it."""
+    try:
+        return parse(read_json(path))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ConsistencyError(
+            f"{path}: damaged ({type(exc).__name__}: {exc})") from exc
+
+
 # -- stages ------------------------------------------------------------------
 # Each stage computes its artifact and writes it; `run` and the stage
 # subcommands of the CLI both call these.
@@ -408,6 +435,7 @@ def select_coreset(vectors: np.ndarray, ids: Sequence[str],
                    output_path: str | Path) -> CoresetSelection:
     """Select stage: greedy k-center over ``vectors``, per language when
     ``coreset.stratify_by_language``; the selection is written by id."""
+    from .coreset import stratified_kcenter_greedy, write_selection
     if coreset.stratify_by_language:
         selection = stratified_kcenter_greedy(vectors, languages, coreset.k,
                                               seed=coreset.seed,
@@ -493,6 +521,8 @@ def generate_exemplars(config: PipelineConfig, records: Sequence[RawCodeRecord],
     accepted = sum(1 for row in rows if row.label == "Good")
     if all(r.id in processed for r in records):
         return
+    from .discriminator import load_ruleset
+    from .exemplar_db import make_entry
     taskdefs = load_task_definitions(config.task_file)
     rulesets: dict[str, RuleSet] = {
         kind: load_ruleset(config.rulesets.get(kind, taskdefs[kind].rule_set_id))
@@ -614,7 +644,7 @@ def run(config: PipelineConfig, *, resume: bool = False,
     workdir.mkdir(parents=True, exist_ok=True)
     checkpoint_path = workdir / CHECKPOINT_FILE
     fingerprint = config.fingerprint()
-    state = (CheckpointState.from_dict(read_json(checkpoint_path))
+    state = (read_artifact(checkpoint_path, CheckpointState.from_dict)
              if checkpoint_path.exists() else None)
     if state is not None and not resume:
         raise ConfigError(
@@ -643,8 +673,9 @@ def run(config: PipelineConfig, *, resume: bool = False,
         if done("filtered"):
             kept = ingest_records(_require_artifact(workdir / FILTERED_FILE,
                                                     "filtered"))
-            filter_report = FilterReport(**read_json(
-                _require_artifact(workdir / FILTER_REPORT_FILE, "filtered")))
+            filter_report = read_artifact(
+                _require_artifact(workdir / FILTER_REPORT_FILE, "filtered"),
+                lambda obj: FilterReport(**obj))
         else:
             kept, filter_report = filter_corpus(
                 config.corpus_path, config.filter, workdir / FILTERED_FILE,
@@ -670,6 +701,7 @@ def run(config: PipelineConfig, *, resume: bool = False,
     with timed("select"):
         path = workdir / SELECTION_FILE
         if done("selected"):
+            from .coreset import read_selection
             selected_ids = read_selection(
                 _require_artifact(path, "selected")).selected_ids
         else:
@@ -683,13 +715,17 @@ def run(config: PipelineConfig, *, resume: bool = False,
     with timed("assign"):
         path = workdir / ASSIGNMENTS_FILE
         if done("assigned"):
-            obj = read_json(_require_artifact(path, "assigned"))
-            assignment = {str(k): str(v) for k, v in obj["assignment"].items()}
+            assignment = read_artifact(
+                _require_artifact(path, "assigned"),
+                lambda obj: {str(k): str(v) for k, v in obj["assignment"].items()})
+            if assignment.keys() != set(selected_ids):
+                raise ConsistencyError(f"{path} does not match the selection")
         else:
             assignment = assign_selected(selected_ids, config.mix, config.seed,
                                          path)
             checkpoint("assigned")
 
+    from .exemplar_db import ExemplarDB
     db = ExemplarDB.load(config.exemplar_db)
     try:
         quarantined = _quarantine_entries(workdir / QUARANTINE_FILE)
@@ -765,6 +801,8 @@ def audit_dataset(train_path: str | Path, bench_path: str | Path,
     (code) field or "instruction+output". Returns ``(pairs, report)``."""
     if embed_field not in ("output", "instruction+output"):
         raise ConfigError("embed_field must be 'output' or 'instruction+output'")
+    from .decontam import read_benchmark_file
+    from .emitter import iter_dataset
     train = [_train_pair(i, ex, embed_field)
              for i, ex in enumerate(iter_dataset(train_path))]
     bench = read_benchmark_file(bench_path)
@@ -799,6 +837,8 @@ def audit_and_plan(train_path: str | Path, bench_path: str | Path,
         raise ConfigError(f"n_per_item ({n_per_item}) must be <= top_k ({top_k})")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    from .decontam import write_histogram_csv, write_leakage_report
+    from .emitter import iter_dataset
     backend = backend or EmbeddingBackendConfig()
     identity = _file_identity(train_path)
     train, report = audit_dataset(train_path, bench_path, backend, top_k,

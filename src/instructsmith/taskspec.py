@@ -1,4 +1,5 @@
-"""The four code tasks: definitions, generation prompts, and the task mix.
+"""The four code tasks: definitions, generation prompts, the task mix, and
+the exemplar sampling policy.
 
 Task definitions ship as a versioned JSON data file rather than being
 model-generated at runtime, so every run sees identical definitions. The mix
@@ -21,6 +22,9 @@ from .ioutil import read_json
 
 TASK_KINDS = ("CodeGeneration", "CodeSummarization", "CodeTranslation",
               "CodeRepair")
+
+#: the discriminator's verdict on an instance
+LABELS = ("Good", "Bad")
 
 #: generation-phase proportions; renormalized because they sum to 0.999
 RAW_MIX_PERCENTS = {
@@ -110,6 +114,19 @@ class MixPolicy:
         if total <= 0:
             raise ConfigError("mix weights must have positive sum")
         return cls({kind: w / total for kind, w in raw.items()})
+
+
+@dataclass
+class SamplingPolicy:
+    """How many good/bad exemplars to draw for one generation prompt."""
+
+    n_good: int = 1
+    n_bad: int = 1
+    same_task_only: bool = True
+
+    def __post_init__(self) -> None:
+        if self.n_good < 0 or self.n_bad < 0:
+            raise ValueError("n_good and n_bad must be >= 0")
 
 
 def default_mix() -> MixPolicy:

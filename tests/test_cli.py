@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from instructsmith import cli
 from instructsmith.cli import main
 from instructsmith.emitter import read_dataset
+from instructsmith.exemplar_db import ExemplarDB
 from instructsmith.ioutil import read_json
 from instructsmith.pipeline import PipelineConfig, config_keys
 from instructsmith.taskspec import TASK_KINDS, MixPolicy
@@ -358,6 +359,32 @@ class TestExitCodes:
             assert "Traceback" not in err
             assert path.read_text(encoding="utf-8") == damaged
 
+    @pytest.mark.parametrize("name,damaged", [
+        ("checkpoint.json", "[]"), ("checkpoint.json", "{not json"),
+        ("assignments.json", "{}"), ("assignments.json", '{"assignment": {}}'),
+        ("filter_report.json", '{"kept_count": 3}'),
+        ("filter_report.json", "{not json")])
+    def test_resume_over_damaged_artifact_is_one_line(self, tmp_path, corpus,
+                                                      name, damaged, capsys):
+        config = tmp_path / "config.json"
+        workdir = tmp_path / "work"
+        write_config(config, corpus, workdir)
+        assert main(["run", "--config", str(config)]) == 0
+        (workdir / name).write_text(damaged, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["run", "--config", str(config), "--resume"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(workdir / name) in err
+        assert "Traceback" not in err
+
+    def test_stats_over_damaged_summary_is_one_line(self, tmp_path, capsys):
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        (workdir / "summary.json").write_text("{not json", encoding="utf-8")
+        assert main(["stats", "--workdir", str(workdir)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(workdir / "summary.json") in err
+
     def test_audit_non_json_bench_line_is_error(self, tmp_path, capsys):
         train = tmp_path / "train.jsonl"
         train.write_text(json.dumps({
@@ -648,6 +675,30 @@ class TestRunCommand:
         assert main(["stats", "--workdir", str(workdir)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["counts"]["emitted"] == 12
+
+    def test_stats_reads_a_torn_log_without_changing_it(self, tmp_path,
+                                                        corpus, capsys):
+        config = tmp_path / "config.json"
+        workdir = tmp_path / "work"
+        write_config(config, corpus, workdir)
+        assert main(["generate", "--config", str(config)]) == 0
+        log = workdir / "exemplars.jsonl"
+        lines = log.read_bytes().splitlines(keepends=True)
+        # a repeated entry, then 19 bytes of a torn append
+        torn = b"".join(lines) + lines[0] + lines[1][:19]
+        log.write_bytes(torn)
+        capsys.readouterr()
+        assert main(["stats", "--workdir", str(workdir)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert log.read_bytes() == torn
+        repaired = tmp_path / "repaired.jsonl"
+        repaired.write_bytes(torn)
+        db = ExemplarDB.load(repaired)
+        expected = {f"{kind}/{label}": count
+                    for (kind, label), count in sorted(db.stats().items())}
+        db.close()
+        assert payload["exemplars"] == expected
+        assert sum(expected.values()) == len(lines)
 
     def test_stats_counts_a_bare_dataset(self, tmp_path, capsys):
         workdir = tmp_path / "work"

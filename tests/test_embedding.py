@@ -162,6 +162,35 @@ class TestEmbedBatch:
         for text, vec in zip(texts, vectors):
             assert (vec == mock_vector(text, backend.model_name, 8)).all()
 
+    @pytest.mark.parametrize("batch_size,max_in_flight", [(7, 1), (7, 3), (50, 1)])
+    def test_bytes_equal_the_stacked_rows(self, batch_size, max_in_flight):
+        texts = [f"item {i}" for i in range(50)]
+        config = EmbeddingBackendConfig(batch_size=batch_size, dim=16,
+                                        max_in_flight=max_in_flight)
+        mat = embed_batch(texts, config)
+        expected = np.stack([mock_vector(t, config.model_name, 16) for t in texts])
+        assert mat.dtype == np.float32 and mat.flags.c_contiguous
+        assert mat.tobytes() == expected.tobytes()
+
+    def test_peak_is_the_result_and_a_few_chunks(self):
+        # each chunk is copied into the result as it arrives; keeping every
+        # chunk's rows until a final join took ~300 chunks above the result
+        import tracemalloc
+        n, dim, size = 4000, 64, 32
+        texts = [f"text {i}" for i in range(n)]
+        config = EmbeddingBackendConfig(dim=dim, batch_size=size)
+        embed_batch(texts[:2 * size], config)  # warm numpy's caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            mat = embed_batch(texts, config)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        chunk_bytes = size * dim * 4
+        assert mat.nbytes == n * dim * 4
+        assert peak < mat.nbytes + 16 * chunk_bytes, (peak - mat.nbytes) / chunk_bytes
+
 
 class TestVectorMath:
     """The scalar oracles in ``vector_oracles``."""

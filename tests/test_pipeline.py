@@ -779,6 +779,84 @@ def test_cli_calls_without_vectors_never_import_numpy(corpus, tmp_path):
         assert "numpy" not in modules, args
 
 
+STAGE_MODULES = {f"instructsmith.{name}" for name in (
+    "coreset", "decontam", "discriminator", "emitter", "exemplar_db",
+    "generator")}
+
+STAGE_STEPS = """
+import json
+import sys
+
+stage_modules = set(sys.argv[1].split(","))
+
+
+def check(step):
+    loaded = sorted(stage_modules & set(sys.modules))
+    if loaded:
+        sys.exit(f"{step} loaded {loaded}")
+
+
+import instructsmith
+check("import instructsmith")
+from instructsmith.embedding import make_embedding_backend
+from instructsmith.llm_backend import make_chat_backend
+readme_config, run_config, bench = sys.argv[2:]
+config = instructsmith.PipelineConfig.from_dict(json.loads(readme_config))
+make_chat_backend(config.generation_backend)
+make_chat_backend(config.discrimination_backend)
+make_embedding_backend(config.embedding_backend)
+check("a config parse and building the mock backends")
+config = instructsmith.PipelineConfig.from_dict(json.loads(run_config))
+instructsmith.run(config)
+loaded = stage_modules & set(sys.modules)
+if loaded != stage_modules - {"instructsmith.decontam"}:
+    sys.exit(f"a run loaded {sorted(loaded)}")
+instructsmith.audit_and_plan(config.workdir / "dataset.jsonl", bench,
+                             config.workdir / "audit")
+if "instructsmith.decontam" not in sys.modules:
+    sys.exit("an audit never loaded instructsmith.decontam")
+"""
+
+
+def test_stage_modules_load_when_their_stage_runs(corpus, tmp_path):
+    # importing, parsing, building backends and the CLI calls that run no
+    # stage load none of the stage modules; a run loads all but decontam,
+    # and still makes the pinned bytes; the audit loads decontam
+    workdir = tmp_path / "w"
+    proc = fresh_python("-c", STAGE_STEPS, ",".join(sorted(STAGE_MODULES)),
+                        readme_config(), json.dumps(config_dict(corpus, workdir)),
+                        str(write_bench(tmp_path)))
+    assert proc.returncode == 0, proc.stderr
+    digests = {file: hashlib.sha256((workdir / file).read_bytes()).hexdigest()
+               for file in PINNED_DIGESTS["canned-w1"]}
+    assert digests == PINNED_DIGESTS["canned-w1"]
+    unfinished = tmp_path / "unfinished"  # stats falls back to the logs
+    unfinished.mkdir()
+    for name in ("exemplars.jsonl", "quarantine.jsonl"):
+        (unfinished / name).write_bytes((workdir / name).read_bytes())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config_dict(corpus, workdir, target_acepted=3)))
+    for args, code in ((["--help"], 0),
+                       (["stats", "--workdir", str(workdir)], 0),
+                       (["stats", "--workdir", str(unfinished)], 0),
+                       (["run", "--config", str(bad)], 2)):
+        proc = fresh_python("-X", "importtime", "-m", "instructsmith", *args)
+        assert proc.returncode == code, (args, proc.stderr[-2000:])
+        modules = imported_modules(proc.stderr)
+        assert "instructsmith.cli" in modules
+        assert not modules & STAGE_MODULES, args
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.stem for p in Path(pipeline.__file__).parent.glob("*.py")
+    if p.stem != "__main__"))
+def test_each_module_imports_alone(module):
+    # no import cycle hides behind the order other modules load in
+    name = "instructsmith" if module == "__init__" else f"instructsmith.{module}"
+    proc = fresh_python("-c", f"import {name}")
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_package_root_exports_only_the_entry_points():
     import instructsmith
 
