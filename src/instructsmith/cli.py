@@ -148,15 +148,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_emit(args) -> int:
-    path = Path(args.exemplars)
-    if not path.is_file():
-        # loading would create the log as an empty file
-        raise FileNotFoundError(f"{path}: no such exemplar log")
     from .exemplar_db import ExemplarDB
-    db = ExemplarDB.load(path)
-    summary = pipeline.emit_dataset(db.entries(), args.target, args.output)
-    db.close()
-    _print(summary)
+    rows = ExemplarDB.read(args.exemplars).entries()
+    _print(pipeline.emit_dataset(rows, args.target, args.output))
     return 0
 
 

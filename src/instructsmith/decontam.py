@@ -8,12 +8,12 @@ matrix is never built. Each block is clipped in place and freed before the
 next one is computed, and each row's k-th largest similarity comes from
 partitioning one slice of at most 2^15 similarities at a time, so the scan
 holds one block, one slice and a one-byte-per-entry candidate mask (plus
-one float64 copy of the training vectors, normalized in place). Only the
+one float64 copy of the training vectors, normalized once per audit). Only the
 candidates are sorted; ties break toward the earlier training row, and
 identical training texts tie exactly. Cleaning removes the union of each
 item's top-n neighbors from the training set. With the dataset streamed by
 `pipeline.audit_and_plan`, a paper-sized audit (`tests/audit_memory.py`:
-19,915 rows, 669 items) peaks at 79.3 MiB RSS, 36.8 MiB traced.
+19,915 rows, 669 items) peaks at 77.9 MiB RSS, 35.8 MiB traced.
 """
 
 from __future__ import annotations
@@ -131,22 +131,22 @@ class DecontamPlan:
         }
 
 
-def similarity_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact cosine similarity between every row of ``a`` and of ``b``.
-
-    Zero-norm rows get similarity 0 rather than NaN. Math in float64.
-    """
+def unit_rows(m: np.ndarray) -> np.ndarray:
+    """A float64 copy of ``m`` with each row scaled to unit norm; a zero row
+    stays zero, so its similarities are 0 rather than NaN."""
     import numpy as np
-    # float64 copies, normalized in place: one copy of b, not two
-    a = np.array(a, dtype=np.float64)
-    b = np.array(b, dtype=np.float64)
-    a_norm = np.linalg.norm(a, axis=1, keepdims=True)
-    b_norm = np.linalg.norm(b, axis=1, keepdims=True)
-    a_norm[a_norm == 0.0] = 1.0
-    b_norm[b_norm == 0.0] = 1.0
-    a /= a_norm
-    b /= b_norm
-    sims = a @ b.T
+    m = np.array(m, dtype=np.float64)
+    norm = np.linalg.norm(m, axis=1, keepdims=True)
+    norm[norm == 0.0] = 1.0
+    m /= norm
+    return m
+
+
+def similarity_matrix(a: np.ndarray, b_unit: np.ndarray) -> np.ndarray:
+    """Exact cosine similarity, in float64, between every row of ``a`` and
+    every row of ``b_unit``, whose rows `unit_rows` has normalized."""
+    import numpy as np
+    sims = unit_rows(a) @ b_unit.T
     return np.clip(sims, -1.0, 1.0, out=sims)
 
 
@@ -221,6 +221,7 @@ def audit(train: Sequence[tuple[str, str]], bench: Sequence[BenchmarkItem],
     train_mat = stack_vectors(embed_batch([text for _, text in train], backend))
     bench_mat = stack_vectors(embed_batch([b.canonical_solution for b in bench],
                                           backend))
+    train_mat = unit_rows(train_mat)  # once per audit, not once per block
     # BLAS may round a product differently at different matrix positions;
     # copying each repeated training text's column from its first
     # occurrence makes duplicates tie exactly.

@@ -14,9 +14,9 @@ from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
-from .errors import ConfigError, DiscriminationFailedError, ParseError
+from .errors import ConfigError, ParseError
 from .generator import InstructionInstance, render_generator_output
-from .llm_backend import ChatMessage, ChatRequest, complete
+from .llm_backend import ChatMessage, ChatRequest, ask, complete
 
 ANSWERS = ("yes", "no")
 
@@ -25,7 +25,7 @@ DISCRIMINATION_SYSTEM_TEXT = (
     "instance against every rule, step by step, and answer each rule "
     "explicitly before giving an overall verdict.")
 
-DEFAULT_DISCRIMINATION_TEMPERATURE = 0.0
+DISCRIMINATION_TEMPERATURE = 0.0
 
 _SYSTEM_MESSAGE = ChatMessage("system", DISCRIMINATION_SYSTEM_TEXT)
 _PROMPT_HEAD = ("Judge the following instruction instance against the rules, "
@@ -265,28 +265,15 @@ def parse_discrimination_output(text: str, ruleset: RuleSet, *,
 
 
 def discriminate(instance: InstructionInstance, ruleset: RuleSet, backend,
-                 retries: int = 2, *,
-                 temperature: float = DEFAULT_DISCRIMINATION_TEMPERATURE,
-                 max_output: int = 2048) -> DiscriminationReport:
-    """Judge one instance, retrying when the reply does not parse."""
-    if retries < 0:
-        raise ValueError("retries must be >= 0")
+                 retries: int = 2) -> DiscriminationReport:
+    """Judge one instance in one `ask` conversation; each attempt sends the
+    same request."""
     request = ChatRequest(
         messages=[_SYSTEM_MESSAGE,
                   ChatMessage("user", build_discrimination_prompt(instance, ruleset))],
-        temperature=temperature, max_output=max_output)
-    attempts = retries + 1
-    last_reply = ""
-    last_error: ParseError | None = None
-    for _ in range(attempts):
-        reply = complete(request, backend)
-        last_reply = reply.content
-        try:
-            return parse_discrimination_output(
-                reply.content, ruleset, instance_ref=instance.source_record_id)
-        except ParseError as exc:
-            last_error = exc
-    raise DiscriminationFailedError(
-        f"no parseable analysis for {instance.source_record_id or instance.task_name!r} "
-        f"in {attempts} attempts: {last_error}",
-        last_reply=last_reply, attempts=attempts)
+        temperature=DISCRIMINATION_TEMPERATURE)
+    return ask(lambda attempt: complete(request, backend),
+               lambda reply, attempt: parse_discrimination_output(
+                   reply.content, ruleset, instance_ref=instance.source_record_id),
+               retries, "discrimination",
+               f"analysis for {instance.source_record_id or instance.task_name!r}")

@@ -28,22 +28,14 @@ class ParseError(InstructSmithError):
         self.duplicated = duplicated or []
 
 
-class GenerationFailedError(InstructSmithError):
-    """All generation attempts for one record exhausted without a parseable reply."""
+class UnparseableReplyError(InstructSmithError):
+    """No reply in one model conversation parsed; ``stage`` names it."""
 
-    def __init__(self, message: str, *, last_reply: str = "", attempts: int = 0):
+    def __init__(self, message: str, *, stage: str, attempts: int, last_reply: str):
         super().__init__(message)
-        self.last_reply = last_reply
+        self.stage = stage
         self.attempts = attempts
-
-
-class DiscriminationFailedError(InstructSmithError):
-    """All discrimination attempts for one instance exhausted without a parseable reply."""
-
-    def __init__(self, message: str, *, last_reply: str = "", attempts: int = 0):
-        super().__init__(message)
         self.last_reply = last_reply
-        self.attempts = attempts
 
 
 class BackendError(InstructSmithError):

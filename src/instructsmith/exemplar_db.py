@@ -22,7 +22,7 @@ from .emitter import TrainingExample, to_training_example
 from .errors import ConsistencyError
 from .generator import InstructionInstance, render_exemplar
 from .ioutil import JsonlAppender, iter_jsonl
-from .taskspec import LABELS, TASK_KINDS, SamplingPolicy
+from .taskspec import LABELS, SamplingPolicy
 
 log = logging.getLogger(__name__)
 
@@ -99,11 +99,11 @@ class Exemplar:
         )
 
 
-def make_entry(instance: InstructionInstance, report: DiscriminationReport,
-               entry_id: str = "") -> ExemplarEntry:
+def make_entry(instance: InstructionInstance,
+               report: DiscriminationReport) -> ExemplarEntry:
     """Build an entry from a judged instance; created_seq is assigned on insert."""
     return ExemplarEntry(
-        entry_id=entry_id or f"{instance.source_record_id}:{instance.task_kind}",
+        entry_id=f"{instance.source_record_id}:{instance.task_kind}",
         instance=instance,
         report=report,
         label=report.label,
@@ -118,7 +118,8 @@ class ExemplarDB:
     sample sees a consistent snapshot no older than the last insert. A store
     built with ``ExemplarDB()`` lives in memory; one opened with
     ``ExemplarDB.load(path)`` persists every insert immediately (flush per
-    line), and its file keeps each entry whole.
+    line), and its file keeps each entry whole; ``ExemplarDB.read(path)``
+    only reads the file.
 
     In memory the store holds one `Exemplar` row per entry, not the entry:
     the instance, its generation metadata and the discriminator's report are
@@ -145,34 +146,42 @@ class ExemplarDB:
     @classmethod
     def load(cls, path: str | Path) -> "ExemplarDB":
         """Rebuild a db from its file (created when absent); appends continue
-        at the same file. The file is read line by line, and each entry is
-        reduced to its row as it is read."""
-        db = cls()
+        at the same file."""
         # Open (and so repair) the appender before reading: a torn tail that
         # happens to parse must be dropped, not read once and then truncated
         # away by a later append.
-        db._appender = JsonlAppender(path)
+        appender = JsonlAppender(path)
         try:
-            for lineno, obj in iter_jsonl(path):
-                try:
-                    entry = ExemplarEntry.from_dict(obj)
-                    row = Exemplar.of(entry)
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise ConsistencyError(
-                        f"{path}:{lineno}: bad exemplar entry: {exc}") from exc
-                if row.entry_id in db._rows:
-                    log.warning("%s:%d: duplicate entry id %r ignored",
-                                path, lineno, row.entry_id)
-                    continue
-                if row.created_seq < db._next_seq - 1:
-                    raise ConsistencyError(
-                        f"{path}:{lineno}: created_seq {row.created_seq} is out "
-                        f"of order")
-                db._index(row)
-                db._next_seq = max(db._next_seq, row.created_seq + 1)
+            db = cls.read(path)
         except BaseException:
-            db.close()  # a store that fails to load leaves no open log
+            appender.close()  # a store that fails to load leaves no open log
             raise
+        db._appender = appender
+        return db
+
+    @classmethod
+    def read(cls, path: str | Path) -> "ExemplarDB":
+        """Rebuild an in-memory db from its file, leaving the file as it is:
+        an unterminated last line is skipped. The file is read line by line,
+        and each entry is reduced to its row as it is read."""
+        db = cls()
+        for lineno, obj in iter_jsonl(path, complete_only=True):
+            try:
+                entry = ExemplarEntry.from_dict(obj)
+                row = Exemplar.of(entry)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConsistencyError(
+                    f"{path}:{lineno}: bad exemplar entry: {exc}") from exc
+            if row.entry_id in db._rows:
+                log.warning("%s:%d: duplicate entry id %r ignored",
+                            path, lineno, row.entry_id)
+                continue
+            if row.created_seq < db._next_seq - 1:
+                raise ConsistencyError(
+                    f"{path}:{lineno}: created_seq {row.created_seq} is out "
+                    f"of order")
+            db._index(row)
+            db._next_seq = max(db._next_seq, row.created_seq + 1)
         return db
 
     def insert(self, entry: ExemplarEntry) -> Exemplar:
@@ -226,14 +235,6 @@ class ExemplarDB:
                 # the same indices rng.sample(pool[:k], n) would draw
                 picked += [pool[i] for i in rng.sample(range(k), min(n, k))]
         return picked
-
-    def stats(self) -> dict[tuple[str, str], int]:
-        """Exact (task_kind, label) counts, zero-filled for the known kinds."""
-        counts = {(kind, label): 0 for kind in TASK_KINDS for label in LABELS}
-        with self._lock:
-            for (kind, label), pool in self._task_pools.items():
-                counts[(kind, label)] = len(pool)
-        return counts
 
     def close(self) -> None:
         if self._appender is not None:

@@ -3,8 +3,7 @@
 A generation prompt stacks the task definition, its numbered requirements,
 sampled good/bad exemplars, and the raw code, then asks for a reply in four
 labeled fields: task_name, instruction, information, solution. The parser
-accepts exactly that shape; a malformed reply triggers a retry with a fresh
-exemplar sample.
+accepts exactly that shape.
 """
 
 from __future__ import annotations
@@ -14,8 +13,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import GenerationFailedError, ParseError
-from .llm_backend import ChatMessage, ChatRequest, complete
+from .errors import ParseError
+from .llm_backend import ChatMessage, ChatRequest, ask, complete
 
 REQUIRED_KEYS = ("task_name", "instruction", "solution")
 
@@ -35,7 +34,7 @@ _KEY_RE = re.compile(
     r"^[ \t]*(task_name|instruction|information|solution)[ \t]*:",
     re.IGNORECASE | re.MULTILINE)
 
-DEFAULT_GENERATION_TEMPERATURE = 0.7
+GENERATION_TEMPERATURE = 0.7
 
 
 @dataclass
@@ -196,42 +195,29 @@ def exemplar_sample_seed(base_seed: int, record_id: str, attempt: int) -> int:
 
 def generate_instance(record, taskdef, db, backend, retries: int = 2, *,
                       sampling_policy=None, seed: int = 0,
-                      before_seq: int | None = None,
-                      temperature: float = DEFAULT_GENERATION_TEMPERATURE,
-                      max_output: int = 2048) -> InstructionInstance:
-    """Generate one instance for ``record``, retrying on parse failures.
+                      before_seq: int | None = None) -> InstructionInstance:
+    """Generate one instance for ``record`` in one `ask` conversation. Each
+    attempt samples its own exemplars from ``db``, seeded per attempt, from
+    the entries created before ``before_seq`` (see ``ExemplarDB.sample``)."""
+    prompt: GenerationPrompt
 
-    Each attempt resamples exemplars from ``db`` (seeded per attempt), so a
-    reply the model cannot format is retried with different few-shot context.
-    ``before_seq`` limits the exemplars to entries created before it (see
-    ``ExemplarDB.sample``). Backend errors are not caught here;
-    transport-level retries belong to the backend's own policy.
-    """
-    if retries < 0:
-        raise ValueError("retries must be >= 0")
-    attempts = retries + 1
-    last_reply = ""
-    last_error: ParseError | None = None
-    for attempt in range(1, attempts + 1):
+    def send(attempt: int):
+        nonlocal prompt
         exemplars = []
         if db is not None:
             exemplars = db.sample(taskdef.kind, sampling_policy,
                                   seed=exemplar_sample_seed(seed, record.id, attempt),
                                   before_seq=before_seq)
         prompt = build_generation_prompt(record, taskdef, exemplars)
-        request = ChatRequest(
+        return complete(ChatRequest(
             messages=[_SYSTEM_MESSAGE, ChatMessage("user", prompt.user_text)],
-            temperature=temperature, max_output=max_output)
-        reply = complete(request, backend)
-        last_reply = reply.content
-        try:
-            return parse_generator_output(
-                reply.content, source_record_id=record.id, task_kind=taskdef.kind,
-                generation_meta={"model": reply.model_name, "attempts": attempt,
-                                 "exemplar_ids": prompt.exemplar_ids,
-                                 "usage": dict(reply.usage)})
-        except ParseError as exc:
-            last_error = exc
-    raise GenerationFailedError(
-        f"no parseable reply for record {record.id} in {attempts} attempts: "
-        f"{last_error}", last_reply=last_reply, attempts=attempts)
+            temperature=GENERATION_TEMPERATURE), backend)
+
+    def parse(reply, attempt: int) -> InstructionInstance:
+        return parse_generator_output(
+            reply.content, source_record_id=record.id, task_kind=taskdef.kind,
+            generation_meta={"model": reply.model_name, "attempts": attempt,
+                             "exemplar_ids": prompt.exemplar_ids,
+                             "usage": dict(reply.usage)})
+
+    return ask(send, parse, retries, "generation", f"reply for record {record.id}")

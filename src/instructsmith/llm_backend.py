@@ -1,4 +1,5 @@
-"""Chat-completion client abstraction: HTTP backend, scriptable mock, retries.
+"""Chat-completion client abstraction: HTTP backend, scriptable mock, and
+`ask`, the one loop that asks a model again when its reply does not parse.
 
 One client shape serves both the generation model and the discrimination
 model; they differ only in their `BackendConfig`. The mock backend replays a
@@ -19,10 +20,12 @@ from typing import Callable, Sequence, TypedDict, TypeVar
 from .errors import (
     BackendError,
     BackendTimeoutError,
+    ParseError,
     ProtocolError,
     RateLimitedError,
     ScriptedMissError,
     ServerBackendError,
+    UnparseableReplyError,
 )
 
 log = logging.getLogger(__name__)
@@ -328,3 +331,22 @@ def complete(request: ChatRequest, backend: ChatBackend,
         config = getattr(backend, "config", None)
         policy = config.retry if config is not None else DEFAULT_RETRY
     return with_retry(lambda: backend.send(request), policy, sleep)
+
+
+def ask(send: Callable[[int], ChatReply], parse: Callable[[ChatReply, int], T],
+        retries: int, stage: str, subject: str) -> T:
+    """Return ``parse(send(attempt), attempt)`` for the first of attempts
+    1 .. ``retries`` + 1 whose reply parses: a `ParseError` asks again, a
+    backend error propagates, and when no reply parses the conversation
+    ends in `UnparseableReplyError`."""
+    if retries < 0:
+        raise ValueError("retries must be >= 0")
+    for attempt in range(1, retries + 2):
+        reply = send(attempt)
+        try:
+            return parse(reply, attempt)
+        except ParseError as exc:
+            error = exc
+    raise UnparseableReplyError(
+        f"no parseable {subject} in {attempt} attempts: {error}",
+        stage=stage, attempts=attempt, last_reply=reply.content)

@@ -47,12 +47,7 @@ from .embedding import (
     read_embedding_cache,
     write_embedding_cache,
 )
-from .errors import (
-    ConfigError,
-    ConsistencyError,
-    DiscriminationFailedError,
-    GenerationFailedError,
-)
+from .errors import ConfigError, ConsistencyError, UnparseableReplyError
 from .ioutil import (
     JsonlAppender,
     atomic_write_json,
@@ -536,18 +531,12 @@ def generate_exemplars(config: PipelineConfig, records: Sequence[RawCodeRecord],
                 retries=config.retries["generation"],
                 sampling_policy=config.sampling, seed=config.seed,
                 before_seq=before_seq)
-        except GenerationFailedError as exc:
-            return ("quarantined", {"record_id": record.id, "task": kind,
-                                    "stage": "generation", "error": str(exc),
-                                    "attempts": exc.attempts})
-        try:
             report = discriminate(
                 instance, rulesets[kind], discrimination_backend,
                 retries=config.retries["discrimination"])
-        except DiscriminationFailedError as exc:
+        except UnparseableReplyError as exc:
             return ("quarantined", {"record_id": record.id, "task": kind,
-                                    "stage": "discrimination",
-                                    "error": str(exc),
+                                    "stage": exc.stage, "error": str(exc),
                                     "attempts": exc.attempts})
         return ("entry", make_entry(instance, report))
 

@@ -8,8 +8,9 @@ Builds the criterion-1-shaped dataset with the mock backends in a temp dir
 benchmark file of 664 synthetic items (the size of HumanEval + MBPP) plus
 planted verbatim copies of dataset rows, and runs ``audit_and_plan`` on them
 twice, each time in a fresh interpreter: once untraced for the peak RSS
-(``ru_maxrss``), once under ``tracemalloc`` for the traced peak. Prints both
-peaks and the sha256 of ``leakage_report.json``, ``decontam_plan.json`` and
+(``ru_maxrss``) and the wall time, once under ``tracemalloc`` for the traced
+peak. Prints both peaks, the untraced audit's seconds and the sha256 of
+``leakage_report.json``, ``decontam_plan.json`` and
 ``dataset.cleaned.jsonl``. Nothing is downloaded. The program is imported
 from the ``src`` directory of the checkout this script sits in, so running
 the script from two checkouts compares them.
@@ -83,16 +84,19 @@ def build_inputs(directory: Path, seed: int) -> tuple[Path, Path]:
 
 
 def audit_once(dataset: str, bench: str, out_dir: str, traced: bool) -> None:
-    """The child: one audit, then one JSON line with its peaks."""
+    """The child: one audit, then one JSON line with its peaks and seconds."""
     import resource
+    import time
     import tracemalloc
 
     from instructsmith.pipeline import audit_and_plan
 
     if traced:
         tracemalloc.start()
+    start = time.perf_counter()
     audit_and_plan(dataset, bench, out_dir, top_k=3, n_per_item=3)
-    result = {"peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+    result = {"seconds": time.perf_counter() - start,
+              "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
     if traced:
         result["traced_peak_mib"] = tracemalloc.get_traced_memory()[1] / 2**20
     result["sha256"] = {name: hashlib.sha256((Path(out_dir) / name).read_bytes()).hexdigest()
@@ -126,6 +130,7 @@ def main() -> None:
     print(f"source:           {SRC}")
     print(f"peak RSS:         {plain['peak_rss_mib']:.1f} MiB")
     print(f"tracemalloc peak: {traced['traced_peak_mib']:.1f} MiB")
+    print(f"untraced audit:   {plain['seconds']:.2f} s")
     for name, digest in plain["sha256"].items():
         print(f"sha256 {name}: {digest}")
 

@@ -7,6 +7,7 @@ hermetic mock backends make every invocation deterministic and offline.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import is_dataclass
 from pathlib import Path
 from typing import get_args, get_origin, is_typeddict
@@ -694,11 +695,32 @@ class TestRunCommand:
         repaired = tmp_path / "repaired.jsonl"
         repaired.write_bytes(torn)
         db = ExemplarDB.load(repaired)
-        expected = {f"{kind}/{label}": count
-                    for (kind, label), count in sorted(db.stats().items())}
+        expected = Counter(f"{row.task_kind}/{row.label}" for row in db.entries())
         db.close()
-        assert payload["exemplars"] == expected
+        assert {key: n for key, n in payload["exemplars"].items() if n} == expected
+        assert len(payload["exemplars"]) == 8  # zero-filled
         assert sum(expected.values()) == len(lines)
+
+    def test_emit_reads_a_torn_log_without_changing_it(self, tmp_path,
+                                                       corpus, capsys):
+        config = tmp_path / "config.json"
+        workdir = tmp_path / "work"
+        write_config(config, corpus, workdir)
+        assert main(["generate", "--config", str(config)]) == 0
+        log = workdir / "exemplars.jsonl"
+        torn = log.read_bytes() + b'{"entry_id": "torn'
+        log.write_bytes(torn)
+        repaired = tmp_path / "repaired.jsonl"
+        repaired.write_bytes(torn)
+        ExemplarDB.load(repaired).close()
+        for source, out in ((log, "dataset.jsonl"),
+                            (repaired, "dataset.repaired.jsonl")):
+            assert main(["emit", "--exemplars", str(source), "--output",
+                         str(tmp_path / out), "--target", "12"]) == 0
+        assert log.read_bytes() == torn
+        assert len(read_dataset(tmp_path / "dataset.jsonl")) == 12
+        assert ((tmp_path / "dataset.jsonl").read_bytes()
+                == (tmp_path / "dataset.repaired.jsonl").read_bytes())
 
     def test_stats_counts_a_bare_dataset(self, tmp_path, capsys):
         workdir = tmp_path / "work"

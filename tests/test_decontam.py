@@ -231,9 +231,9 @@ class TestBlockedAudit:
     def test_scan_holds_one_block(self, monkeypatch):
         # 3,000 training rows in blocks of 87 x 3,000 similarities (2 MiB):
         # once both embedding matrices exist, the scan adds one block, the
-        # ranking's slice and mask, and similarity_matrix's float64 copy of
-        # the training matrix (two copies' worth while it takes the norms);
-        # not two blocks
+        # ranking's slice and mask, and unit_rows' float64 copy of the
+        # training matrix (two copies' worth while it takes the norms); not
+        # two blocks
         budget = 2**18
         monkeypatch.setattr(decontam, "BLOCK_SIMILARITIES", budget)
         matrices, held = [], []

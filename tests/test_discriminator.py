@@ -21,8 +21,8 @@ from instructsmith.discriminator import (
 )
 from instructsmith.errors import (
     ConfigError,
-    DiscriminationFailedError,
     ParseError,
+    UnparseableReplyError,
 )
 from instructsmith.hermetic import canned_discrimination_reply
 from instructsmith.llm_backend import MockChatBackend, ScriptEntry
@@ -261,7 +261,7 @@ class TestDiscriminate:
 
     def test_exhaustion(self, circle_instance, ruleset):
         backend = MockChatBackend([ScriptEntry(None, "nope", times=None)])
-        with pytest.raises(DiscriminationFailedError) as excinfo:
+        with pytest.raises(UnparseableReplyError) as excinfo:
             discriminate(circle_instance, ruleset, backend, retries=1)
         assert excinfo.value.attempts == 2
         assert excinfo.value.last_reply == "nope"

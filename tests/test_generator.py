@@ -11,9 +11,9 @@ from instructsmith.discriminator import (
     RuleVerdict,
 )
 from instructsmith.errors import (
-    GenerationFailedError,
     ParseError,
     ProtocolError,
+    UnparseableReplyError,
 )
 from instructsmith.exemplar_db import Exemplar, ExemplarEntry
 from instructsmith.generator import (
@@ -278,7 +278,7 @@ class TestGenerateInstance:
     def test_exhaustion_raises_with_last_reply(self):
         backend = MockChatBackend(
             [ScriptEntry(None, "still not parseable", times=None)])
-        with pytest.raises(GenerationFailedError) as excinfo:
+        with pytest.raises(UnparseableReplyError) as excinfo:
             generate_instance(RECORD, self.taskdef, FakeDB(), backend, retries=0)
         assert excinfo.value.last_reply == "still not parseable"
         assert excinfo.value.attempts == 1

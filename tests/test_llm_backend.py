@@ -7,10 +7,12 @@ from instructsmith.embedding import EmbeddingBackendConfig, HttpEmbeddingBackend
 from instructsmith.errors import (
     BackendError,
     ConfigError,
+    ParseError,
     ProtocolError,
     RateLimitedError,
     ScriptedMissError,
     ServerBackendError,
+    UnparseableReplyError,
 )
 from instructsmith.llm_backend import (
     BackendConfig,
@@ -21,6 +23,7 @@ from instructsmith.llm_backend import (
     MockChatBackend,
     RetryPolicy,
     ScriptEntry,
+    ask,
     complete,
 )
 from instructsmith.pipeline import PipelineConfig
@@ -160,6 +163,60 @@ class TestComplete:
                      RetryPolicy(max_attempts=2, base_delay=0.0),
                      sleep=lambda s: None)
         assert len(backend.transcript) == 2
+
+
+class TestAsk:
+    """`ask`: the one loop that asks again when a reply does not parse."""
+
+    def conversation(self, replies):
+        calls = []
+
+        def send(attempt):
+            calls.append(("send", attempt))
+            return ChatReply(content=replies[attempt - 1])
+
+        def parse(reply, attempt):
+            calls.append(("parse", attempt))
+            if reply.content != "ok":
+                raise ParseError(f"unparseable {reply.content}")
+            return attempt
+
+        return send, parse, calls
+
+    def test_asks_again_until_a_reply_parses(self):
+        send, parse, calls = self.conversation(["a", "b", "ok", "never"])
+        assert ask(send, parse, 3, "generation", "reply") == 3
+        assert calls == [("send", 1), ("parse", 1), ("send", 2), ("parse", 2),
+                         ("send", 3), ("parse", 3)]
+
+    def test_exhaustion_names_stage_attempts_and_last_reply(self):
+        send, parse, calls = self.conversation(["a", "b"])
+        with pytest.raises(UnparseableReplyError) as excinfo:
+            ask(send, parse, 1, "discrimination", "analysis for 'r1'")
+        error = excinfo.value
+        assert str(error) == ("no parseable analysis for 'r1' in 2 attempts: "
+                              "unparseable b")
+        assert (error.stage, error.attempts, error.last_reply) == (
+            "discrimination", 2, "b")
+        assert [c for c in calls if c[0] == "send"] == [("send", 1), ("send", 2)]
+
+    def test_backend_error_propagates_uncaught(self):
+        error = BackendError("HTTP 400")
+        parsed = []
+
+        def send(attempt):
+            raise error
+
+        with pytest.raises(BackendError) as excinfo:
+            ask(send, lambda reply, attempt: parsed.append(reply), 2,
+                "generation", "reply")
+        assert excinfo.value is error and parsed == []
+
+    def test_negative_retries_rejected_before_sending(self):
+        send, parse, calls = self.conversation(["ok"])
+        with pytest.raises(ValueError):
+            ask(send, parse, -1, "generation", "reply")
+        assert calls == []
 
 
 def chat_body(content, model="served-model"):

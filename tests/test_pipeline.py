@@ -271,6 +271,35 @@ class TestRun:
             # r000 was not among the records processed before the target hit
             assert summary.counts["quarantined"] == 0
 
+    def test_quarantine_lines_name_the_failing_conversation(self, corpus,
+                                                            tmp_path):
+        # fn_5's drafts never parse, nor do the judgements of about one
+        # instance in seven
+        gen = canned_generation_backend()
+        gen.script.insert(0, ScriptEntry("def fn_5(", "not a labeled reply",
+                                         times=None))
+        disc = canned_discrimination_backend(bad_modulus=5)
+        disc.script.insert(0, ScriptEntry(
+            lambda text: int(re.search(r"Canned Task (\w+)", text)[1], 16) % 7 == 1,
+            "<answer: maybe, unsure>", times=None))
+        config = make_config(corpus, tmp_path / "w", target_accepted=40,
+                             retries={"generation": 1, "discrimination": 2})
+        run(config, generation_backend=gen, discrimination_backend=disc)
+        assert (tmp_path / "w" / "quarantine.jsonl").read_text() == (
+            QUARANTINE_LINES)
+
+
+# The quarantine log of the run above: key order, stage names and both
+# message texts are part of the log's format.
+QUARANTINE_LINES = "".join(line + "\n" for line in (
+    '{"record_id": "r005", "task": "CodeGeneration", "stage": "generation", '
+    '"error": "no parseable reply for record r005 in 2 attempts: missing '
+    'keys: task_name, instruction, solution", "attempts": 2}',
+    *(f'{{"record_id": "{rid}", "task": "CodeSummarization", "stage": '
+      f'"discrimination", "error": "no parseable analysis for \'{rid}\' in '
+      f'3 attempts: unrecognized answer tokens: maybe", "attempts": 3}}'
+      for rid in ("r048", "r023", "r014"))))
+
 
 # sha256 of dataset.jsonl and exemplars.jsonl for the 60-record corpus above:
 # any change to a prompt, a parse or the log encoding moves one of them.
