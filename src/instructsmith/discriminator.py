@@ -103,6 +103,17 @@ class RuleSet:
                             re.IGNORECASE))
                 for rule in self.all_rules()]
 
+    @cached_property
+    def lowered_anchors(self) -> list[tuple[str, re.Pattern]]:
+        """`anchors` for the lower-cased text of an ASCII reply. There an
+        ASCII rule's lower-cased text, matched case-sensitively, finds what
+        the case-insensitive pattern finds, and faster; other rules keep
+        the case-insensitive pattern."""
+        return [(rule.rule_id,
+                 re.compile(r"\s+".join(map(re.escape, rule.text.lower().split())))
+                 if rule.text.isascii() else anchor)
+                for rule, (_, anchor) in zip(self.all_rules(), self.anchors)]
+
     @classmethod
     def from_dict(cls, d: dict) -> "RuleSet":
         try:
@@ -221,27 +232,29 @@ def parse_discrimination_output(text: str, ruleset: RuleSet, *,
         answer = token.lower()
         if answer not in ANSWERS:
             bad_tokens.append(token)
-        elif reason is not None and m.start() >= span_end:
+        elif reason is not None and (start := m.start()) >= span_end:
             span_end = m.end(2) + 1
-            spans.append((m.start(), span_end, answer, reason))
+            spans.append((start, span_end, answer, reason))
     if bad_tokens:
         raise ParseError(f"unrecognized answer tokens: {', '.join(bad_tokens)}")
-    unused = list(range(len(spans)))
+    if text.isascii():
+        scanned, anchors = text.lower(), ruleset.lowered_anchors
+    else:
+        scanned, anchors = text, ruleset.anchors
     verdicts: list[RuleVerdict] = []
     absent: list[str] = []
     cursor = 0
-    for rule_id, anchor in ruleset.anchors:
-        if not unused:
+    for rule_id, anchor in anchors:
+        if not spans:  # every span is claimed
             absent.append(rule_id)
             continue
         # the first unclaimed span after the rule text, else the first
         # unclaimed span
-        chosen = unused[0]
-        m = anchor.search(text, cursor)
-        if m is not None and spans[chosen][0] < m.end():
-            chosen = next((j for j in unused if spans[j][0] >= m.end()), chosen)
-        unused.remove(chosen)
-        _, end, answer, reason = spans[chosen]
+        i = 0
+        m = anchor.search(scanned, cursor)
+        if m is not None and spans[0][0] < (anchor_end := m.end()):
+            i = next((j for j, span in enumerate(spans) if span[0] >= anchor_end), 0)
+        _, end, answer, reason = spans.pop(i)
         reason = reason.strip()
         if not reason:
             absent.append(rule_id)

@@ -14,14 +14,16 @@ import sys
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass
+from json.encoder import encode_basestring as _json_str
 from operator import attrgetter
 from pathlib import Path
+from typing import Iterable
 
 from .discriminator import DiscriminationReport
 from .emitter import TrainingExample, to_training_example
 from .errors import ConsistencyError
 from .generator import InstructionInstance, render_exemplar
-from .ioutil import JsonlAppender, iter_jsonl
+from .ioutil import JsonlAppender, encode_json, iter_jsonl
 from .taskspec import LABELS, SamplingPolicy
 
 log = logging.getLogger(__name__)
@@ -58,16 +60,31 @@ class ExemplarEntry:
             "created_seq": self.created_seq,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExemplarEntry":
-        return cls(
-            entry_id=str(d["entry_id"]),
-            instance=InstructionInstance.from_dict(d["instance"]),
-            report=DiscriminationReport.from_dict(d["report"]),
-            label=str(d["label"]),
-            task_kind=str(d["task_kind"]),
-            created_seq=int(d.get("created_seq", -1)),
-        )
+    def to_json(self) -> str:
+        """The entry's log line: the text ``json.dumps(self.to_dict(),
+        ensure_ascii=False)`` gives, written field by field in the same
+        order, without building the dicts."""
+        inst, report = self.instance, self.report
+        verdicts = ", ".join([
+            f'{{"rule_id": {_json_str(v.rule_id)}, "answer": '
+            f'{_json_str(v.answer)}, "reason": {_json_str(v.reason)}}}'
+            for v in report.verdicts])
+        return (
+            f'{{"entry_id": {_json_str(self.entry_id)}, "instance": '
+            f'{{"task_name": {_json_str(inst.task_name)}, '
+            f'"instruction": {_json_str(inst.instruction)}, '
+            f'"information": {_json_str(inst.information)}, '
+            f'"solution": {_json_str(inst.solution)}, '
+            f'"source_record_id": {_json_str(inst.source_record_id)}, '
+            f'"task_kind": {_json_str(inst.task_kind)}, '
+            f'"generation_meta": {encode_json(inst.generation_meta)}}}, '
+            f'"report": {{"instance_ref": {_json_str(report.instance_ref)}, '
+            f'"verdicts": [{verdicts}], "overall": {_json_str(report.overall)}, '
+            f'"overall_reasons": {_json_str(report.overall_reasons)}, '
+            f'"label": {_json_str(report.label)}}}, '
+            f'"label": {_json_str(self.label)}, '
+            f'"task_kind": {_json_str(self.task_kind)}, '
+            f'"created_seq": {self.created_seq}}}')
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,18 +102,45 @@ class Exemplar:
     example: TrainingExample | None = None
 
     @classmethod
+    def build(cls, created_seq: int, entry_id: str, task_kind: str,
+              label: str, instance: InstructionInstance,
+              rejections: Iterable[tuple[str, str]],
+              overall_reasons: str) -> "Exemplar":
+        """The row of one entry, from its parts: ``rejections`` are the
+        (rule id, reason) of each rule a Bad entry failed, read only when
+        the entry is Bad."""
+        # task_kind and label: one shared string per kind and label, not one
+        # per loaded row
+        return cls(created_seq, entry_id, instance.source_record_id,
+                   sys.intern(task_kind), sys.intern(label),
+                   render_exemplar(label, instance, rejections, overall_reasons),
+                   to_training_example(instance) if label == "Good" else None)
+
+    @classmethod
     def of(cls, entry: ExemplarEntry) -> "Exemplar":
-        return cls(
-            created_seq=entry.created_seq,
-            entry_id=entry.entry_id,
-            source_record_id=entry.instance.source_record_id,
-            # one shared string per kind and label, not one per loaded row
-            task_kind=sys.intern(entry.task_kind),
-            label=sys.intern(entry.label),
-            block=render_exemplar(entry),
-            example=(to_training_example(entry.instance)
-                     if entry.label == "Good" else None),
-        )
+        report = entry.report
+        return cls.build(
+            entry.created_seq, entry.entry_id, entry.task_kind, entry.label,
+            entry.instance,
+            ((v.rule_id, v.reason) for v in report.verdicts if v.answer == "no"),
+            report.overall_reasons)
+
+    @classmethod
+    def from_line(cls, obj: dict) -> "Exemplar":
+        """The row of one parsed log line, built without the entry: the
+        instance is read and checked, the report only for the rules the
+        entry failed and its overall reasons."""
+        label = str(obj["label"])
+        if label not in LABELS:
+            raise ValueError(f"label must be one of {LABELS}")
+        report = obj["report"]
+        return cls.build(
+            int(obj.get("created_seq", -1)), str(obj["entry_id"]),
+            str(obj["task_kind"]), label,
+            InstructionInstance.from_dict(obj["instance"]),
+            [(str(v["rule_id"]), str(v["reason"]))
+             for v in report.get("verdicts", ()) if v["answer"] == "no"],
+            str(report.get("overall_reasons", "")))
 
 
 def make_entry(instance: InstructionInstance,
@@ -163,13 +207,12 @@ class ExemplarDB:
     def read(cls, path: str | Path) -> "ExemplarDB":
         """Rebuild an in-memory db from its file, leaving the file as it is:
         an unterminated last line is skipped. The file is read line by line,
-        and each entry is reduced to its row as it is read."""
+        and each line becomes its row (`Exemplar.from_line`) as it is read."""
         db = cls()
         for lineno, obj in iter_jsonl(path, complete_only=True):
             try:
-                entry = ExemplarEntry.from_dict(obj)
-                row = Exemplar.of(entry)
-            except (KeyError, TypeError, ValueError) as exc:
+                row = Exemplar.from_line(obj)
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise ConsistencyError(
                     f"{path}:{lineno}: bad exemplar entry: {exc}") from exc
             if row.entry_id in db._rows:
@@ -196,7 +239,7 @@ class ExemplarDB:
             self._next_seq += 1
             self._index(row)
             if self._appender is not None:
-                self._appender.append(entry.to_dict())
+                self._appender.append(entry.to_json())
         return row
 
     def __len__(self) -> int:
@@ -224,16 +267,24 @@ class ExemplarDB:
         picked: list[Exemplar] = []
         with self._lock:
             if policy.same_task_only:
-                goods = self._task_pools.get((task, "Good"), [])
-                bads = self._task_pools.get((task, "Bad"), [])
+                goods = self._task_pools.get((task, "Good"), ())
+                bads = self._task_pools.get((task, "Bad"), ())
             else:
-                goods = self._label_pools.get("Good", [])
-                bads = self._label_pools.get("Bad", [])
+                goods = self._label_pools.get("Good", ())
+                bads = self._label_pools.get("Bad", ())
             for pool, n in ((goods, policy.n_good), (bads, policy.n_bad)):
-                k = (len(pool) if before_seq is None
-                     else bisect_left(pool, before_seq, key=_SEQ))
-                # the same indices rng.sample(pool[:k], n) would draw
-                picked += [pool[i] for i in rng.sample(range(k), min(n, k))]
+                k = len(pool)
+                # a bound below the newest row (never at max_in_flight 1)
+                # cuts the pool to a prefix
+                if k and before_seq is not None and pool[-1].created_seq >= before_seq:
+                    k = bisect_left(pool, before_seq, key=_SEQ)
+                # the rows rng.sample(pool[:k], m) would draw; one draw is
+                # pool[rng.randrange(k)], at a sixth of the cost
+                m = min(n, k)
+                if m == 1:
+                    picked.append(pool[rng.randrange(k)])
+                else:
+                    picked += [pool[i] for i in rng.sample(range(k), m)]
         return picked
 
     def close(self) -> None:

@@ -13,9 +13,10 @@ from .errors import ConsistencyError
 
 log = logging.getLogger(__name__)
 
-# One encoder for every JSONL line; json.dumps(row, ensure_ascii=False) would
-# build a new one per call. Encoding keeps no state between calls.
-_LINE_ENCODER = json.JSONEncoder(ensure_ascii=False)
+# The JSON text of a JSONL line, as json.dumps(row, ensure_ascii=False) gives
+# it, from one encoder that keeps no state between calls. A row is a tree,
+# so the check for circular references is skipped.
+encode_json = json.JSONEncoder(ensure_ascii=False, check_circular=False).encode
 
 
 @contextmanager
@@ -59,7 +60,7 @@ def atomic_write_jsonl(path: str | Path, rows: Iterable[dict]) -> int:
     count = 0
     with atomic_open(path) as fh:
         for row in rows:
-            fh.write((_LINE_ENCODER.encode(row) + "\n").encode("utf-8"))
+            fh.write((encode_json(row) + "\n").encode("utf-8"))
             count += 1
     return count
 
@@ -141,8 +142,9 @@ class JsonlAppender:
         repair_torn_tail(self.path)
         self._fh = open(self.path, "a", encoding="utf-8", newline="\n")
 
-    def append(self, row: dict) -> None:
-        self._fh.write(_LINE_ENCODER.encode(row) + "\n")
+    def append(self, row: dict | str) -> None:
+        """Append ``row``, a JSON object or the JSON text of one, as a line."""
+        self._fh.write((row if isinstance(row, str) else encode_json(row)) + "\n")
         self._fh.flush()
 
     def close(self) -> None:

@@ -94,13 +94,17 @@ def _on_first_call(module: str, name: str) -> Callable:
     """A stand-in for function ``name`` of ``module`` (relative to this
     package) that imports the module at its first call. It is an attribute
     of this module from import on, and callers look it up at call time, so
-    replacing it (as tests and tracers do) works as for a plain import."""
+    replacing it (as tests and tracers do) works as for a plain import. The
+    first call also puts the function in its place, unless the attribute
+    was replaced meanwhile, so later calls go to the function directly."""
     target = None
 
     def call(*args, **kwargs):
         nonlocal target
         if target is None:
             target = getattr(importlib.import_module(module, __package__), name)
+            if globals().get(name) is call:
+                globals()[name] = target
         return target(*args, **kwargs)
 
     call.__name__ = call.__qualname__ = name

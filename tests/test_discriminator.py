@@ -288,6 +288,18 @@ RULE_TEXT_CHANGES = (["same", "same", "upper", "lower", "swapcase", "spaces"],
                      ["fold", "cut", "foreign"])
 
 
+def _non_ascii_rules(ruleset: RuleSet) -> RuleSet:
+    """``ruleset`` with non-ASCII rule texts that still match the ASCII
+    originals case-insensitively (long s, Kelvin sign, dotted capital I)."""
+    def fold(text: str) -> str:
+        return text.replace("s", "\u017f").replace("k", "\u212a").replace("i", "\u0130")
+
+    return RuleSet(id=ruleset.id, steps=[
+        RuleStep(step.name, [Rule(r.rule_id, fold(r.text) if n % 2 else r.text)
+                             for n, r in enumerate(step.rules)])
+        for step in ruleset.steps])
+
+
 def _pick(draw, choices, odd: int):
     """A usual choice, or with odd/10 chance an unusual one."""
     usual, unusual = choices
@@ -315,11 +327,13 @@ def _varied(draw, text: str, odd: int) -> str:
 
 
 @st.composite
-def judge_replies(draw):
+def judge_replies(draw, ascii_only=False):
     """A ruleset and a reply loosely shaped like an analysis of it: rule
     lines reordered, dropped, duplicated or foreign, answer spans with odd
-    tokens or reasons, with or without the overall and reasons lines, for
-    the ruleset or for one with a rule removed."""
+    tokens or reasons, extra spans, with or without the overall and reasons
+    lines, LF or CRLF line ends, for the ruleset, for one with a rule
+    removed or for one with non-ASCII rule texts. ``ascii_only`` replaces
+    each non-ASCII character of the reply with "?"."""
     ruleset = SHIPPED[draw(st.sampled_from(SHIPPED_RULESETS))]
     odd = draw(st.sampled_from([0, 0, 1, 3]))
     rules = ruleset.all_rules()
@@ -330,6 +344,9 @@ def judge_replies(draw):
         rules = draw(st.lists(st.sampled_from(ALL_RULES), max_size=8))
     lines = [draw(st.sampled_from(["Analysis:", "", "Here is my analysis."]))]
     for i, rule in enumerate(rules, start=1):
+        if draw(st.integers(0, 9)) < odd:  # an extra span of no rule
+            lines.append(f"  Note: {_pick(draw, OPENERS, odd)}"
+                         f"{_pick(draw, ANSWER_TOKENS, odd)}, extra>")
         for _ in range(draw(st.sampled_from([1] * 8 + [0, 2]))):
             reason = draw(st.sampled_from(REASONS[0]))
             if draw(st.integers(0, 9)) < odd:
@@ -347,7 +364,12 @@ def judge_replies(draw):
     if draw(st.integers(0, 4)) == 0 and len(ruleset.all_rules()) > 1:
         dropped = draw(st.sampled_from(ruleset.all_rules())).rule_id
         ruleset = reduced_ruleset(ruleset, dropped)
-    return ruleset, "\n".join(lines)
+    if draw(st.integers(0, 5)) == 0:
+        ruleset = _non_ascii_rules(ruleset)
+    text = draw(st.sampled_from(["\n"] * 3 + ["\r\n"])).join(lines)
+    if ascii_only:
+        text = text.encode("ascii", "replace").decode("ascii")
+    return ruleset, text
 
 
 def _outcome(parse, text, ruleset):
@@ -364,6 +386,31 @@ class TestReferenceEquivalence:
     @given(case=judge_replies())
     def test_same_outcome_as_reference(self, case):
         ruleset, text = case
+        assert (_outcome(parse_discrimination_output, text, ruleset)
+                == _outcome(reference_parse, text, ruleset))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=judge_replies(ascii_only=True))
+    def test_same_outcome_on_ascii_replies(self, case):
+        # an ASCII reply is searched lower-cased (`RuleSet.lowered_anchors`)
+        ruleset, text = case
+        assert (_outcome(parse_discrimination_output, text, ruleset)
+                == _outcome(reference_parse, text, ruleset))
+
+    @pytest.mark.parametrize("name", SHIPPED_RULESETS)
+    def test_non_ascii_rule_texts_anchor_in_an_ascii_reply(self, name):
+        # the rules are written with long s, Kelvin sign and dotted capital
+        # I, the reply with their ASCII letters, each rule's line after a
+        # span of no rule: each rule still finds its own line's span
+        ruleset = _non_ascii_rules(SHIPPED[name])
+        lines = [line for rule in SHIPPED[name].all_rules()
+                 for line in ("  Note <answer: no, no rule>",
+                              f"  {rule.text} <answer: yes, about {rule.rule_id}>")]
+        text = "\n".join(lines + ["Overall answer: yes"])
+        assert text.isascii()
+        report = parse_discrimination_output(text, ruleset, instance_ref="rec")
+        assert [v.reason for v in report.verdicts] == [
+            f"about {v.rule_id}" for v in report.verdicts]
         assert (_outcome(parse_discrimination_output, text, ruleset)
                 == _outcome(reference_parse, text, ruleset))
 

@@ -3,12 +3,16 @@
 import gc
 import json
 import random
+import tempfile
 import threading
 import tracemalloc
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from instructsmith.cli import _exemplar_counts
 from instructsmith.discriminator import DiscriminationReport, RuleVerdict
@@ -20,6 +24,7 @@ from instructsmith.exemplar_db import (
     make_entry,
 )
 from instructsmith.generator import InstructionInstance
+from instructsmith.taskspec import TASK_KINDS
 
 
 def entry(entry_id, label="Good", task="CodeGeneration"):
@@ -287,6 +292,25 @@ class TestPersistence:
         assert [e.entry_id for e in final.entries()] == ["e0", "e1"]
         assert [e.created_seq for e in final.entries()] == [0, 1]
 
+    @pytest.mark.parametrize("damage", [
+        lambda d: d.pop("instance"),
+        lambda d: d.update(label="Maybe"),
+        lambda d: d["instance"].update(solution="  "),
+        lambda d: d["report"].update(verdicts=[["r1", "no", "x"]]),
+        lambda d: d.update(created_seq="first"),
+        lambda d: d.update(report="checked"),
+    ])
+    def test_load_rejects_a_bad_entry_line(self, tmp_path, damage):
+        path = tmp_path / "exemplars.jsonl"
+        filled_db(ExemplarDB.load(path)).close()
+        lines = path.read_text(encoding="utf-8").splitlines()
+        bad = json.loads(lines[3])  # a Bad entry
+        damage(bad)
+        lines[3] = json.dumps(bad)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ConsistencyError, match=f"{path}:4: bad exemplar entry"):
+            ExemplarDB.load(path)
+
     def test_sampling_matches_memory_db(self, tmp_path):
         path = tmp_path / "exemplars.jsonl"
         db = filled_db(ExemplarDB.load(path))
@@ -297,6 +321,57 @@ class TestPersistence:
         for seed in range(10):
             assert ([e.entry_id for e in db.sample("CodeGeneration", policy, seed)]
                     == [e.entry_id for e in loaded.sample("CodeGeneration", policy, seed)])
+
+
+TEXTS = st.text(max_size=20) | st.sampled_from(
+    ["", "naïve — ünïcode ✓", 'quote " and \\ backslash', "tab\tline\nend",
+     "\x00\x1f\x7f\u2028", "emoji 🙂 and \ud7ff"])
+USAGE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | TEXTS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(TEXTS, inner, max_size=3), max_leaves=8)
+
+
+@st.composite
+def judged_entries(draw):
+    """An entry with any text in its fields, Good or Bad, with or without
+    information, and generation metadata with nested usage."""
+    verdicts = [RuleVerdict(draw(TEXTS), draw(st.sampled_from(["yes", "no"])),
+                            draw(TEXTS.filter(str.strip)))
+                for _ in range(draw(st.integers(0, 4)))]
+    report = DiscriminationReport(
+        instance_ref=draw(TEXTS), verdicts=verdicts,
+        overall=draw(st.sampled_from(["yes", "no"])),
+        overall_reasons=draw(TEXTS))
+    nonblank = TEXTS.filter(str.strip)
+    instance = InstructionInstance(
+        task_name=draw(nonblank), instruction=draw(nonblank),
+        information=draw(st.just("") | TEXTS), solution=draw(nonblank),
+        source_record_id=draw(TEXTS), task_kind=draw(st.sampled_from(TASK_KINDS)),
+        generation_meta={"model": draw(TEXTS), "attempts": draw(st.integers(1, 3)),
+                         "exemplar_ids": draw(st.lists(TEXTS, max_size=2)),
+                         "usage": draw(st.dictionaries(TEXTS, USAGE, max_size=3))})
+    return make_entry(instance, report)
+
+
+class TestLogLine:
+    @settings(max_examples=300, deadline=None)
+    @given(entries=st.lists(judged_entries(), min_size=1, max_size=3,
+                            unique_by=lambda e: e.entry_id))
+    def test_appended_line_is_the_json_of_the_entry(self, entries):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "exemplars.jsonl"
+            db = ExemplarDB.load(path)
+            try:
+                for e in entries:
+                    db.insert(e)
+            finally:
+                db.close()
+            assert path.read_text(encoding="utf-8") == "".join(
+                json.dumps(e.to_dict(), ensure_ascii=False) + "\n" for e in entries)
+            loaded = ExemplarDB.load(path)
+            loaded.close()
+        assert loaded.entries() == db.entries()
 
 
 class TestMemory:
@@ -317,23 +392,32 @@ class TestMemory:
         assert row.label == "Bad" and row.source_record_id == "rec-w-Bad"
         assert [r.entry_id for r in db.entries()] == ["w-Good", "w-Bad"]
 
-    def test_load_drops_instance_and_report(self, tmp_path, monkeypatch):
+    def test_load_builds_rows_without_entries(self, tmp_path, monkeypatch):
+        # A loaded line becomes its row directly: no entry, no report, and
+        # the instance the row is rendered from is dropped.
         path = tmp_path / "x.jsonl"
         filled_db(ExemplarDB.load(path)).close()
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("load built an entry or a report")
+
+        monkeypatch.setattr(ExemplarEntry, "__init__", unexpected)
+        monkeypatch.setattr(DiscriminationReport, "__init__", unexpected)
         refs = []
-        from_dict = ExemplarEntry.from_dict
+        from_dict = InstructionInstance.from_dict
 
         def watched(d):
-            e = from_dict(d)
-            refs.extend([weakref.ref(e.instance), weakref.ref(e.report)])
-            return e
+            instance = from_dict(d)
+            refs.append(weakref.ref(instance))
+            return instance
 
-        monkeypatch.setattr(ExemplarEntry, "from_dict", staticmethod(watched))
+        monkeypatch.setattr(InstructionInstance, "from_dict", staticmethod(watched))
         loaded = ExemplarDB.load(path)
         loaded.close()
         gc.collect()
-        assert len(refs) == 2 * len(loaded) == 12
-        assert [r() for r in refs] == [None] * 12
+        assert len(refs) == len(loaded) == 6
+        assert [r() for r in refs] == [None] * 6
+        monkeypatch.undo()
         assert loaded.entries() == filled_db().entries()
 
     def test_load_holds_under_2048_bytes_per_entry(self, tmp_path):

@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import CIRCLE_FIELDS, golden_text
+from generation_reference import reference_parse
 from instructsmith.corpus import RawCodeRecord
 from instructsmith.discriminator import (
     DiscriminationReport,
@@ -16,6 +17,7 @@ from instructsmith.errors import (
     UnparseableReplyError,
 )
 from instructsmith.exemplar_db import Exemplar, ExemplarEntry
+from instructsmith.hermetic import canned_generation_reply
 from instructsmith.generator import (
     InstructionInstance,
     build_generation_prompt,
@@ -154,7 +156,7 @@ def test_render_parse_round_trip(task_name, instruction, information, lines):
     assume(solution.strip())
     # the labeled-line grammar cannot represent values that themselves start
     # a new key line, nor a solution the fence-stripper would rewrite
-    from instructsmith.generator import _KEY_RE
+    from generation_reference import _KEY_RE
     rendered_guess = solution.strip()
     assume(not rendered_guess.startswith("```"))
     instance = InstructionInstance(
@@ -175,6 +177,100 @@ def test_parse_never_fabricates_fields():
     for value in (instance.task_name, instance.instruction,
                   instance.information, instance.solution):
         assert value in text
+
+
+# -- differential test against the reference parser --------------------------
+
+KEYS = ("task_name", "instruction", "information", "solution")
+# (usual, unusual) choices for each part of a labeled line
+LABEL_CASES = (["same", "same", "upper", "title"], ["swapcase", "fold"])
+INDENTS = (["", "", " ", "\t"], [" \t ", "\t\t", "x "])
+COLONS = ([":", ":", " :", "\t:"], [" ", "::", " - :"])
+VALUES = ([" Compute the area", " Python 3.", "", " two\n  lines",
+           " solution: inline", "\n```python\nprint(1)\n```",
+           "\ndef f():\n    return 1"],
+          ["   ", " naïve — ünïcode ✓", "\n```\n```", " ``````",
+           "\n```\ncode\n``` trailing", "\n```py\nunterminated",
+           " <answer: yes, stray>"])
+NEWLINES = (["\n", "\n", "\r\n"], ["\r", "\n\n"])
+
+
+def _label(draw, key: str, odd: int) -> str:
+    how = _pick(draw, LABEL_CASES, odd)
+    if how == "same":
+        return key
+    if how == "title":
+        return key.title()
+    if how == "fold":
+        return key.replace("s", "\u017f").replace("k", "\u212a")
+    return getattr(key, how)()
+
+
+def _pick(draw, choices, odd: int):
+    """A usual choice, or with odd/10 chance an unusual one."""
+    usual, unusual = choices
+    if draw(st.integers(0, 9)) < odd:
+        return draw(st.sampled_from(unusual))
+    return draw(st.sampled_from(usual))
+
+
+@st.composite
+def generator_replies(draw):
+    """A reply loosely shaped like four labeled fields: labels in any case,
+    indented, mid-line, duplicated, missing or reordered; values empty,
+    multi-line or fenced; LF, CRLF or CR line ends."""
+    odd = draw(st.sampled_from([0, 0, 1, 3]))
+    keys = list(KEYS)
+    mode = draw(st.sampled_from(["in order"] * 3 + ["shuffled", "any"]))
+    if mode == "shuffled":
+        keys = draw(st.permutations(keys))
+    elif mode == "any":
+        keys = draw(st.lists(st.sampled_from(KEYS), max_size=6))
+    lines = [draw(st.sampled_from(["", "Here is the instance.", "Sure:"]))]
+    for key in keys:
+        value = _pick(draw, VALUES, odd)
+        if draw(st.integers(0, 9)) < odd:
+            value = draw(st.text(max_size=12))
+        line = (f"{_pick(draw, INDENTS, odd)}{_label(draw, key, odd)}"
+                f"{_pick(draw, COLONS, odd)}{value}")
+        if draw(st.integers(0, 9)) < odd:  # the label moved mid-line
+            line = f"see {line}"
+        lines.append(line)
+    text = _pick(draw, NEWLINES, odd).join(lines)
+    return text.replace("\n", _pick(draw, NEWLINES, odd))
+
+
+def _generated(parse, text):
+    try:
+        return ("instance", parse(text, source_record_id="rec",
+                                  task_kind="CodeGeneration",
+                                  generation_meta={"attempts": 1}).to_dict())
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.missing, exc.duplicated)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+class TestReferenceEquivalence:
+    @settings(max_examples=500, deadline=None)
+    @given(text=generator_replies())
+    def test_same_outcome_as_reference(self, text):
+        assert (_generated(parse_generator_output, text)
+                == _generated(reference_parse, text))
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.text(alphabet="tasknmeiorfulS_: \t\r\n`x", max_size=60))
+    def test_same_outcome_on_label_soup(self, text):
+        assert (_generated(parse_generator_output, text)
+                == _generated(reference_parse, text))
+
+    def test_canned_replies_agree(self):
+        for modulus in (0, 1):
+            text = canned_generation_reply(f"Raw code:\n```\n{RECORD.code}\n```",
+                                           modulus)
+            expected = _generated(reference_parse, text)
+            assert expected[0] == "instance"
+            assert _generated(parse_generator_output, text) == expected
 
 
 class TestBuildPrompt:
