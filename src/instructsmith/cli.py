@@ -156,9 +156,9 @@ def cmd_emit(args) -> int:
 
 def cmd_audit(args) -> int:
     from .decontam import write_histogram_csv, write_leakage_report
-    _, report = pipeline.audit_dataset(args.train, args.bench,
-                                       _embedding_config(args), args.top_k,
-                                       args.embed_field)
+    *_, report = pipeline.audit_dataset(args.train, args.bench,
+                                        _embedding_config(args), args.top_k,
+                                        args.embed_field)
     write_leakage_report(args.report, report)
     write_histogram_csv(Path(args.report).with_suffix(".csv"), report)
     _print({"average_top1": report.average_top1,
@@ -194,7 +194,7 @@ def cmd_stats(args) -> int:
     dataset = workdir / pipeline.DATASET_FILE
     if dataset.exists():
         from .emitter import iter_dataset
-        per_task = Counter(ex.task_kind for ex in iter_dataset(dataset))
+        per_task = Counter(ex.task_kind for _, ex in iter_dataset(dataset))
         _print({"dataset_examples": sum(per_task.values()),
                 "per_task": dict(per_task)})
         return 0

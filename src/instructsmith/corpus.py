@@ -117,17 +117,22 @@ class FilterReport:
 def ingest_records(path: str | Path) -> list[RawCodeRecord]:
     """Read a line-delimited corpus file.
 
-    Malformed lines (bad JSON, missing/empty ``id`` or ``code``, duplicate id)
-    are skipped and logged, never fatal. An unreadable file raises ``OSError``.
-    Records come back in file order.
+    Malformed lines (not UTF-8, bad JSON, missing/empty ``id`` or ``code``,
+    duplicate id) are skipped and logged, never fatal. An unreadable file
+    raises ``OSError``. Records come back in file order.
     """
     path = Path(path)
     records: list[RawCodeRecord] = []
     seen_ids: set[str] = set()
     skipped = 0
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                skipped += 1
+                log.warning("%s:%d: skipped (not UTF-8: %s)", path, lineno, exc)
+                continue
             if not line:
                 continue
             try:

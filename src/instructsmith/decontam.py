@@ -11,9 +11,11 @@ holds one block, one slice and a one-byte-per-entry candidate mask (plus
 one float64 copy of the training vectors, normalized once per audit). Only the
 candidates are sorted; ties break toward the earlier training row, and
 identical training texts tie exactly. Cleaning removes the union of each
-item's top-n neighbors from the training set. With the dataset streamed by
-`pipeline.audit_and_plan`, a paper-sized audit (`tests/audit_memory.py`:
-19,915 rows, 669 items) peaks at 77.9 MiB RSS, 35.8 MiB traced.
+item's top-n neighbors from the training set; `pipeline.audit_and_plan`
+decodes each dataset row once, for the audit, and copies the kept rows'
+lines to the cleaned file as bytes. A paper-sized audit
+(`tests/audit_memory.py`: 19,915 rows, 669 items) peaks at 77.2 MiB RSS,
+35.9 MiB traced.
 """
 
 from __future__ import annotations
@@ -24,12 +26,13 @@ import io
 import logging
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .embedding import EmbeddingBackendConfig, embed_batch, stack_vectors
 from .errors import ConfigError, ConsistencyError
-from .ioutil import atomic_write_json, atomic_write_text, iter_jsonl
+from .ioutil import atomic_write_text, iter_jsonl
 
 if TYPE_CHECKING:  # the functions that compute on vectors import numpy
     import numpy as np
@@ -46,7 +49,7 @@ BLOCK_SIMILARITIES = 2**19
 SLICE_SIMILARITIES = 2**15
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BenchmarkItem:
     """One held-out evaluation problem with its reference solution."""
 
@@ -62,15 +65,11 @@ class BenchmarkItem:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BenchmarkItem":
-        return cls(
-            bench_id=str(d["bench_id"]),
-            canonical_solution=str(d["canonical_solution"]),
-            benchmark_name=str(d.get("benchmark", "")),
-        )
+        return cls(str(d["bench_id"]), str(d["canonical_solution"]),
+                   str(d.get("benchmark", "")))
 
 
-@dataclass(frozen=True)
-class Neighbor:
+class Neighbor(NamedTuple):
     train_id: str
     similarity: float
 
@@ -84,7 +83,7 @@ class ItemNeighbors:
 
     def __post_init__(self) -> None:
         sims = [n.similarity for n in self.neighbors]
-        if any(b > a for a, b in zip(sims, sims[1:])):
+        if sims != sorted(sims, reverse=True):
             raise ValueError(f"{self.bench_id}: neighbors not sorted descending")
 
 
@@ -94,18 +93,22 @@ class LeakageReport:
     average_top1: float
     histogram: list[tuple[float, int]]
 
-    def to_dict(self) -> dict:
-        return {
-            "average_top1": self.average_top1,
-            "per_item": [
-                {"bench_id": item.bench_id,
-                 "neighbors": [{"train_id": n.train_id,
-                                "similarity": n.similarity}
-                               for n in item.neighbors]}
-                for item in self.per_item
-            ],
-            "histogram": [[low, count] for low, count in self.histogram],
-        }
+    def to_json(self) -> str:
+        """The report's file text: what ``json.dumps(..., ensure_ascii=False)``
+        writes for {"average_top1", "per_item": [{"bench_id", "neighbors":
+        [{"train_id", "similarity"}]}], "histogram": [[low, count]]}, with a
+        final newline, written field by field without building the dicts.
+        Every float is finite (a clipped cosine of finite vectors, their
+        mean, a bin bound), so json writes it as its ``float.__repr__``."""
+        num = float.__repr__
+        items = ", ".join(
+            f'{{"bench_id": {encode_basestring(item.bench_id)}, "neighbors": ['
+            + ", ".join([f'{{"train_id": {encode_basestring(tid)}, '
+                         f'"similarity": {num(sim)}}}' for tid, sim in item.neighbors])
+            + "]}" for item in self.per_item)
+        bins = ", ".join(f"[{num(low)}, {count}]" for low, count in self.histogram)
+        return (f'{{"average_top1": {num(self.average_top1)}, "per_item": [{items}], '
+                f'"histogram": [{bins}]}}\n')
 
 
 @dataclass
@@ -123,12 +126,21 @@ class DecontamPlan:
             raise ValueError(
                 "remove_train_ids must equal the union of per-item contributions")
 
-    def to_dict(self) -> dict:
-        return {
-            "remove_train_ids": sorted(self.remove_train_ids),
-            "per_item_contributions": {
-                k: list(v) for k, v in self.per_item_contributions.items()},
-        }
+    def to_json(self) -> str:
+        """The plan's file text: what ``json.dumps(..., ensure_ascii=False,
+        indent=2)`` writes for {"remove_train_ids": the sorted ids,
+        "per_item_contributions": {bench id: ids}}, with a final newline,
+        built around json's C string encoder (any indent makes json's own
+        encoder pure Python)."""
+        def array(values, pad):
+            sep = ",\n" + pad + "  "
+            return (f"[\n{pad}  {sep.join(map(encode_basestring, values))}\n{pad}]"
+                    if values else "[]")
+        items = ",\n    ".join(f"{encode_basestring(k)}: {array(v, '    ')}"
+                                for k, v in self.per_item_contributions.items())
+        return ('{\n  "remove_train_ids": ' + array(sorted(self.remove_train_ids), "  ")
+                + ',\n  "per_item_contributions": '
+                + (f"{{\n    {items}\n  }}" if items else "{}") + "\n}\n")
 
 
 def unit_rows(m: np.ndarray) -> np.ndarray:
@@ -243,8 +255,7 @@ def audit(train: Sequence[tuple[str, str]], bench: Sequence[BenchmarkItem],
                                             cols.tolist(), values.tolist()):
             neighbors = [Neighbor(train_ids[ti], sim)
                          for ti, sim in zip(row_cols, row_sims)]
-            per_item.append(ItemNeighbors(bench_id=item.bench_id,
-                                          neighbors=neighbors))
+            per_item.append(ItemNeighbors(item.bench_id, neighbors))
             top1_sims.append(row_sims[0])
         del sims  # else it stays alive while the next block is computed
 
@@ -304,8 +315,7 @@ def read_benchmark_file(path: str | Path) -> list[BenchmarkItem]:
 
 
 def write_leakage_report(path: str | Path, report: LeakageReport) -> None:
-    # compact: any indent makes json fall back to its pure-Python encoder
-    atomic_write_json(path, report.to_dict(), indent=None)
+    atomic_write_text(path, report.to_json())
 
 
 def write_histogram_csv(path: str | Path, report: LeakageReport) -> None:

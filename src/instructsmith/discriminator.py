@@ -166,29 +166,6 @@ class DiscriminationReport:
             raise ValueError(
                 f"label {self.label!r} contradicts verdicts (expected {expected})")
 
-    def to_dict(self) -> dict:
-        return {
-            "instance_ref": self.instance_ref,
-            "verdicts": [{"rule_id": v.rule_id, "answer": v.answer,
-                          "reason": v.reason} for v in self.verdicts],
-            "overall": self.overall,
-            "overall_reasons": self.overall_reasons,
-            "label": self.label,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DiscriminationReport":
-        return cls(
-            instance_ref=str(d.get("instance_ref", "")),
-            verdicts=[RuleVerdict(rule_id=str(v["rule_id"]),
-                                  answer=str(v["answer"]),
-                                  reason=str(v["reason"]))
-                      for v in d.get("verdicts", [])],
-            overall=str(d["overall"]),
-            overall_reasons=str(d.get("overall_reasons", "")),
-            label=str(d.get("label", "")),
-        )
-
 
 def default_ruleset_path(rule_set_id: str) -> Path:
     return Path(str(resources.files("instructsmith") / "data" / "rulesets"

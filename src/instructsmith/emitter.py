@@ -27,7 +27,7 @@ WITHOUT_INPUT_TEMPLATE = "prompt_without_input.txt"
 WITHOUT_INPUT_CLASSIC_TEMPLATE = "prompt_without_input_classic.txt"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrainingExample:
     """One fine-tuning example; input may be empty, the rest may not."""
 
@@ -56,13 +56,8 @@ class TrainingExample:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainingExample":
-        return cls(
-            instruction=str(d["instruction"]),
-            input=str(d.get("input", "")),
-            output=str(d["output"]),
-            task_kind=str(d["_task"]),
-            source_record_id=str(d.get("_source_id", "")),
-        )
+        return cls(str(d["instruction"]), str(d.get("input", "")),
+                   str(d["output"]), str(d["_task"]), str(d.get("_source_id", "")))
 
 
 def to_training_example(instance: InstructionInstance) -> TrainingExample:
@@ -118,11 +113,13 @@ def write_dataset(examples: Iterable[TrainingExample],
     return {"count": count, "per_task_counts": per_task}
 
 
-def iter_dataset(path: str | Path) -> Iterator[TrainingExample]:
-    """Yield a dataset file's examples one line at a time, validating each
-    (strict: no torn tails); a bad row is a `ConsistencyError` naming
-    ``path:line``."""
-    for lineno, obj in iter_jsonl(path):
+def iter_dataset(path: str | Path, digest=None
+                 ) -> Iterator[tuple[int, TrainingExample]]:
+    """Yield ``(line_number, example)`` for each row of a dataset file, one
+    line at a time, validating each (strict: no torn tails); a bad row is a
+    `ConsistencyError` naming ``path:line``. ``digest`` is fed every line
+    read, as `iter_jsonl` does."""
+    for lineno, obj in iter_jsonl(path, digest=digest):
         try:
             example = TrainingExample.from_dict(obj)
         except KeyError as exc:
@@ -130,9 +127,9 @@ def iter_dataset(path: str | Path) -> Iterator[TrainingExample]:
         except (TypeError, ValueError) as exc:
             raise ConsistencyError(
                 f"{path}:{lineno}: bad dataset row: {exc}") from exc
-        yield example
+        yield lineno, example
 
 
 def read_dataset(path: str | Path) -> list[TrainingExample]:
     """Read a dataset file back into examples (strict: no torn tails)."""
-    return list(iter_dataset(path))
+    return [example for _, example in iter_dataset(path)]

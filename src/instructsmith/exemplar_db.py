@@ -50,20 +50,11 @@ class ExemplarEntry:
                 f"entry label {self.label} disagrees with report label "
                 f"{self.report.label}")
 
-    def to_dict(self) -> dict:
-        return {
-            "entry_id": self.entry_id,
-            "instance": self.instance.to_dict(),
-            "report": self.report.to_dict(),
-            "label": self.label,
-            "task_kind": self.task_kind,
-            "created_seq": self.created_seq,
-        }
-
     def to_json(self) -> str:
-        """The entry's log line: the text ``json.dumps(self.to_dict(),
-        ensure_ascii=False)`` gives, written field by field in the same
-        order, without building the dicts."""
+        """The entry's log line, written field by field without building
+        dicts: the text ``json.dumps(..., ensure_ascii=False)`` gives for
+        the entry's fields in this order, with the instance's and the
+        report's fields (one object per verdict) nested in theirs."""
         inst, report = self.instance, self.report
         verdicts = ", ".join([
             f'{{"rule_id": {_json_str(v.rule_id)}, "answer": '

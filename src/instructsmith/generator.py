@@ -57,17 +57,6 @@ class InstructionInstance:
             if not getattr(self, name).strip():
                 raise ValueError(f"{name} must be non-empty")
 
-    def to_dict(self) -> dict:
-        return {
-            "task_name": self.task_name,
-            "instruction": self.instruction,
-            "information": self.information,
-            "solution": self.solution,
-            "source_record_id": self.source_record_id,
-            "task_kind": self.task_kind,
-            "generation_meta": dict(self.generation_meta),
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "InstructionInstance":
         return cls(

@@ -13,10 +13,24 @@ from .errors import ConsistencyError
 
 log = logging.getLogger(__name__)
 
-# The JSON text of a JSONL line, as json.dumps(row, ensure_ascii=False) gives
-# it, from one encoder that keeps no state between calls. A row is a tree,
-# so the check for circular references is skipped.
-encode_json = json.JSONEncoder(ensure_ascii=False, check_circular=False).encode
+
+def _line_encoder():
+    """The JSON text of a JSONL line, as json.dumps(row, ensure_ascii=False)
+    gives it. ``JSONEncoder.encode`` builds json's C encoder anew on every
+    call; this one is built once, with the arguments ``encode`` passes it,
+    and keeps no state between calls. A row is a tree, so the check for
+    circular references is skipped."""
+    encoder = json.JSONEncoder(ensure_ascii=False, check_circular=False)
+    make = json.encoder.c_make_encoder
+    if make is None:  # an interpreter without json's C accelerator
+        return encoder.encode
+    chunks = make(None, encoder.default, json.encoder.encode_basestring,
+                  encoder.indent, encoder.key_separator, encoder.item_separator,
+                  encoder.sort_keys, encoder.skipkeys, encoder.allow_nan)
+    return lambda obj: "".join(chunks(obj, 0))
+
+
+encode_json = _line_encoder()
 
 
 @contextmanager
@@ -70,19 +84,25 @@ def read_json(path: str | Path) -> Any:
         return json.load(fh)
 
 
-def iter_jsonl(path: str | Path, *, complete_only: bool = False
-               ) -> Iterator[tuple[int, Any]]:
+def iter_jsonl(path: str | Path, *, complete_only: bool = False,
+               digest=None) -> Iterator[tuple[int, Any]]:
     """Yield ``(line_number, parsed_object)`` for each non-blank line, reading
-    the file line by line; a line that is not JSON raises `ConsistencyError`
-    naming ``path:line``. A torn final line is the caller's to drop first,
-    with `repair_torn_tail`, or to skip, with ``complete_only``, which leaves
-    the file as it is. The file closes when the iteration ends or the
-    generator is closed or dropped."""
-    with open(path, "r", encoding="utf-8") as fh:
+    the file line by line; a line that is not UTF-8 or not JSON raises
+    `ConsistencyError` naming ``path:line``. A torn final line is the
+    caller's to drop first, with `repair_torn_tail`, or to skip, with
+    ``complete_only``, which leaves the file as it is. ``digest`` (a hashlib
+    object), if given, is fed every line read, as bytes. The file closes
+    when the iteration ends or the generator is closed or dropped."""
+    with open(path, "rb") as fh:
         for i, raw in enumerate(fh, start=1):
-            if complete_only and not raw.endswith("\n"):
+            if complete_only and not raw.endswith(b"\n"):
                 break  # only the last line can lack its terminator
-            stripped = raw.strip()
+            if digest is not None:
+                digest.update(raw)
+            try:
+                stripped = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ConsistencyError(f"{path}:{i}: not UTF-8: {exc}") from exc
             if not stripped:
                 continue
             try:

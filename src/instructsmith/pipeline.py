@@ -19,14 +19,14 @@ import hashlib
 import importlib
 import json
 import logging
-import os
 import queue
 import time
+from array import array
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import cache
-from itertools import islice, zip_longest
+from itertools import islice
 from pathlib import Path
 from typing import (TYPE_CHECKING, Callable, Iterable, Sequence, TypedDict,
                     get_args, get_origin, get_type_hints, is_typeddict)
@@ -50,7 +50,9 @@ from .embedding import (
 from .errors import ConfigError, ConsistencyError, UnparseableReplyError
 from .ioutil import (
     JsonlAppender,
+    atomic_open,
     atomic_write_json,
+    atomic_write_text,
     iter_jsonl,
     read_json,
     repair_torn_tail,
@@ -787,24 +789,24 @@ def _train_pair(i: int, example, embed_field: str) -> tuple[str, str]:
 
 
 def audit_dataset(train_path: str | Path, bench_path: str | Path,
-                  backend: EmbeddingBackendConfig, top_k: int, embed_field: str):
+                  backend: EmbeddingBackendConfig, top_k: int, embed_field: str,
+                  digest=None):
     """Audit a dataset file against a benchmark file, the front half of the
-    `audit` and `decontaminate` commands. The dataset is streamed into
-    unique-id (id, text) pairs; ``embed_field`` picks the text: the "output"
-    (code) field or "instruction+output". Returns ``(pairs, report)``."""
+    `audit` and `decontaminate` commands. Each dataset line is decoded and
+    checked once, as it is streamed into a unique-id (id, text) pair;
+    ``embed_field`` picks the text: the "output" (code) field or
+    "instruction+output". ``digest`` is fed every byte read. Returns
+    ``(pairs, line number of each pair, report)``."""
     if embed_field not in ("output", "instruction+output"):
         raise ConfigError("embed_field must be 'output' or 'instruction+output'")
     from .decontam import read_benchmark_file
     from .emitter import iter_dataset
-    train = [_train_pair(i, ex, embed_field)
-             for i, ex in enumerate(iter_dataset(train_path))]
+    train, lines = [], array("q")  # 8 bytes a line number, not an int object
+    for lineno, example in iter_dataset(train_path, digest):
+        train.append(_train_pair(len(train), example, embed_field))
+        lines.append(lineno)
     bench = read_benchmark_file(bench_path)
-    return train, audit(train, bench, backend, top_k=top_k)
-
-
-def _file_identity(path: str | Path) -> tuple[int, int, int]:
-    st = os.stat(path)
-    return st.st_ino, st.st_size, st.st_mtime_ns
+    return train, lines, audit(train, bench, backend, top_k=top_k)
 
 
 def audit_and_plan(train_path: str | Path, bench_path: str | Path,
@@ -815,10 +817,12 @@ def audit_and_plan(train_path: str | Path, bench_path: str | Path,
     """Decontamination driver: audit a dataset file against a benchmark file,
     write the report, histogram CSV, plan, and the cleaned dataset.
 
-    The dataset is read twice as a stream, never held as examples: once for
-    the pairs the audit embeds, once to write the rows the plan keeps. If
-    the file changed in between, a `ConsistencyError` stops the second pass
-    and no cleaned file is written.
+    The dataset is streamed twice, never held as examples. The first read
+    decodes and checks each line once, for the pairs the audit embeds. The
+    second copies the lines of the rows the plan keeps, byte for byte, with
+    no JSON decode or encode (blank lines are dropped). If the two reads'
+    sha256 differ, the file changed in between: a `ConsistencyError` stops
+    the copy and no cleaned file is written.
     """
     # checked before anything is read, embedded or written
     if top_k < 1:
@@ -831,32 +835,28 @@ def audit_and_plan(train_path: str | Path, bench_path: str | Path,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     from .decontam import write_histogram_csv, write_leakage_report
-    from .emitter import iter_dataset
     backend = backend or EmbeddingBackendConfig()
-    identity = _file_identity(train_path)
-    train, report = audit_dataset(train_path, bench_path, backend, top_k,
-                                  embed_field)
+    audited, copied = hashlib.sha256(), hashlib.sha256()
+    train, lines, report = audit_dataset(train_path, bench_path, backend, top_k,
+                                         embed_field, audited)
     write_leakage_report(out_dir / "leakage_report.json", report)
     write_histogram_csv(out_dir / "leakage_histogram.csv", report)
     plan = plan_removal(report, n_per_item=n_per_item)
-    atomic_write_json(out_dir / "decontam_plan.json", plan.to_dict())
+    atomic_write_text(out_dir / "decontam_plan.json", plan.to_json())
     kept_ids = {tid for tid, _ in apply_plan(plan, train)}
-
-    def cleaned():
-        changed = ConsistencyError(f"{train_path}: changed during the audit")
-        for pair, row in zip_longest(train, enumerate(iter_dataset(train_path))):
-            if row is None or pair != _train_pair(*row, embed_field):
-                raise changed
-            if pair[0] in kept_ids:
-                yield row[1]
-        if _file_identity(train_path) != identity:
-            raise changed
-
-    cleaned_summary = write_dataset(cleaned(), out_dir / "dataset.cleaned.jsonl")
+    keep = {line for line, (tid, _) in zip(lines, train) if tid in kept_ids}
+    with open(train_path, "rb") as src, \
+            atomic_open(out_dir / "dataset.cleaned.jsonl") as out:
+        for lineno, raw in enumerate(src, start=1):
+            copied.update(raw)
+            if lineno in keep:
+                out.write(raw)
+        if copied.digest() != audited.digest():
+            raise ConsistencyError(f"{train_path}: changed during the audit")
     return {
         "average_top1": report.average_top1,
-        "removed": len(train) - cleaned_summary["count"],
-        "remaining": cleaned_summary["count"],
+        "removed": len(train) - len(keep),
+        "remaining": len(keep),
         "report_path": str(out_dir / "leakage_report.json"),
         "plan_path": str(out_dir / "decontam_plan.json"),
         "cleaned_path": str(out_dir / "dataset.cleaned.jsonl"),

@@ -202,7 +202,7 @@ def test_criterion_4_golden_parse():
         assert report.label == "Good"
         reparsed = parse_discrimination_output(
             render_discrimination_report(report, ruleset), ruleset)
-        assert reparsed.to_dict() == report.to_dict(), (
+        assert reparsed == report, (
             "discrimination render→parse round trip is lossy")
         info["detail"] = "5 verdicts yes, overall yes, label Good; round trips"
 

@@ -148,6 +148,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"{train}:1" in err and "_task" in err
 
+    @pytest.mark.parametrize("command", ["audit", "decontaminate"])
+    @pytest.mark.parametrize("damaged", ["train", "bench"])
+    def test_line_not_utf8_is_one_line_error(self, tmp_path, command, damaged,
+                                             capsys):
+        # a dataset line is the program's data (exit 1); a benchmark line is
+        # user input (exit 2)
+        row = {"instruction": "Write it.", "input": "", "output": "def f(): pass",
+               "_task": "CodeGeneration", "_source_id": "r1"}
+        item = {"bench_id": "b1", "canonical_solution": "def g(): pass"}
+        paths = {"train": tmp_path / "train.jsonl", "bench": tmp_path / "bench.jsonl"}
+        for name, obj in (("train", row), ("bench", item)):
+            line = (json.dumps(obj) + "\n").encode("utf-8")
+            damage = line.replace(b"(): pass", b"(): pass \xff")
+            paths[name].write_bytes(line + (damage if name == damaged else b""))
+        args = [command, "--train", str(paths["train"]), "--bench", str(paths["bench"])]
+        if command == "decontaminate":
+            args += ["--out-dir", str(tmp_path / "out")]
+        else:
+            args += ["--report", str(tmp_path / "report.json")]
+        assert main(args) == (1 if damaged == "train" else 2)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert f"{paths[damaged]}:2: not UTF-8" in err
+
     @pytest.mark.parametrize("argv,hint", [
         (["run", "--config", "config.json"], "`instructsmith run --resume`"),
         (["stats", "--workdir", "work"], None)])
@@ -618,6 +642,23 @@ class TestRunCommand:
         assert summary["counts"]["good"] == 12
         dataset = read_dataset(workdir / "dataset.jsonl")
         assert len(dataset) == 12
+
+    def test_corpus_line_not_utf8_is_skipped(self, tmp_path, corpus, capsys,
+                                             caplog):
+        clean = tmp_path / "clean.json"
+        write_config(clean, corpus, tmp_path / "clean")
+        assert main(["run", "--config", str(clean)]) == 0
+        damaged = tmp_path / "damaged.jsonl"
+        damaged.write_bytes(corpus.read_bytes() + json.dumps({
+            "id": "r999", "code": "def bad(): return '?'"}).encode().replace(
+            b"'?'", b"'\xff'") + b"\n")
+        config = tmp_path / "config.json"
+        write_config(config, damaged, tmp_path / "work")
+        with caplog.at_level("WARNING", logger="instructsmith.corpus"):
+            assert main(["run", "--config", str(config)]) == 0
+        assert f"{damaged}:41: skipped (not UTF-8" in caplog.text
+        assert ((tmp_path / "work" / "dataset.jsonl").read_bytes()
+                == (tmp_path / "clean" / "dataset.jsonl").read_bytes())
 
     def test_run_seed_override_changes_fingerprint(self, tmp_path, corpus,
                                                    capsys):

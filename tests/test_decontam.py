@@ -105,8 +105,8 @@ class TestAudit:
     def test_deterministic_across_runs(self):
         train = train_set(25)
         items = [bench(i) for i in range(4)]
-        assert (audit(train, items, CONFIG).to_dict()
-                == audit(train, items, CONFIG).to_dict())
+        assert (audit(train, items, CONFIG).to_json()
+                == audit(train, items, CONFIG).to_json())
 
     def test_argument_errors(self):
         with pytest.raises(ConfigError):
@@ -324,6 +324,18 @@ class TestPlanRemoval:
         with pytest.raises(ConfigError):
             plan_removal(self.report_from({"b1": ["t-1"]}), n_per_item=0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.text(max_size=8), st.lists(st.text(max_size=8),
+                                                         max_size=4), max_size=5))
+    def test_plan_text_is_indented_json(self, contributions):
+        # the reference is json's own (pure-Python) indented encoder
+        remove = {tid for ids in contributions.values() for tid in ids}
+        plan = DecontamPlan(remove, contributions)
+        assert plan.to_json() == json.dumps(
+            {"remove_train_ids": sorted(remove),
+             "per_item_contributions": contributions},
+            ensure_ascii=False, indent=2) + "\n"
+
     def test_plan_invariant_enforced(self):
         with pytest.raises(ValueError):
             DecontamPlan(remove_train_ids={"t-1", "t-extra"},
@@ -400,11 +412,35 @@ class TestFileIO:
         with pytest.raises(ValueError):
             BenchmarkItem(bench_id="b", canonical_solution="   ")
 
+    @staticmethod
+    def report_text(report):
+        """The reference: json's own encoding of the report's dict form."""
+        return json.dumps({
+            "average_top1": report.average_top1,
+            "per_item": [{"bench_id": item.bench_id,
+                          "neighbors": [{"train_id": n.train_id,
+                                         "similarity": n.similarity}
+                                        for n in item.neighbors]}
+                         for item in report.per_item],
+            "histogram": [[low, count] for low, count in report.histogram],
+        }, ensure_ascii=False) + "\n"
+
     def test_report_round_trip(self, tmp_path):
         report = audit(train_set(8), [bench(0)], CONFIG, top_k=2)
         path = tmp_path / "report.json"
         write_leakage_report(path, report)
-        assert json.loads(path.read_text()) == report.to_dict()
+        assert path.read_text(encoding="utf-8") == self.report_text(report)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.text(max_size=6), st.lists(
+        st.tuples(st.text(max_size=6), st.floats(-1.0, 1.0)), max_size=3)),
+        max_size=4), st.floats(-1.0, 1.0))
+    def test_report_text_is_compact_json(self, items, average):
+        per_item = [ItemNeighbors(bid, [Neighbor(t, s) for t, s in
+                                        sorted(pairs, key=lambda p: -p[1])])
+                    for bid, pairs in items]
+        report = LeakageReport(per_item, average, top1_histogram([average]))
+        assert report.to_json() == self.report_text(report)
 
     def test_histogram_csv(self, tmp_path):
         report = audit(train_set(5), [bench(0)], CONFIG)

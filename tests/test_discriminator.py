@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import golden_text, reduced_ruleset
 from discrimination_reference import (reference_parse,
                                      render_discrimination_report)
+from entry_dicts import report_dict, report_from_dict
 from instructsmith.discriminator import (
     DiscriminationReport,
     Rule,
@@ -230,7 +231,7 @@ class TestLabeling:
         report = parse_discrimination_output(
             golden_text("discrimination_analysis.txt"), ruleset,
             instance_ref="rec")
-        assert DiscriminationReport.from_dict(report.to_dict()) == report
+        assert report_from_dict(report_dict(report)) == report
 
 
 class TestDiscriminate:
@@ -374,7 +375,7 @@ def judge_replies(draw, ascii_only=False):
 
 def _outcome(parse, text, ruleset):
     try:
-        return ("report", parse(text, ruleset, instance_ref="rec").to_dict())
+        return ("report", report_dict(parse(text, ruleset, instance_ref="rec")))
     except ParseError as exc:
         return ("ParseError", str(exc), exc.missing)
     except ValueError as exc:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entry_dicts import entry_dict
 from instructsmith.cli import _exemplar_counts
 from instructsmith.discriminator import DiscriminationReport, RuleVerdict
 from instructsmith.errors import ConsistencyError
@@ -368,7 +369,7 @@ class TestLogLine:
             finally:
                 db.close()
             assert path.read_text(encoding="utf-8") == "".join(
-                json.dumps(e.to_dict(), ensure_ascii=False) + "\n" for e in entries)
+                json.dumps(entry_dict(e), ensure_ascii=False) + "\n" for e in entries)
             loaded = ExemplarDB.load(path)
             loaded.close()
         assert loaded.entries() == db.entries()

@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import CIRCLE_FIELDS, golden_text
+from entry_dicts import instance_dict
 from generation_reference import reference_parse
 from instructsmith.corpus import RawCodeRecord
 from instructsmith.discriminator import (
@@ -242,9 +243,9 @@ def generator_replies(draw):
 
 def _generated(parse, text):
     try:
-        return ("instance", parse(text, source_record_id="rec",
-                                  task_kind="CodeGeneration",
-                                  generation_meta={"attempts": 1}).to_dict())
+        return ("instance", instance_dict(parse(text, source_record_id="rec",
+                                                task_kind="CodeGeneration",
+                                                generation_meta={"attempts": 1})))
     except ParseError as exc:
         return ("ParseError", str(exc), exc.missing, exc.duplicated)
     except ValueError as exc:
@@ -403,5 +404,5 @@ def test_instance_validation():
 
 
 def test_instance_dict_round_trip(circle_instance):
-    back = InstructionInstance.from_dict(circle_instance.to_dict())
+    back = InstructionInstance.from_dict(instance_dict(circle_instance))
     assert back == circle_instance

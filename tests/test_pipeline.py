@@ -664,6 +664,61 @@ class TestAuditDriver:
         cleaned = read_dataset(tmp_path / "long" / "dataset.cleaned.jsonl")
         assert len(cleaned) == 200 - 20 and len(cleaned[0].input) == 8000
 
+    HAND_WRITTEN = [  # (line, its row's source id)
+        (json.dumps({"instruction": "Write helper 0.", "input": "",
+                     "output": "def helper_0(x):\n    return x",
+                     "_task": "CodeGeneration", "_source_id": "r0"}) + "\n", "r0"),
+        ('{"_source_id":"r1","output":"def helper_1(x):\\n    return x + 1",'
+         '"_task":"CodeGeneration","extra":[1, {"k": null}],'
+         '"instruction":"Write helper 1.","input":"y"}\n', "r1"),
+        (json.dumps({"instruction": "Write helper 2.", "input": "",
+                     "output": "def helper_2(x):\n    return x * 2",
+                     "_task": "CodeSummarization", "_source_id": "r2"}) + "\r\n",
+         "r2"),
+        (json.dumps({"instruction": "Écris l'aide 3 — π", "input": "",
+                     "output": "def aide_3(x):\n    return x ** 3  # π",
+                     "_task": "CodeGeneration", "_source_id": "r3"},
+                    ensure_ascii=False) + "\n", "r3"),
+        (json.dumps({"instruction": "Écris l'aide 4 — π", "input": "",
+                     "output": "def aide_4(x):\n    return 'π' * x",
+                     "_task": "CodeGeneration", "_source_id": "r4"}) + "\n", "r4"),
+        (json.dumps({"instruction": "Write helper 5.", "input": "",
+                     "output": "def helper_5(x):\n    return x - 5",
+                     "_task": "CodeGeneration", "_source_id": "r5"}), "r5"),
+    ]
+
+    @pytest.mark.parametrize("leaked", [0, 1, 2, 3, 4, 5])
+    def test_cleaned_file_is_input_minus_removed_lines(self, tmp_path, leaked):
+        # kept rows are copied byte for byte: extra keys, another key order,
+        # compact separators, CRLF, escaped and raw non-ASCII text and a last
+        # line without its newline all survive, whichever row is removed
+        lines = [line.encode("utf-8") for line, _ in self.HAND_WRITTEN]
+        dataset = tmp_path / "d.jsonl"
+        dataset.write_bytes(b"".join(lines))
+        output = read_dataset(dataset)[leaked].output
+        bench = tmp_path / "bench.jsonl"
+        bench.write_text(json.dumps({"bench_id": "b1", "canonical_solution": output})
+                         + "\n", encoding="utf-8")
+        result = audit_and_plan(dataset, bench, tmp_path / "out", top_k=1,
+                                n_per_item=1)
+        plan = json.loads((tmp_path / "out" / "decontam_plan.json").read_text())
+        assert plan["remove_train_ids"] == [f"{leaked}:r{leaked}"]
+        assert result["removed"] == 1 and result["remaining"] == 5
+        assert (tmp_path / "out" / "dataset.cleaned.jsonl").read_bytes() == b"".join(
+            line for i, line in enumerate(lines) if i != leaked)
+
+    def test_blank_lines_are_dropped(self, tmp_path):
+        lines = [line.encode("utf-8") for line, _ in self.HAND_WRITTEN[:3]]
+        dataset = tmp_path / "d.jsonl"
+        dataset.write_bytes(b"\n" + lines[0] + b"  \r\n" + lines[1] + lines[2])
+        audit_and_plan(dataset, write_bench(tmp_path), tmp_path / "out", top_k=1,
+                       n_per_item=1)
+        removed = json.loads((tmp_path / "out" / "decontam_plan.json").read_text())
+        kept = [line for line, (_, rid) in zip(lines, self.HAND_WRITTEN)
+                if not any(tid.endswith(f":{rid}") for tid in removed["remove_train_ids"])]
+        assert len(kept) == 2
+        assert (tmp_path / "out" / "dataset.cleaned.jsonl").read_bytes() == b"".join(kept)
+
     def test_bad_row_stops_before_anything_is_written(self, tmp_path):
         dataset = self.write_rows(tmp_path / "d.jsonl", 5)
         with open(dataset, "a", encoding="utf-8") as fh:
@@ -675,7 +730,7 @@ class TestAuditDriver:
         assert list((tmp_path / "out").iterdir()) == []
 
     @pytest.mark.parametrize("change", ["drop_row", "add_row", "output",
-                                        "instruction"])
+                                        "instruction", "same_size_in_place"])
     def test_dataset_changed_between_passes(self, tmp_path, monkeypatch,
                                             change):
         dataset = self.write_rows(tmp_path / "d.jsonl", 6)
@@ -688,8 +743,17 @@ class TestAuditDriver:
                 self.write_rows(dataset, 7)
             elif change == "output":
                 self.write_rows(dataset, 6, outputs={4: "def other(): pass"})
-            else:  # a field the audit does not embed
+            elif change == "instruction":  # a field the audit does not embed
                 self.write_rows(dataset, 6, pad=1)
+            else:  # the same size, inode and mtime: only the bytes tell
+                before = os.stat(dataset)
+                with open(dataset, "r+b") as fh:
+                    fh.seek(dataset.read_bytes().index(b"Write helper 4."))
+                    fh.write(b"Write helper 9.")
+                os.utime(dataset, ns=(before.st_atime_ns, before.st_mtime_ns))
+                after = os.stat(dataset)
+                assert (after.st_ino, after.st_size, after.st_mtime_ns) == (
+                    before.st_ino, before.st_size, before.st_mtime_ns)
             return real(report, n_per_item=n_per_item)
 
         monkeypatch.setattr(pipeline, "plan_removal", plan_then_change)
