@@ -13,7 +13,7 @@ import tempfile
 from pathlib import Path
 
 from instructsmith import PipelineConfig, run
-from instructsmith.emitter import read_dataset
+from instructsmith.emitter import iter_dataset
 from instructsmith.exemplar_db import ExemplarDB
 
 workdir = Path(tempfile.mkdtemp(prefix="demo-pipeline-"))
@@ -46,8 +46,7 @@ print("realized mix:")
 for kind, entry in summary.realized_mix.items():
     print(f"  {kind:>18}: {entry['count']:3d}  ({entry['percent']:.2f}%)")
 
-dataset = read_dataset(config.output_path)
-first = dataset[0]
+_, first = next(iter_dataset(config.output_path))
 print(f"\nfirst training example ({first.task_kind}, "
       f"from {first.source_record_id}):")
 print(f"  instruction: {first.instruction[:70]}...")

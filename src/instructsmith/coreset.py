@@ -238,8 +238,8 @@ class SelectionFile:
 
 
 def read_selection(path: str | Path) -> SelectionFile:
-    obj = read_json(path)
     try:
+        obj = read_json(path)
         return SelectionFile(
             k=int(obj["k"]), seed=int(obj["seed"]), metric=str(obj["metric"]),
             selected_ids=[str(s) for s in obj["selected_ids"]],

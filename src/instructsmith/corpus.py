@@ -8,12 +8,13 @@ long, or contains a blacklisted word; every rejection is tallied by reason.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
+
+from .ioutil import id_field, parse_json, text_field
 
 log = logging.getLogger(__name__)
 
@@ -21,6 +22,9 @@ log = logging.getLogger(__name__)
 REJECT_REASONS = ("empty", "too_short", "too_long", "blacklisted")
 
 MATCH_SCOPES = ("code_only", "code_and_comment")
+
+
+_OPTIONAL_FIELDS = ("comment", "language", "repo", "path", "license")
 
 
 @dataclass
@@ -46,15 +50,11 @@ class RawCodeRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RawCodeRecord":
-        return cls(
-            id=str(d["id"]),
-            code=str(d["code"]),
-            comment=str(d.get("comment", "") or ""),
-            language=str(d.get("language", "") or ""),
-            repo=str(d.get("repo", "") or ""),
-            path=str(d.get("path", "") or ""),
-            license=str(d.get("license", "") or ""),
-        )
+        """A record from its JSON object: ``id`` a string or an integer,
+        every other field a string (a TypeError names the first that is
+        not)."""
+        return cls(id=id_field(d, "id"), code=text_field(d, "code"),
+                   **{key: text_field(d, key, "") for key in _OPTIONAL_FIELDS})
 
 
 @dataclass
@@ -114,12 +114,35 @@ class FilterReport:
                 "rejected": dict(self.rejected)}
 
 
+def _record_of(raw: bytes) -> RawCodeRecord | None:
+    """The record on one corpus line, or None if the line is blank. A line
+    that holds no record raises ValueError or TypeError saying why."""
+    try:
+        line = raw.decode("utf-8").strip()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"not UTF-8: {exc}") from None
+    if not line:
+        return None
+    obj = parse_json(line)
+    if not isinstance(obj, dict):
+        raise ValueError("not an object")
+    try:
+        record = RawCodeRecord.from_dict(obj)
+    except KeyError as exc:
+        raise ValueError(f"missing {exc.args[0]}") from None
+    missing = [k for k in ("id", "code") if not getattr(record, k).strip()]
+    if missing:
+        raise ValueError(f"missing {', '.join(missing)}")
+    return record
+
+
 def ingest_records(path: str | Path) -> list[RawCodeRecord]:
     """Read a line-delimited corpus file.
 
-    Malformed lines (not UTF-8, bad JSON, missing/empty ``id`` or ``code``,
-    duplicate id) are skipped and logged, never fatal. An unreadable file
-    raises ``OSError``. Records come back in file order.
+    Malformed lines (not UTF-8, not JSON or a lone surrogate escape, a field
+    of the wrong type, a missing or blank ``id`` or ``code``, a duplicate
+    id) are skipped and logged with ``path:line``, never fatal. An
+    unreadable file raises ``OSError``. Records come back in file order.
     """
     path = Path(path)
     records: list[RawCodeRecord] = []
@@ -128,35 +151,16 @@ def ingest_records(path: str | Path) -> list[RawCodeRecord]:
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as exc:
+                rec = _record_of(raw)
+                if rec is not None and rec.id in seen_ids:
+                    raise ValueError(f"duplicate id {rec.id!r}")
+            except (TypeError, ValueError) as exc:
                 skipped += 1
-                log.warning("%s:%d: skipped (not UTF-8: %s)", path, lineno, exc)
+                log.warning("%s:%d: skipped (%s)", path, lineno, exc)
                 continue
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                skipped += 1
-                log.warning("%s:%d: skipped (invalid JSON: %s)", path, lineno, exc)
-                continue
-            if not isinstance(obj, dict):
-                skipped += 1
-                log.warning("%s:%d: skipped (not an object)", path, lineno)
-                continue
-            missing = [k for k in ("id", "code") if not str(obj.get(k, "") or "").strip()]
-            if missing:
-                skipped += 1
-                log.warning("%s:%d: skipped (missing %s)", path, lineno, ", ".join(missing))
-                continue
-            rec = RawCodeRecord.from_dict(obj)
-            if rec.id in seen_ids:
-                skipped += 1
-                log.warning("%s:%d: skipped (duplicate id %r)", path, lineno, rec.id)
-                continue
-            seen_ids.add(rec.id)
-            records.append(rec)
+            if rec is not None:
+                seen_ids.add(rec.id)
+                records.append(rec)
     if skipped:
         log.info("ingested %d records from %s (%d lines skipped)", len(records), path, skipped)
     return records

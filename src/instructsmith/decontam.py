@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .embedding import EmbeddingBackendConfig, embed_batch, stack_vectors
 from .errors import ConfigError, ConsistencyError
-from .ioutil import atomic_write_text, iter_jsonl
+from .ioutil import atomic_write_text, id_field, iter_jsonl, text_field
 
 if TYPE_CHECKING:  # the functions that compute on vectors import numpy
     import numpy as np
@@ -65,8 +65,11 @@ class BenchmarkItem:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BenchmarkItem":
-        return cls(str(d["bench_id"]), str(d["canonical_solution"]),
-                   str(d.get("benchmark", "")))
+        """An item from its benchmark line: ``bench_id`` a string or an
+        integer, the other fields strings (a TypeError names the first that
+        is not)."""
+        return cls(id_field(d, "bench_id"), text_field(d, "canonical_solution"),
+                   text_field(d, "benchmark", ""))
 
 
 class Neighbor(NamedTuple):

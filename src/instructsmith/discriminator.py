@@ -180,7 +180,11 @@ def load_ruleset(source: str | Path) -> RuleSet:
         path = default_ruleset_path(str(source))
     if not path.exists():
         raise ConfigError(f"ruleset not found: {source}")
-    return RuleSet.from_dict(read_json(path))
+    try:
+        obj = read_json(path)
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise ConfigError(f"{path}: {exc}") from exc
+    return RuleSet.from_dict(obj)
 
 
 def build_discrimination_prompt(instance: InstructionInstance,

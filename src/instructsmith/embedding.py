@@ -1,15 +1,18 @@
 """Text embeddings behind a pluggable backend, and their on-disk cache.
 
 Two backends ship: an HTTP client speaking the common embeddings JSON shape,
-and a deterministic hash-based mock for hermetic runs. A batch of texts
-embeds into one (n, d) float32 matrix, which the coreset selection and the
-decontamination audit take as it is (their math is done in float64). The
-cache is one binary ``.npy`` file of (id, vector) rows.
+and a deterministic hash-based mock for hermetic runs, which embeds a whole
+chunk at a time. A backend's ``embed_chunk`` gives one row per text, as a
+list of vectors or one (n, d) array. A batch of texts embeds into one
+(n, d) float32 matrix, which the coreset selection and the decontamination
+audit take as it is (their math is done in float64). The cache is one
+binary ``.npy`` file of (id, vector) rows.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -60,23 +63,113 @@ class EmbeddingBackendConfig:
             raise ValueError("max_in_flight must be >= 1")
 
 
-def mock_vector(text: str, model_tag: str, dim: int = DEFAULT_MOCK_DIM) -> np.ndarray:
-    """Deterministic pseudo-random unit vector for (model_tag, text).
+# The constants of numpy's SeedSequence (a pool of 4 uint32 words) and of
+# PCG64's seeding, for `seed_states` and `pcg64_state`. Each hashmix step
+# xors in a running constant and multiplies by its next value; no data
+# changes those, so each step's (xor, multiplier) pair is a Python int here.
+_MASK32 = 2**32 - 1
+_MASK128 = 2**128 - 1
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
 
-    The sha256 of the tagged text seeds a PCG64 stream whose first ``dim``
-    normal draws are normalized to unit length. Distinct texts collide only
-    if their hashes do, so vectors are distinct in practice.
+
+def _hash_steps(init: int, mult: int, count: int) -> list[tuple[int, int]]:
+    steps, const = [], init
+    for _ in range(count):
+        steps.append((const, const * mult & _MASK32))
+        const = steps[-1][1]
+    return steps
+
+
+# Mixing the entropy into the pool takes 16 hashmix steps: one per word,
+# then one per (source, other word) pair. Each source's row lists the steps
+# of the words it mixes into, with (0, 0) at the source itself.
+_MIX_STEPS = _hash_steps(0x43B0D7E5, 0x931E8875, 16)
+_CROSS_STEPS = [[(0, 0) if dst == src else _MIX_STEPS[4 + 3 * src + dst - (dst > src)]
+                 for dst in range(4)] for src in range(4)]
+_STATE_STEPS = _hash_steps(0x8B51F9DD, 0x58F38DED, 8)  # 4 uint64 = 8 uint32
+
+
+def seed_states(seeds: np.ndarray) -> np.ndarray:
+    """``np.random.SeedSequence(s).generate_state(4, np.uint64)`` for every
+    uint64 ``s`` in ``seeds``, as an (n, 4) uint64 array, computed for all
+    seeds at once on a (4, n) uint32 pool. A seed is the entropy words
+    [low, high]; a seed below 2**32 is the one word [low], which pads the
+    pool with the zero that [low, 0] gives it."""
+    import numpy as np
+    seeds = np.asarray(seeds, dtype=np.uint64)
+
+    def columns(steps):  # (xor, mult) pairs as two (..., 1) uint32 arrays
+        consts = np.array(steps, dtype=np.uint32)
+        return consts[..., :1], consts[..., 1:]
+
+    def hashmix(value, xor, mult):
+        value = (value ^ xor) * mult
+        return value ^ (value >> 16)
+
+    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
+    pool[0], pool[1] = seeds & _MASK32, seeds >> 32
+    pool = hashmix(pool, *columns(_MIX_STEPS[:4]))
+    rows = np.arange(4)[:, None]
+    for src, (xor, mult) in enumerate(zip(*columns(_CROSS_STEPS))):
+        mixed = pool * _MIX_MULT_L - hashmix(pool[src], xor, mult) * _MIX_MULT_R
+        pool = np.where(rows == src, pool, mixed ^ (mixed >> 16))
+    words = hashmix(np.concatenate((pool, pool)), *columns(_STATE_STEPS))
+    words = words.astype(np.uint64)
+    return (words[0::2] | words[1::2] << 32).T
+
+
+def pcg64_state(words: Sequence[int]) -> tuple[int, int]:
+    """The (state, inc) that ``np.random.PCG64`` seeds itself with from the
+    four uint64 words of its SeedSequence state, in Python ints mod 2**128:
+    with s0, s1 the two 128-bit words, inc = 2 s1 + 1 and state =
+    (inc + s0) M + inc."""
+    s0 = words[0] << 64 | words[1]
+    inc = (words[2] << 65 | words[3] << 1 | 1) & _MASK128
+    return ((inc + s0) * _PCG_MULT + inc) & _MASK128, inc
+
+
+def mock_vectors(texts: Sequence[str], model_tag: str,
+                 dim: int = DEFAULT_MOCK_DIM) -> np.ndarray:
+    """Deterministic pseudo-random unit vectors for (model_tag, text), one
+    float32 row per text.
+
+    The first 8 bytes of the sha256 of ``f"{model_tag}\\0{text}"`` (UTF-8),
+    read big-endian, seed ``np.random.PCG64``; its first ``dim`` standard
+    normal draws, divided by their norm, are the row. The seeding is done
+    for the whole chunk at once (`seed_states`, `pcg64_state`), and one
+    Generator, made per call, takes each row's state in turn: the same
+    bytes as a Generator built per text. Distinct texts collide only if
+    their hashes do, so vectors are distinct in practice.
     """
     import numpy as np
-    digest = hashlib.sha256(f"{model_tag}\0{text}".encode("utf-8")).digest()
-    seed = int.from_bytes(digest[:8], "big")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    vec = rng.standard_normal(dim)
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:  # unreachable in practice; keeps the unit-norm contract total
-        vec[0] = 1.0
-        norm = 1.0
-    return (vec / norm).astype(np.float32)
+    prefixes = b"".join(
+        hashlib.sha256(f"{model_tag}\0{text}".encode("utf-8")).digest()[:8]
+        for text in texts)
+    states = seed_states(np.frombuffer(prefixes, dtype=">u8")).tolist()
+    mat = np.empty((len(texts), dim), dtype=np.float64)
+    norms = np.empty((len(texts), 1), dtype=np.float64)
+    gen = np.random.Generator(np.random.PCG64(0))
+    bit_generator = gen.bit_generator
+    for i, words in enumerate(states):
+        state, inc = pcg64_state(words)
+        bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        row = mat[i]
+        gen.standard_normal(out=row)
+        norm = math.sqrt(row.dot(row))  # np.linalg.norm of a 1-D array
+        if norm == 0.0:  # unreachable in practice; keeps the unit-norm contract total
+            row[0] = 1.0
+            norm = 1.0
+        norms[i] = norm
+    mat /= norms
+    return mat.astype(np.float32)
+
+
+def mock_vector(text: str, model_tag: str, dim: int = DEFAULT_MOCK_DIM) -> np.ndarray:
+    """The `mock_vectors` row of one text."""
+    return mock_vectors([text], model_tag, dim)[0]
 
 
 class MockEmbeddingBackend:
@@ -86,8 +179,8 @@ class MockEmbeddingBackend:
         self.model_name = model_name
         self.dim = dim
 
-    def embed_chunk(self, texts: Sequence[str]) -> list[np.ndarray]:
-        return [mock_vector(t, self.model_name, self.dim) for t in texts]
+    def embed_chunk(self, texts: Sequence[str]) -> np.ndarray:
+        return mock_vectors(texts, self.model_name, self.dim)
 
 
 class HttpEmbeddingBackend:
@@ -152,11 +245,12 @@ def embed_batch(texts: Sequence[str], config: EmbeddingBackendConfig,
     chunked by ``config.batch_size``.
 
     A caller-supplied ``backend`` overrides the one built from config.
-    Chunks may run concurrently up to ``config.max_in_flight``; each is
-    validated as it is taken in input order (one finite row per text, all
-    chunks of one dimension; a chunk that fails raises ``ConsistencyError``
-    naming it) and copied into the result, so one chunk's vectors are held
-    beside the result, not every chunk's.
+    Chunks may run concurrently up to ``config.max_in_flight``; each (a
+    list of vectors or an (n, d) array, taken without a copy when it is
+    float32) is validated as it is taken in input order (one finite row per
+    text, all chunks of one dimension; a chunk that fails raises
+    ``ConsistencyError`` naming it) and copied into the result, so one
+    chunk's vectors are held beside the result, not every chunk's.
     """
     import numpy as np
     if not texts:

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 
 from .errors import ConsistencyError
 from .generator import InstructionInstance
-from .ioutil import atomic_write_jsonl, iter_jsonl
+from .ioutil import atomic_write_jsonl, id_field, iter_jsonl, text_field
 from .taskspec import TASK_KINDS
 
 log = logging.getLogger(__name__)
@@ -56,8 +56,12 @@ class TrainingExample:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainingExample":
-        return cls(str(d["instruction"]), str(d.get("input", "")),
-                   str(d["output"]), str(d["_task"]), str(d.get("_source_id", "")))
+        """An example from its dataset row: ``_source_id`` a string or an
+        integer, every other field a string (a TypeError names the first
+        that is not)."""
+        return cls(text_field(d, "instruction"), text_field(d, "input", ""),
+                   text_field(d, "output"), text_field(d, "_task"),
+                   id_field(d, "_source_id", ""))
 
 
 def to_training_example(instance: InstructionInstance) -> TrainingExample:
@@ -128,8 +132,3 @@ def iter_dataset(path: str | Path, digest=None
             raise ConsistencyError(
                 f"{path}:{lineno}: bad dataset row: {exc}") from exc
         yield lineno, example
-
-
-def read_dataset(path: str | Path) -> list[TrainingExample]:
-    """Read a dataset file back into examples (strict: no torn tails)."""
-    return [example for _, example in iter_dataset(path)]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import re
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, BinaryIO, Iterable, Iterator
@@ -80,17 +81,70 @@ def atomic_write_jsonl(path: str | Path, rows: Iterable[dict]) -> int:
 
 
 def read_json(path: str | Path) -> Any:
+    """The JSON value of the UTF-8 file ``path``, as `parse_json` reads it."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return parse_json(fh.read())
+
+
+LONE_SURROGATE = "not text: a lone surrogate escape"
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def parse_json(text: str) -> Any:
+    """The JSON value of ``text``. Text that is not JSON (an integer too long
+    to convert and nesting too deep included) raises ValueError("not JSON:
+    ..."); so does a lone surrogate: an escape such as ``"\\ud800"`` that
+    pairs with no other. JSON allows it, but no UTF-8 text holds it, so such
+    a string can be neither hashed nor written. Only text with a surrogate
+    escape is encoded again to look for one."""
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"not JSON: {exc}") from None
+    if _SURROGATE_ESCAPE.search(text):
+        try:
+            encode_json(obj).encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(LONE_SURROGATE) from None
+    return obj
+
+
+def _kind(value: Any) -> str:
+    return {type(None): "null", bool: "a boolean", int: "an integer",
+            float: "a number", list: "an array", dict: "an object"
+            }.get(type(value), type(value).__name__)
+
+
+def text_field(row: dict, key: str, default: str | None = None) -> str:
+    """``row[key]``, which must be a JSON string. A missing key gives
+    ``default`` or, without one, a KeyError; any other value is a TypeError
+    naming the key."""
+    value = row[key] if default is None else row.get(key, default)
+    if not isinstance(value, str):
+        raise TypeError(f"{key} must be a string, got {_kind(value)}")
+    return value
+
+
+def id_field(row: dict, key: str, default: str | None = None) -> str:
+    """``row[key]`` as text: a JSON string as it is, or a JSON integer in
+    decimal. A missing key is handled as in `text_field`; null, true, false,
+    a decimal, an array or an object is a TypeError naming the key."""
+    value = row[key] if default is None else row.get(key, default)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    if not isinstance(value, str):
+        raise TypeError(
+            f"{key} must be a string or an integer, got {_kind(value)}")
+    return value
 
 
 def iter_jsonl(path: str | Path, *, complete_only: bool = False,
                digest=None) -> Iterator[tuple[int, Any]]:
     """Yield ``(line_number, parsed_object)`` for each non-blank line, reading
-    the file line by line; a line that is not UTF-8 or not JSON raises
-    `ConsistencyError` naming ``path:line``. A torn final line is the
-    caller's to drop first, with `repair_torn_tail`, or to skip, with
-    ``complete_only``, which leaves the file as it is. ``digest`` (a hashlib
+    the file line by line; a line that is not UTF-8 or that `parse_json`
+    refuses raises `ConsistencyError` naming ``path:line``. A torn
+    final line is the caller's to drop first, with `repair_torn_tail`, or to
+    skip, with ``complete_only``, which leaves the file as it is. ``digest`` (a hashlib
     object), if given, is fed every line read, as bytes. The file closes
     when the iteration ends or the generator is closed or dropped."""
     with open(path, "rb") as fh:
@@ -106,9 +160,9 @@ def iter_jsonl(path: str | Path, *, complete_only: bool = False,
             if not stripped:
                 continue
             try:
-                obj = json.loads(stripped)
-            except json.JSONDecodeError as exc:
-                raise ConsistencyError(f"{path}:{i}: not JSON: {exc}") from exc
+                obj = parse_json(stripped)
+            except ValueError as exc:
+                raise ConsistencyError(f"{path}:{i}: {exc}") from exc
             yield i, obj
 
 

@@ -327,8 +327,10 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         obj = read_json(path)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     return PipelineConfig.from_dict(obj, base_dir=path.parent)

@@ -168,7 +168,10 @@ def default_task_file_path() -> Path:
 def load_task_definitions(path: str | Path | None = None) -> dict[str, TaskDefinition]:
     """Load the task file; exactly one definition per task kind required."""
     path = Path(path) if path is not None else default_task_file_path()
-    obj = read_json(path)
+    try:
+        obj = read_json(path)
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise ConfigError(f"{path}: {exc}") from exc
     entries = obj.get("tasks") if isinstance(obj, dict) else None
     if not isinstance(entries, list):
         raise ConfigError(f"{path}: expected top-level 'tasks' list")

@@ -1,14 +1,18 @@
-"""Dict forms of the exemplar log's objects, for tests.
+"""Dict forms of the exemplar log's objects, and a whole dataset as a list,
+for tests.
 
 The program writes an entry's log line with `ExemplarEntry.to_json` and reads
 it back with `Exemplar.from_line`, so it keeps no dict form of an entry, an
 instance or a report. These give the dict a log line is the JSON text of,
 field for field in the line's order, and rebuild a report from its dict.
+The program streams a dataset file row by row (`iter_dataset`); the tests
+compare it whole, with `read_dataset`.
 """
 
 from __future__ import annotations
 
 from instructsmith.discriminator import DiscriminationReport, RuleVerdict
+from instructsmith.emitter import TrainingExample, iter_dataset
 from instructsmith.exemplar_db import ExemplarEntry
 from instructsmith.generator import InstructionInstance
 
@@ -57,3 +61,9 @@ def entry_dict(entry: ExemplarEntry) -> dict:
         "task_kind": entry.task_kind,
         "created_seq": entry.created_seq,
     }
+
+
+def read_dataset(path) -> list[TrainingExample]:
+    """Every example of a dataset file, in file order (strict: no torn
+    tails)."""
+    return [example for _, example in iter_dataset(path)]

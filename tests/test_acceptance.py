@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from conftest import CIRCLE_FIELDS, golden_text
+from entry_dicts import read_dataset
 from instructsmith import pipeline
 from instructsmith.coreset import kcenter_greedy, kcenter_radius
 from instructsmith.corpus import ingest_records, language_distribution
@@ -37,7 +38,7 @@ from instructsmith.discriminator import (
     parse_discrimination_output,
 )
 from instructsmith.embedding import EmbeddingBackendConfig
-from instructsmith.emitter import read_dataset, render_prompt, to_training_example
+from instructsmith.emitter import render_prompt, to_training_example
 from instructsmith.generator import (
     InstructionInstance,
     parse_generator_output,

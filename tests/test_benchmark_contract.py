@@ -1,5 +1,6 @@
 """Smoke test of the benchmark in ``perfbench/``: one small repetition of each
-workload, untraced, and one traced, through the harness's own ``iterate``.
+workload, untraced, and one traced, through the harness's own ``iterate``;
+and one run of the audit's per-part cost script, ``tests/audit_cost.py``.
 
 It uses the benchmark read-only and shrinks only its input sizes, so a
 change to a program function, option or file name that the benchmark relies
@@ -8,9 +9,14 @@ on fails here instead of in a benchmark run.
 
 import importlib
 import math
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import audit_cost
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -70,3 +76,13 @@ def test_traced_repetition_finds_every_hook(bench, tmp_path):
     layers, _ = tracing.layer_metrics(tracer, result["max_in_flight"])
     assert all(math.isfinite(v) for v in layers.values())
     assert layers["llm_backend.gen_calls"] > 0
+
+
+def test_audit_cost_script_prints_every_part():
+    script = Path(audit_cost.__file__)
+    proc = subprocess.run([sys.executable, str(script), "--repeats", "1"],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    for part in (*audit_cost.PARTS, "total"):
+        found = re.search(rf"^  {re.escape(part)} +(\S+)$", proc.stdout, re.MULTILINE)
+        assert found and math.isfinite(float(found[1])), (part, proc.stdout)

@@ -16,9 +16,9 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from entry_dicts import read_dataset
 from instructsmith import cli
 from instructsmith.cli import main
-from instructsmith.emitter import read_dataset
 from instructsmith.exemplar_db import ExemplarDB
 from instructsmith.ioutil import read_json
 from instructsmith.pipeline import PipelineConfig, config_keys
@@ -64,6 +64,20 @@ def write_config(path: Path, corpus: Path, workdir: Path, **overrides) -> None:
     path.write_text(json.dumps(config), encoding="utf-8")
 
 
+TRAIN_ROW = {"instruction": "Write it.", "input": "", "output": "def f(): pass",
+             "_task": "CodeGeneration", "_source_id": "r1"}
+BENCH_ITEM = {"bench_id": "b1", "canonical_solution": "def g(): pass"}
+
+
+def audit_argv(command: str, train: Path, bench: Path, tmp_path: Path) -> list:
+    """`audit` or `decontaminate` of ``train`` against ``bench``, writing
+    under ``tmp_path``."""
+    args = [command, "--train", str(train), "--bench", str(bench)]
+    if command == "decontaminate":
+        return args + ["--out-dir", str(tmp_path / "out"), "--n", "1", "--top-k", "1"]
+    return args + ["--report", str(tmp_path / "report.json")]
+
+
 @pytest.fixture
 def corpus(tmp_path):
     path = tmp_path / "corpus.jsonl"
@@ -97,6 +111,41 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
         assert main(["run", "--config", str(bad)]) == 2
+
+    @pytest.mark.parametrize("text,damage", [
+        (b'{"seed": 1, "x": "\xff"}', "not UTF-8: 'utf-8' codec"),
+        (b'{"embedding_backend": {"model_name": "m\\ud800"}}',
+         "not text: a lone surrogate escape"),
+        (b'{"seed": ' + b"1" * 5000 + b"}", "not JSON: Exceeds the limit"),
+        (b"[" * 100_000, "not JSON: maximum recursion depth")],
+        ids=["not-utf8", "lone-surrogate", "huge-int", "deep-nesting"])
+    def test_config_that_is_no_text_is_one_line_usage_error(self, tmp_path,
+                                                            capsys, text, damage):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text)
+        assert main(["run", "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{bad}: {damage}" in err
+
+    @pytest.mark.parametrize("key", ["task_file", "rulesets.CodeGeneration"])
+    def test_damaged_task_or_ruleset_file_is_one_line_usage_error(
+            self, tmp_path, corpus, capsys, key):
+        damaged = tmp_path / "damaged.json"
+        damaged.write_text('{"tasks": [', encoding="utf-8")
+        config = tmp_path / "config.json"
+        write_config(config, corpus, tmp_path / "work",
+                     **_nested(key, str(damaged)))
+        assert main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{damaged}: not JSON" in err
+
+    def test_damaged_selection_is_one_line_error(self, tmp_path, capsys):
+        damaged = tmp_path / "selection.json"
+        damaged.write_text("{not json", encoding="utf-8")
+        assert main(["assign", "--selection", str(damaged),
+                     "--output", str(tmp_path / "assignments.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{damaged}: not JSON" in err
 
     def test_select_k_zero_is_usage_error(self, tmp_path, corpus, capsys):
         emb = tmp_path / "emb.npy"
@@ -171,6 +220,64 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert f"{paths[damaged]}:2: not UTF-8" in err
+
+    @pytest.mark.parametrize("command", ["audit", "decontaminate"])
+    @pytest.mark.parametrize("damaged", ["train", "bench"])
+    def test_lone_surrogate_is_one_line_error(self, tmp_path, command, damaged,
+                                              capsys):
+        # JSON allows the escape "\ud800", but no UTF-8 text holds it, so
+        # the row can be neither embedded nor written
+        lines = {"train": [TRAIN_ROW, dict(TRAIN_ROW, output="return '\ud800'")],
+                 "bench": [BENCH_ITEM, dict(BENCH_ITEM, canonical_solution="'\udfff'")]}
+        paths = {}
+        for name, (good, bad) in lines.items():
+            paths[name] = tmp_path / f"{name}.jsonl"
+            rows = [good, bad] if name == damaged else [good]
+            paths[name].write_text("".join(json.dumps(r) + "\n" for r in rows),
+                                   encoding="ascii")
+        args = audit_argv(command, paths["train"], paths["bench"], tmp_path)
+        assert main(args) == (1 if damaged == "train" else 2)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert f"{paths[damaged]}:2: not text: a lone surrogate escape" in err
+
+    @pytest.mark.parametrize("key,value", [
+        ("output", 123), ("input", None), ("instruction", ["Write it."]),
+        ("_task", None), ("_source_id", None), ("_source_id", True),
+        ("_source_id", 1.0), ("_source_id", ["r1"])])
+    def test_dataset_field_of_wrong_type_is_error(self, tmp_path, key, value,
+                                                  capsys):
+        train, bench = tmp_path / "train.jsonl", tmp_path / "bench.jsonl"
+        train.write_text(json.dumps(dict(TRAIN_ROW, **{key: value})) + "\n",
+                         encoding="utf-8")
+        bench.write_text(json.dumps(BENCH_ITEM) + "\n", encoding="utf-8")
+        assert main(audit_argv("audit", train, bench, tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{train}:1: bad dataset row: {key} must" in err
+
+    @pytest.mark.parametrize("key,value", [
+        ("canonical_solution", 5), ("bench_id", None), ("bench_id", False),
+        ("benchmark", ["HumanEval"])])
+    def test_bench_field_of_wrong_type_is_usage_error(self, tmp_path, key,
+                                                      value, capsys):
+        train, bench = tmp_path / "train.jsonl", tmp_path / "bench.jsonl"
+        train.write_text(json.dumps(TRAIN_ROW) + "\n", encoding="utf-8")
+        bench.write_text(json.dumps(dict(BENCH_ITEM, **{key: value})) + "\n",
+                         encoding="utf-8")
+        assert main(audit_argv("decontaminate", train, bench, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{bench}:1: bad benchmark item: {key} must" in err
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_integer_ids_are_read_as_text(self, tmp_path, capsys):
+        train, bench = tmp_path / "train.jsonl", tmp_path / "bench.jsonl"
+        train.write_text(json.dumps(dict(TRAIN_ROW, _source_id=7)) + "\n",
+                         encoding="utf-8")
+        bench.write_text(json.dumps(dict(BENCH_ITEM, bench_id=3)) + "\n",
+                         encoding="utf-8")
+        assert main(audit_argv("decontaminate", train, bench, tmp_path)) == 0
+        plan = read_json(tmp_path / "out" / "decontam_plan.json")
+        assert plan["per_item_contributions"] == {"3": ["0:7"]}
 
     @pytest.mark.parametrize("argv,hint", [
         (["run", "--config", "config.json"], "`instructsmith run --resume`"),
@@ -405,10 +512,11 @@ class TestExitCodes:
     def test_stats_over_damaged_summary_is_one_line(self, tmp_path, capsys):
         workdir = tmp_path / "work"
         workdir.mkdir()
-        (workdir / "summary.json").write_text("{not json", encoding="utf-8")
-        assert main(["stats", "--workdir", str(workdir)]) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and str(workdir / "summary.json") in err
+        for damage in ("{not json", "[" * 100_000, '{"counts": "\\udc00"}'):
+            (workdir / "summary.json").write_text(damage, encoding="utf-8")
+            assert main(["stats", "--workdir", str(workdir)]) == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and str(workdir / "summary.json") in err
 
     def test_audit_non_json_bench_line_is_error(self, tmp_path, capsys):
         train = tmp_path / "train.jsonl"
@@ -659,6 +767,37 @@ class TestRunCommand:
         assert f"{damaged}:41: skipped (not UTF-8" in caplog.text
         assert ((tmp_path / "work" / "dataset.jsonl").read_bytes()
                 == (tmp_path / "clean" / "dataset.jsonl").read_bytes())
+
+    @pytest.mark.parametrize("bad,reason", [
+        ({"id": "r999", "code": "def bad():\n    return '\ud800'"},
+         "not text: a lone surrogate escape"),
+        ({"id": "r999", "code": ["def bad():", "    return 1"]},
+         "code must be a string, got an array"),
+        ({"id": "r999", "code": "def bad(): return 1", "language": 5},
+         "language must be a string, got an integer"),
+        ({"id": None, "code": "def bad(): return 1"},
+         "id must be a string or an integer, got null")])
+    def test_bad_corpus_line_is_skipped(self, tmp_path, corpus, capsys, caplog,
+                                        bad, reason):
+        clean = tmp_path / "clean.json"
+        write_config(clean, corpus, tmp_path / "clean")
+        assert main(["run", "--config", str(clean)]) == 0
+        damaged = tmp_path / "damaged.jsonl"
+        damaged.write_bytes(corpus.read_bytes() + json.dumps(bad).encode() + b"\n")
+        config = tmp_path / "config.json"
+        write_config(config, damaged, tmp_path / "work")
+        with caplog.at_level("WARNING", logger="instructsmith.corpus"):
+            assert main(["run", "--config", str(config)]) == 0
+        assert f"{damaged}:41: skipped ({reason})" in caplog.text
+        assert ((tmp_path / "work" / "dataset.jsonl").read_bytes()
+                == (tmp_path / "clean" / "dataset.jsonl").read_bytes())
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="instructsmith.corpus"):
+            assert main(["filter", "--input", str(damaged),
+                         "--output", str(tmp_path / "filtered.jsonl")]) == 0
+        assert f"{damaged}:41: skipped ({reason})" in caplog.text
+        assert ((tmp_path / "filtered.jsonl").read_bytes()
+                == (tmp_path / "clean" / "filtered.jsonl").read_bytes())
 
     def test_run_seed_override_changes_fingerprint(self, tmp_path, corpus,
                                                    capsys):

@@ -76,6 +76,30 @@ class TestIngest:
         assert len(records) == 1
         assert records[0].code == "first"
 
+    def test_fields_are_parsed_not_coerced(self, tmp_path, caplog):
+        p = tmp_path / "corpus.jsonl"
+        write_lines(p, [
+            json.dumps({"id": 7, "code": "x = 1", "language": "Go"}),
+            json.dumps({"id": "b", "code": ["x = 1"]}),
+            json.dumps({"id": "c", "code": "x = 1", "license": None}),
+            json.dumps({"id": True, "code": "x = 1"}),
+            json.dumps({"id": "  ", "code": "x = 1"}),
+            '{"id": "e", "code": "x = 1", "n": ' + "9" * 5000 + "}",
+            "[" * 100_000,
+            json.dumps({"id": "f", "code": "y = 2"}),
+        ])
+        with caplog.at_level(logging.WARNING, logger="instructsmith.corpus"):
+            records = ingest_records(p)
+        assert [(r.id, r.code, r.language) for r in records] == [
+            ("7", "x = 1", "Go"), ("f", "y = 2", "")]
+        assert [m.split(": ", 1)[1][:40] for m in caplog.messages] == [
+            "skipped (code must be a string, got an a",
+            "skipped (license must be a string, got n",
+            "skipped (id must be a string or an integ",
+            "skipped (missing id)",
+            "skipped (not JSON: Exceeds the limit (43",
+            "skipped (not JSON: maximum recursion dep"]
+
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(OSError):
             ingest_records(tmp_path / "nope.jsonl")

@@ -1,6 +1,7 @@
 """Tests for embedding backends, batching, the cache file, and the vector
 math oracles the other tests rely on."""
 
+import json
 import re
 
 import numpy as np
@@ -8,14 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from embedding_reference import reference_mock_matrix
 from httpstub import http_stub
 from instructsmith.embedding import (
     EmbeddingBackendConfig,
     HttpEmbeddingBackend,
     MockEmbeddingBackend,
+    _chunk_matrix,
     embed_batch,
     mock_vector,
+    mock_vectors,
+    pcg64_state,
     read_embedding_cache,
+    seed_states,
     stack_vectors,
     write_embedding_cache,
 )
@@ -53,6 +59,64 @@ class TestMockVector:
 
     def test_dim_honored(self):
         assert mock_vector("t", "m", 16).shape == (16,)
+
+
+# seeds at the edges of SeedSequence's one- and two-word entropy
+EDGE_SEEDS = [0, 1, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1, 2**63,
+              2**64 - 2, 2**64 - 1, 0x0123456789ABCDEF, 0xFFFFFFFF00000000]
+
+# any code point but a lone surrogate: ASCII, the BMP and astral characters
+# (a surrogate pair in UTF-16 and in a JSON escape)
+TEXTS = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1,
+                max_size=40)
+
+
+class TestMockVectors:
+    """The chunk-at-a-time embedder against the per-text reference in
+    ``embedding_reference``, byte for byte."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(texts=st.lists(TEXTS, min_size=1, max_size=70),
+           dim=st.sampled_from([1, 3, 16, 64]),
+           size=st.sampled_from([1, 2, 31, 32, 33, None]))
+    def test_chunks_equal_the_reference(self, texts, dim, size):
+        size = size or len(texts)
+        mat = np.concatenate([mock_vectors(texts[i:i + size], "m", dim)
+                              for i in range(0, len(texts), size)])
+        assert mat.dtype == np.float32 and mat.shape == (len(texts), dim)
+        assert mat.tobytes() == reference_mock_matrix(texts, "m", dim).tobytes()
+
+    def test_non_ascii_and_astral_texts(self):
+        texts = ["naïve café", "数据清洗", "emoji \U0001F600 and \U00010348",
+                 json.loads('"pair \\ud83d\\ude00"'), "a" * 5000]
+        for dim in (1, 7, 64):
+            assert (mock_vectors(texts, "tag", dim).tobytes()
+                    == reference_mock_matrix(texts, "tag", dim).tobytes())
+
+    def test_seed_states_equal_numpy_seed_sequence(self):
+        rng = np.random.default_rng(5)
+        seeds = EDGE_SEEDS + rng.integers(0, 2**64, 200, dtype=np.uint64).tolist()
+        states = seed_states(np.array(seeds, dtype=np.uint64))
+        assert states.shape == (len(seeds), 4) and states.dtype == np.uint64
+        for seed, words in zip(seeds, states):
+            expected = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+            assert words.tolist() == expected.tolist(), seed
+
+    def test_pcg64_state_equals_numpy_seeding(self):
+        states = seed_states(np.array(EDGE_SEEDS, dtype=np.uint64)).tolist()
+        for seed, words in zip(EDGE_SEEDS, states):
+            state, inc = pcg64_state(words)
+            assert np.random.PCG64(seed).state["state"] == {"state": state,
+                                                             "inc": inc}, seed
+
+    def test_mock_vector_is_the_one_text_row(self):
+        row = mock_vectors(["a", "b"], "m", 16)[1]
+        assert mock_vector("b", "m", 16).tobytes() == row.tobytes()
+
+    def test_backend_chunk_is_taken_without_a_copy(self):
+        chunk = MockEmbeddingBackend(dim=8).embed_chunk(["a", "b", "c"])
+        assert isinstance(chunk, np.ndarray) and chunk.shape == (3, 8)
+        assert _chunk_matrix(chunk, 0, 3, 8) is chunk
 
 
 class ChunkRecorder:
@@ -168,7 +232,7 @@ class TestEmbedBatch:
         config = EmbeddingBackendConfig(batch_size=batch_size, dim=16,
                                         max_in_flight=max_in_flight)
         mat = embed_batch(texts, config)
-        expected = np.stack([mock_vector(t, config.model_name, 16) for t in texts])
+        expected = reference_mock_matrix(texts, config.model_name, 16)
         assert mat.dtype == np.float32 and mat.flags.c_contiguous
         assert mat.tobytes() == expected.tobytes()
 

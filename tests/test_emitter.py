@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from instructsmith.emitter import (
     TrainingExample,
-    read_dataset,
     render_prompt,
     to_training_example,
     write_dataset,
@@ -16,6 +15,7 @@ from instructsmith.emitter import (
 from instructsmith.generator import InstructionInstance
 
 from conftest import CIRCLE_FIELDS
+from entry_dicts import read_dataset
 
 
 def example(instruction="Do it.", input_="", output="print(1)",

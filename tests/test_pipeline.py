@@ -12,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from entry_dicts import read_dataset
 from instructsmith import pipeline
-from instructsmith.emitter import read_dataset
 from instructsmith.coreset import read_selection
 from instructsmith.embedding import read_embedding_cache
 from instructsmith.errors import BackendError, ConfigError, ConsistencyError
