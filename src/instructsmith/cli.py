@@ -102,22 +102,14 @@ def cmd_embed(args) -> int:
 
 
 def cmd_select(args) -> int:
-    coreset = pipeline.CoresetConfig(k=args.k, seed=args.seed, metric=args.metric,
-                                     stratify_by_language=args.stratify_by_language)
-    if coreset.stratify_by_language and not args.records:
-        raise ConfigError("--stratify-by-language needs --records")
+    coreset = pipeline.CoresetConfig(k=args.k, seed=args.seed, metric=args.metric)
     try:
         ids, vectors = read_embedding_cache(args.embeddings)
     except ConsistencyError as exc:  # a bad input file, as for --bench
         raise ConfigError(str(exc)) from exc
     if not ids:
         raise ConfigError(f"{args.embeddings}: empty embedding cache")
-    languages = None
-    if coreset.stratify_by_language:
-        language_of = {r.id: r.language for r in ingest_records(args.records)}
-        languages = [language_of.get(rid, "") for rid in ids]
-    selection = pipeline.select_coreset(vectors, ids, languages, coreset,
-                                        args.output)
+    selection = pipeline.select_coreset(vectors, ids, coreset, args.output)
     _print({"selected": len(selection.selected_indices),
             "final_radius": selection.radius_trace[-1],
             "output": str(args.output)})
@@ -250,8 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--metric", default="euclidean", choices=METRICS)
-    p.add_argument("--stratify-by-language", action="store_true")
-    p.add_argument("--records", help="corpus file with languages (stratified)")
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("assign", help="assign task kinds to selected records")

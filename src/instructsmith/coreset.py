@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from .apportion import largest_remainder
 from .embedding import METRICS
 from .errors import ConsistencyError
 from .ioutil import atomic_write_json, read_json
@@ -45,15 +44,6 @@ class CoresetSelection:
                 raise ValueError("radius_trace must be non-increasing")
 
 
-def _as_matrix(vectors: np.ndarray) -> np.ndarray:
-    """``vectors`` as a float64 (n, d) matrix."""
-    import numpy as np
-    mat = np.asarray(vectors, dtype=np.float64)
-    if mat.ndim != 2 or mat.shape[0] == 0:
-        raise ValueError("vectors must form a non-empty 2-D matrix")
-    return mat
-
-
 class _MinDistance:
     """Every point's distance to its nearest selected center, updated in
     place as centers are added. A selected point holds -1, below every
@@ -67,7 +57,9 @@ class _MinDistance:
 
     def __init__(self, vectors: np.ndarray, metric: str):
         import numpy as np
-        mat = _as_matrix(vectors)
+        mat = np.asarray(vectors, dtype=np.float64)
+        if mat.ndim != 2 or mat.shape[0] == 0:
+            raise ValueError("vectors must form a non-empty 2-D matrix")
         if metric == "euclidean":
             self.norms2 = np.einsum("ij,ij->i", mat, mat)
         elif metric == "cosine_distance":
@@ -154,64 +146,6 @@ def kcenter_radius(vectors: np.ndarray, centers: Sequence[int],
     for idx in centers:
         radius = min_dist.add(idx)
     return radius
-
-
-def stratified_kcenter_greedy(vectors, labels: Sequence[str], k: int,
-                              seed: int = 0, metric: str = "euclidean"
-                              ) -> CoresetSelection:
-    """Greedy selection run per label group, quotas proportional to group size.
-
-    Group quotas come from largest-remainder apportionment of k (capped at
-    each group's size, shortfall redistributed to groups with headroom). The
-    returned radius_trace is recomputed globally over the concatenated pick
-    sequence, so the CoresetSelection invariants still hold.
-    """
-    mat = _as_matrix(vectors)
-    n = mat.shape[0]
-    if len(labels) != n:
-        raise ValueError("labels must align with vectors")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    k = min(k, n)
-    groups: dict[str, list[int]] = {}
-    for i, label in enumerate(labels):
-        groups.setdefault(str(label), []).append(i)
-    names = sorted(groups)
-    sizes = [len(groups[name]) for name in names]
-    quotas = largest_remainder(k, sizes)
-    # cap quotas at group sizes, then redistribute shortfall by group size
-    short = 0
-    for gi, name in enumerate(names):
-        if quotas[gi] > sizes[gi]:
-            short += quotas[gi] - sizes[gi]
-            quotas[gi] = sizes[gi]
-    while short > 0:
-        order = sorted(range(len(names)),
-                       key=lambda gi: (-(sizes[gi] - quotas[gi]), gi))
-        progressed = False
-        for gi in order:
-            if short == 0:
-                break
-            if quotas[gi] < sizes[gi]:
-                quotas[gi] += 1
-                short -= 1
-                progressed = True
-        if not progressed:  # every group saturated; k > n cannot happen here
-            break
-
-    all_picks: list[int] = []
-    for gi, name in enumerate(names):
-        if quotas[gi] == 0:
-            continue
-        idxs = groups[name]
-        sub = kcenter_greedy(mat[idxs], quotas[gi], seed=seed + gi, metric=metric)
-        all_picks.extend(idxs[j] for j in sub.selected_indices)
-
-    # replay the union sequence to get a coherent global radius trace
-    min_dist = _MinDistance(mat, metric)
-    trace = [min_dist.add(idx) for idx in all_picks]
-    return CoresetSelection(selected_indices=all_picks, radius_trace=trace,
-                            k=k, metric=metric, seed=seed)
 
 
 def write_selection(path: str | Path, selection: CoresetSelection,

@@ -167,11 +167,6 @@ def mock_vectors(texts: Sequence[str], model_tag: str,
     return mat.astype(np.float32)
 
 
-def mock_vector(text: str, model_tag: str, dim: int = DEFAULT_MOCK_DIM) -> np.ndarray:
-    """The `mock_vectors` row of one text."""
-    return mock_vectors([text], model_tag, dim)[0]
-
-
 class MockEmbeddingBackend:
     """Hash-based embedding backend; it keeps no history of what it serves."""
 

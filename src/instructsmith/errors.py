@@ -61,7 +61,3 @@ class ProtocolError(BackendError):
     """The backend answered, but the response body was not in the expected shape."""
     error_class = "protocol_error"
 
-
-class ScriptedMissError(BackendError):
-    """A mock backend received a request matching no script entry (test failure signal)."""
-    error_class = "scripted_miss"

@@ -13,8 +13,8 @@ from __future__ import annotations
 import hashlib
 import re
 
-from .errors import ScriptedMissError
-from .llm_backend import MockChatBackend, ScriptEntry
+from .errors import BackendError
+from .llm_backend import MockChatBackend
 
 DEFAULT_NO_INFORMATION_MODULUS = 3
 
@@ -43,7 +43,7 @@ def canned_generation_reply(prompt_text: str,
     """
     blocks = _RAW_CODE_RE.findall(prompt_text)
     if not blocks:
-        raise ScriptedMissError("generation prompt has no raw-code block")
+        raise BackendError("generation prompt has no raw-code block")
     tag = code_tag(blocks[-1])
     n = int(tag, 16)
     if no_information_modulus and n % no_information_modulus == 0:
@@ -66,8 +66,7 @@ def canned_generation_backend(model_name: str = "mock-gen",
     def reply(request) -> str:
         return canned_generation_reply(request.user_text, no_information_modulus)
 
-    return MockChatBackend([ScriptEntry(None, reply, times=None)],
-                           model_name=model_name)
+    return MockChatBackend(reply, model_name)
 
 
 def canned_discrimination_reply(prompt_text: str, bad_modulus: int = 0) -> str:
@@ -79,7 +78,7 @@ def canned_discrimination_reply(prompt_text: str, bad_modulus: int = 0) -> str:
     """
     rules = _RULE_LINE_RE.findall(prompt_text)
     if not rules:
-        raise ScriptedMissError("discrimination prompt has no rule lines")
+        raise BackendError("discrimination prompt has no rule lines")
     sol_m = _INSTANCE_SOLUTION_RE.search(prompt_text)
     solution = sol_m.group(1) if sol_m else prompt_text
     n = _digest(solution)
@@ -109,5 +108,4 @@ def canned_discrimination_backend(bad_modulus: int = 0,
     def reply(request) -> str:
         return canned_discrimination_reply(request.user_text, bad_modulus)
 
-    return MockChatBackend([ScriptEntry(None, reply, times=None)],
-                           model_name=model_name)
+    return MockChatBackend(reply, model_name)

@@ -1,9 +1,9 @@
-"""Chat-completion client abstraction: HTTP backend, scriptable mock, and
+"""Chat-completion client abstraction: HTTP backend, function mock, and
 `ask`, the one loop that asks a model again when its reply does not parse.
 
 One client shape serves both the generation model and the discrimination
-model; they differ only in their `BackendConfig`. The mock backend replays a
-finite script and keeps no request history.
+model; they differ only in their `BackendConfig`. The mock backend answers
+with a function of the request and keeps no state.
 """
 
 from __future__ import annotations
@@ -12,10 +12,9 @@ import json
 import logging
 import os
 import random
-import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, TypedDict, TypeVar
+from typing import Callable, TypedDict, TypeVar
 
 from .errors import (
     BackendError,
@@ -23,10 +22,10 @@ from .errors import (
     ParseError,
     ProtocolError,
     RateLimitedError,
-    ScriptedMissError,
     ServerBackendError,
     UnparseableReplyError,
 )
+from .ioutil import LONE_SURROGATE
 
 log = logging.getLogger(__name__)
 
@@ -66,7 +65,7 @@ class ChatRequest:
 
     @property
     def user_text(self) -> str:
-        """Content of the final user message (what mock predicates match on)."""
+        """Content of the final user message (the prompt a mock reply reads)."""
         return self.messages[-1].content
 
 
@@ -237,61 +236,17 @@ class HttpChatBackend:
                          model_name=str(obj.get("model", self.model_name)))
 
 
-#: a script entry predicate; None matches any request
-Predicate = Callable[[str], bool] | str | None
-#: a script entry reply: literal text, an error to raise, or a function of the request
-Reply = str | Exception | Callable[[ChatRequest], str]
-
-
-@dataclass
-class ScriptEntry:
-    """One (predicate, reply) pair. ``times=None`` never exhausts."""
-
-    predicate: Predicate
-    reply: Reply
-    times: int | None = 1
-
-    def matches(self, text: str) -> bool:
-        if self.predicate is None:
-            return True
-        if isinstance(self.predicate, str):
-            return self.predicate in text
-        return bool(self.predicate(text))
-
-
 class MockChatBackend:
-    """Deterministic scripted chat backend for hermetic tests.
+    """A chat backend whose reply is a function of the request; it holds no
+    script and keeps no state. ``usage`` estimates four characters a token."""
 
-    Replies are consumed in script order among entries whose predicate matches
-    the request's final user message.
-    """
-
-    def __init__(self, script: Sequence[ScriptEntry | tuple], model_name: str = "mock-chat"):
-        self.script: list[ScriptEntry] = [
-            entry if isinstance(entry, ScriptEntry) else ScriptEntry(*entry)
-            for entry in script
-        ]
+    def __init__(self, reply: Callable[[ChatRequest], str],
+                 model_name: str = "mock-chat"):
+        self.reply = reply
         self.model_name = model_name
-        self._lock = threading.Lock()
 
     def send(self, request: ChatRequest) -> ChatReply:
-        with self._lock:
-            text = request.user_text
-            for entry in self.script:
-                if entry.times is not None and entry.times <= 0:
-                    continue
-                if not entry.matches(text):
-                    continue
-                if entry.times is not None:
-                    entry.times -= 1
-                reply = entry.reply
-                break
-            else:
-                raise ScriptedMissError(
-                    f"no script entry matches request: {text[:120]!r}")
-        if isinstance(reply, Exception):
-            raise reply
-        content = reply(request) if callable(reply) else reply
+        content = self.reply(request)
         usage = {"prompt_tokens": sum(len(m.content) for m in request.messages) // 4,
                  "completion_tokens": len(content) // 4}
         return ChatReply(content=content, usage=usage, model_name=self.model_name)
@@ -338,12 +293,19 @@ def ask(send: Callable[[int], ChatReply], parse: Callable[[ChatReply, int], T],
     """Return ``parse(send(attempt), attempt)`` for the first of attempts
     1 .. ``retries`` + 1 whose reply parses: a `ParseError` asks again, a
     backend error propagates, and when no reply parses the conversation
-    ends in `UnparseableReplyError`."""
+    ends in `UnparseableReplyError`. A reply that is not UTF-8 text (it
+    holds a lone surrogate) does not parse: it could be neither hashed nor
+    written."""
     if retries < 0:
         raise ValueError("retries must be >= 0")
     for attempt in range(1, retries + 2):
         reply = send(attempt)
         try:
+            if not reply.content.isascii():
+                try:
+                    reply.content.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ParseError(LONE_SURROGATE) from None
             return parse(reply, attempt)
         except ParseError as exc:
             error = exc

@@ -127,7 +127,6 @@ class CoresetConfig:
     k: int
     seed: int = 0
     metric: str = "euclidean"
-    stratify_by_language: bool = False
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -434,18 +433,13 @@ def embed_records(records: Sequence[RawCodeRecord],
 
 
 def select_coreset(vectors: np.ndarray, ids: Sequence[str],
-                   languages: Sequence[str] | None, coreset: CoresetConfig,
+                   coreset: CoresetConfig,
                    output_path: str | Path) -> CoresetSelection:
-    """Select stage: greedy k-center over ``vectors``, per language when
-    ``coreset.stratify_by_language``; the selection is written by id."""
-    from .coreset import stratified_kcenter_greedy, write_selection
-    if coreset.stratify_by_language:
-        selection = stratified_kcenter_greedy(vectors, languages, coreset.k,
-                                              seed=coreset.seed,
-                                              metric=coreset.metric)
-    else:
-        selection = kcenter_greedy(vectors, coreset.k, seed=coreset.seed,
-                                   metric=coreset.metric)
+    """Select stage: greedy k-center over ``vectors``; the selection is
+    written by id."""
+    from .coreset import write_selection
+    selection = kcenter_greedy(vectors, coreset.k, seed=coreset.seed,
+                               metric=coreset.metric)
     write_selection(output_path, selection, ids)
     return selection
 
@@ -703,7 +697,6 @@ def run(config: PipelineConfig, *, resume: bool = False,
                 _require_artifact(path, "selected")).selected_ids
         else:
             selection = select_coreset(vectors, [r.id for r in kept],
-                                       [r.language for r in kept],
                                        config.coreset, path)
             selected_ids = [kept[i].id for i in selection.selected_indices]
             checkpoint("selected")

@@ -1,4 +1,4 @@
-"""Reference mock embedder: the per-text `mock_vector` that
+"""Reference mock embedder: the per-text embedder that
 `instructsmith.embedding.mock_vectors` replaced.
 
 Each text builds its own ``np.random.PCG64`` from the sha256 of the tagged

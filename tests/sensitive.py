@@ -6,7 +6,8 @@ the dataset bytes change whenever a record sees different exemplars, as they
 would with a real model. ``Jitter`` delays every request by a seeded amount
 and counts the requests in flight across the backends it wraps.
 ``Recorder`` keeps every request sent through the backend it wraps, for the
-tests that assert on the prompts the program builds.
+tests that assert on the prompts the program builds. ``ScriptedChatBackend``
+replays a finite script of replies, chosen by what the prompt holds.
 """
 
 from __future__ import annotations
@@ -16,9 +17,12 @@ import random
 import re
 import threading
 import time
+from dataclasses import dataclass
+from typing import Callable
 
+from instructsmith.errors import BackendError
 from instructsmith.hermetic import canned_generation_reply
-from instructsmith.llm_backend import MockChatBackend, ScriptEntry
+from instructsmith.llm_backend import ChatRequest, MockChatBackend
 
 _FIRST_EXEMPLAR_RE = re.compile(r"^(GOOD|BAD) EXAMPLE:$", re.MULTILINE)
 _RAW_CODE = "Raw code:\n```"
@@ -44,9 +48,8 @@ def exemplar_sensitive_reply(prompt_text: str) -> str:
 
 
 def exemplar_sensitive_backend() -> MockChatBackend:
-    return MockChatBackend(
-        [ScriptEntry(None, lambda req: exemplar_sensitive_reply(req.user_text),
-                     times=None)], model_name="mock-gen-sensitive")
+    return MockChatBackend(lambda req: exemplar_sensitive_reply(req.user_text),
+                           model_name="mock-gen-sensitive")
 
 
 class Jitter:
@@ -100,3 +103,52 @@ class Recorder:
         with self._lock:
             self.transcript.append(request)
         return self.inner.send(request)
+
+
+@dataclass
+class ScriptEntry:
+    """One (predicate, reply) pair. A predicate is a substring of the
+    prompt, a function of it, or None for any prompt; a reply is text, an
+    error to raise, or a function of the request. ``times=None`` never
+    exhausts."""
+
+    predicate: Callable[[str], bool] | str | None
+    reply: str | Exception | Callable[[ChatRequest], str]
+    times: int | None = 1
+
+    def matches(self, text: str) -> bool:
+        if self.predicate is None:
+            return True
+        if isinstance(self.predicate, str):
+            return self.predicate in text
+        return bool(self.predicate(text))
+
+
+class ScriptedChatBackend(MockChatBackend):
+    """The function mock, answering from a script: each request takes the
+    first entry, in script order, that is not exhausted and whose predicate
+    matches the prompt. A request no entry matches raises `BackendError`."""
+
+    def __init__(self, script, model_name: str = "mock-chat"):
+        super().__init__(self._next_reply, model_name)
+        self.script = [entry if isinstance(entry, ScriptEntry) else ScriptEntry(*entry)
+                       for entry in script]
+        self._lock = threading.Lock()
+
+    def _next_reply(self, request) -> str:
+        with self._lock:
+            text = request.user_text
+            for entry in self.script:
+                if entry.times is not None and entry.times <= 0:
+                    continue
+                if not entry.matches(text):
+                    continue
+                if entry.times is not None:
+                    entry.times -= 1
+                reply = entry.reply
+                break
+            else:
+                raise BackendError(f"no script entry matches request: {text[:120]!r}")
+        if isinstance(reply, Exception):
+            raise reply
+        return reply(request) if callable(reply) else reply

@@ -76,6 +76,9 @@ def test_traced_repetition_finds_every_hook(bench, tmp_path):
     layers, _ = tracing.layer_metrics(tracer, result["max_in_flight"])
     assert all(math.isfinite(v) for v in layers.values())
     assert layers["llm_backend.gen_calls"] > 0
+    # retries are the MockChatBackend.send count less the generation and
+    # judge sends: a canned backend that bypassed that hook would go negative
+    assert layers["llm_backend.retries"] == 0
 
 
 def test_audit_cost_script_prints_every_part():

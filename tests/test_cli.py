@@ -454,6 +454,7 @@ class TestExitCodes:
                 ("embedding_backend.model_name", 5),
                 ("sampling.same_task_only", "no"),
                 ("coreset.stratify_by_language", "yes"),
+                ("coreset.stratify_by_language", False),
                 ("rulesets.CodeGeneration", 5), ("mix.CodeGeneration", True),
                 ("rulesets.CodeGeneraton", "codegen-default"),
                 ("generation_backend.extra.role", "judge"),
@@ -719,24 +720,21 @@ class TestStageCommands:
                      "assignments.json", "dataset.jsonl"):
             assert (chain / name).read_bytes() == (workdir / name).read_bytes(), name
 
-    def test_select_stratified_needs_records(self, tmp_path, corpus, capsys):
+    @pytest.mark.parametrize("flags", [["--stratify-by-language"],
+                                       ["--records", "corpus.jsonl"]])
+    def test_select_stratify_flags_are_gone(self, tmp_path, corpus, flags,
+                                            capsys):
+        # per-language selection was removed; its flags are unknown now
         emb = tmp_path / "emb.npy"
         main(["embed", "--input", str(corpus), "--output", str(emb)])
         capsys.readouterr()
-        rc = main(["select", "--embeddings", str(emb),
-                   "--output", str(tmp_path / "sel.json"),
-                   "--k", "6", "--stratify-by-language"])
-        assert rc == 2
-
-    def test_select_stratified_with_records(self, tmp_path, corpus, capsys):
-        emb = tmp_path / "emb.npy"
-        sel = tmp_path / "sel.json"
-        main(["embed", "--input", str(corpus), "--output", str(emb)])
-        capsys.readouterr()
-        assert main(["select", "--embeddings", str(emb), "--output", str(sel),
-                     "--k", "6", "--stratify-by-language",
-                     "--records", str(corpus)]) == 0
-        assert json.loads(capsys.readouterr().out)["selected"] == 6
+        with pytest.raises(SystemExit) as exc:
+            main(["select", "--embeddings", str(emb),
+                  "--output", str(tmp_path / "sel.json"), "--k", "6", *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and "Traceback" not in err
+        assert not (tmp_path / "sel.json").exists()
 
 
 class TestRunCommand:

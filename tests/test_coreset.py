@@ -9,14 +9,12 @@ from instructsmith.coreset import (
     kcenter_greedy,
     kcenter_radius,
     read_selection,
-    stratified_kcenter_greedy,
     write_selection,
 )
 from kcenter_reference import (
     GuardLimitError,
     kcenter_optimal_bruteforce,
     reference_kcenter_greedy,
-    replay_trace,
 )
 
 POINTS_1D = np.array([[0.0], [1.0], [10.0]])
@@ -145,21 +143,6 @@ class TestReferenceEquivalence:
         self.assert_same(mat, 12, metric, initial=[7, 3, 41])
         self.assert_same(mat, 3, metric, initial=[7, 3, 41])
 
-    @pytest.mark.parametrize("metric", METRICS)
-    def test_stratified(self, metric):
-        rng = np.random.default_rng(35)
-        mat = rng.normal(size=(90, 4)).astype(np.float32)
-        labels = [("a", "b", "c")[i % 3] if i < 60 else "d" for i in range(90)]
-        sel = stratified_kcenter_greedy(mat, labels, k=20, seed=5, metric=metric)
-        assert sel.radius_trace == replay_trace(mat, sel.selected_indices, metric)
-        # each group's picks are the reference greedy run over that group
-        for gi, name in enumerate(sorted(set(labels))):
-            group = [i for i, label in enumerate(labels) if label == name]
-            picked = [i for i in sel.selected_indices if labels[i] == name]
-            picks, _ = reference_kcenter_greedy(mat[group], len(picked),
-                                                seed=5 + gi, metric=metric)
-            assert [group[j] for j in picks] == picked
-
 
 class TestRadius:
     def test_all_points_as_centers(self):
@@ -273,44 +256,6 @@ class TestSelectionType:
         assert loaded.metric == "euclidean"
         assert loaded.selected_ids == ["rec-a", "rec-c"]
         assert loaded.radius_trace == sel.radius_trace
-
-
-class TestStratified:
-    def test_quota_by_group_size(self):
-        rng = np.random.default_rng(11)
-        mat = rng.normal(size=(100, 4))
-        labels = ["a"] * 60 + ["b"] * 30 + ["c"] * 10
-        sel = stratified_kcenter_greedy(mat, labels, k=10, seed=0)
-        assert len(sel.selected_indices) == 10
-        picked = {"a": 0, "b": 0, "c": 0}
-        for idx in sel.selected_indices:
-            picked[labels[idx]] += 1
-        assert picked == {"a": 6, "b": 3, "c": 1}
-
-    def test_small_group_cap_redistributes(self):
-        rng = np.random.default_rng(12)
-        mat = rng.normal(size=(12, 3))
-        labels = ["big"] * 10 + ["tiny"] * 2
-        sel = stratified_kcenter_greedy(mat, labels, k=8, seed=0)
-        picked = {"big": 0, "tiny": 0}
-        for idx in sel.selected_indices:
-            picked[labels[idx]] += 1
-        assert picked["tiny"] <= 2
-        assert sum(picked.values()) == 8
-
-    def test_trace_non_increasing_and_deterministic(self):
-        rng = np.random.default_rng(13)
-        mat = rng.normal(size=(40, 3))
-        labels = [f"g{i % 3}" for i in range(40)]
-        a = stratified_kcenter_greedy(mat, labels, k=9, seed=2)
-        b = stratified_kcenter_greedy(mat, labels, k=9, seed=2)
-        assert a.selected_indices == b.selected_indices
-        assert a.radius_trace == b.radius_trace
-        assert all(y <= x for x, y in zip(a.radius_trace, a.radius_trace[1:]))
-
-    def test_label_length_mismatch(self):
-        with pytest.raises(ValueError):
-            stratified_kcenter_greedy(POINTS_1D, ["a"], k=1)
 
 
 class TestLargestRemainder:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from embedding_reference import reference_mock_vector
 from instructsmith import decontam
 from instructsmith.decontam import (
     BenchmarkItem,
@@ -25,7 +26,7 @@ from instructsmith.decontam import (
     write_histogram_csv,
     write_leakage_report,
 )
-from instructsmith.embedding import EmbeddingBackendConfig, mock_vector
+from instructsmith.embedding import EmbeddingBackendConfig
 from instructsmith.errors import ConfigError
 from vector_oracles import cosine_similarity
 
@@ -47,10 +48,11 @@ def naive_neighbors(train, bench_items, top_k):
     """Per-pair cosine via the scalar helper; ties break to earlier rows."""
     out = {}
     for item in bench_items:
-        bv = mock_vector(item.canonical_solution, CONFIG.model_name, CONFIG.dim)
+        bv = reference_mock_vector(item.canonical_solution, CONFIG.model_name,
+                                   CONFIG.dim)
         scored = []
         for idx, (tid, text) in enumerate(train):
-            tv = mock_vector(text, CONFIG.model_name, CONFIG.dim)
+            tv = reference_mock_vector(text, CONFIG.model_name, CONFIG.dim)
             scored.append((-cosine_similarity(bv, tv), idx, tid))
         scored.sort()
         out[item.bench_id] = [(tid, -neg) for neg, _, tid in scored[:top_k]]

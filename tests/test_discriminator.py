@@ -26,8 +26,7 @@ from instructsmith.errors import (
     UnparseableReplyError,
 )
 from instructsmith.hermetic import canned_discrimination_reply
-from instructsmith.llm_backend import MockChatBackend, ScriptEntry
-from sensitive import Recorder
+from sensitive import Recorder, ScriptedChatBackend, ScriptEntry
 
 RULE_IDS = ["instruction_language", "solution_relevance", "solution_code_only",
             "solution_readability", "solution_imports"]
@@ -236,7 +235,7 @@ class TestLabeling:
 
 class TestDiscriminate:
     def test_reference_reply(self, circle_instance, ruleset):
-        backend = Recorder(MockChatBackend(
+        backend = Recorder(ScriptedChatBackend(
             [ScriptEntry(None, golden_text("discrimination_analysis.txt"))]))
         report = discriminate(circle_instance, ruleset, backend)
         assert report.label == "Good"
@@ -247,12 +246,12 @@ class TestDiscriminate:
     def test_bad_verdict_reply(self, circle_instance, ruleset):
         text = golden_text("discrimination_analysis.txt").replace(
             "- Overall answer: yes", "- Overall answer: no")
-        backend = MockChatBackend([ScriptEntry(None, text)])
+        backend = ScriptedChatBackend([ScriptEntry(None, text)])
         report = discriminate(circle_instance, ruleset, backend)
         assert report.label == "Bad"
 
     def test_retry_then_success(self, circle_instance, ruleset):
-        backend = Recorder(MockChatBackend([
+        backend = Recorder(ScriptedChatBackend([
             ScriptEntry(None, "no analysis here"),
             ScriptEntry(None, golden_text("discrimination_analysis.txt")),
         ]))
@@ -261,7 +260,7 @@ class TestDiscriminate:
         assert len(backend.transcript) == 2
 
     def test_exhaustion(self, circle_instance, ruleset):
-        backend = MockChatBackend([ScriptEntry(None, "nope", times=None)])
+        backend = ScriptedChatBackend([ScriptEntry(None, "nope", times=None)])
         with pytest.raises(UnparseableReplyError) as excinfo:
             discriminate(circle_instance, ruleset, backend, retries=1)
         assert excinfo.value.attempts == 2

@@ -17,7 +17,6 @@ from instructsmith.embedding import (
     MockEmbeddingBackend,
     _chunk_matrix,
     embed_batch,
-    mock_vector,
     mock_vectors,
     pcg64_state,
     read_embedding_cache,
@@ -38,27 +37,27 @@ from vector_oracles import cosine_similarity, euclidean_distance
 
 class TestMockVector:
     def test_deterministic_bitwise(self):
-        a = mock_vector("some code", "model-a", 64)
-        b = mock_vector("some code", "model-a", 64)
+        a = mock_vectors(["some code"], "model-a", 64)[0]
+        b = mock_vectors(["some code"], "model-a", 64)[0]
         assert a.dtype == np.float32
         assert (a == b).all()
 
     def test_distinct_texts_differ(self):
-        a = mock_vector("text one", "m", 64)
-        b = mock_vector("text two", "m", 64)
+        a = mock_vectors(["text one"], "m", 64)[0]
+        b = mock_vectors(["text two"], "m", 64)[0]
         assert (a != b).any()
 
     def test_model_tag_changes_vector(self):
-        a = mock_vector("same text", "model-a", 64)
-        b = mock_vector("same text", "model-b", 64)
+        a = mock_vectors(["same text"], "model-a", 64)[0]
+        b = mock_vectors(["same text"], "model-b", 64)[0]
         assert (a != b).any()
 
     def test_unit_norm(self):
-        v = mock_vector("anything", "m", 64)
+        v = mock_vectors(["anything"], "m", 64)[0]
         assert abs(float(np.linalg.norm(v.astype(np.float64))) - 1.0) < 1e-6
 
     def test_dim_honored(self):
-        assert mock_vector("t", "m", 16).shape == (16,)
+        assert mock_vectors(["t"], "m", 16)[0].shape == (16,)
 
 
 # seeds at the edges of SeedSequence's one- and two-word entropy
@@ -111,7 +110,7 @@ class TestMockVectors:
 
     def test_mock_vector_is_the_one_text_row(self):
         row = mock_vectors(["a", "b"], "m", 16)[1]
-        assert mock_vector("b", "m", 16).tobytes() == row.tobytes()
+        assert mock_vectors(["b"], "m", 16)[0].tobytes() == row.tobytes()
 
     def test_backend_chunk_is_taken_without_a_copy(self):
         chunk = MockEmbeddingBackend(dim=8).embed_chunk(["a", "b", "c"])
@@ -141,7 +140,7 @@ class TestEmbedBatch:
         assert vectors.shape == (5, 8) and vectors.dtype == np.float32
         assert [len(c) for c in backend.chunks] == [2, 2, 1]
         for text, vec in zip(texts, vectors):
-            assert (vec == mock_vector(text, backend.model_name, 8)).all()
+            assert (vec == mock_vectors([text], backend.model_name, 8)[0]).all()
 
     def test_same_text_twice_identical(self):
         config = EmbeddingBackendConfig(batch_size=10, dim=8)
@@ -151,8 +150,8 @@ class TestEmbedBatch:
     def test_model_name_keys_vectors(self):
         config = EmbeddingBackendConfig(model_name="tagger", dim=8)
         vectors = embed_batch(["a"], config)
-        assert (vectors[0] == mock_vector("a", "tagger", 8)).all()
-        assert (vectors[0] != mock_vector("a", "mock-embed", 8)).any()
+        assert (vectors[0] == mock_vectors(["a"], "tagger", 8)[0]).all()
+        assert (vectors[0] != mock_vectors(["a"], "mock-embed", 8)[0]).any()
 
     def test_empty_inputs_rejected(self):
         config = EmbeddingBackendConfig(dim=8)
@@ -224,7 +223,7 @@ class TestEmbedBatch:
         texts = [f"item {i}" for i in range(9)]
         vectors = embed_batch(texts, config, backend=backend)
         for text, vec in zip(texts, vectors):
-            assert (vec == mock_vector(text, backend.model_name, 8)).all()
+            assert (vec == mock_vectors([text], backend.model_name, 8)[0]).all()
 
     @pytest.mark.parametrize("batch_size,max_in_flight", [(7, 1), (7, 3), (50, 1)])
     def test_bytes_equal_the_stacked_rows(self, batch_size, max_in_flight):
@@ -260,7 +259,7 @@ class TestVectorMath:
     """The scalar oracles in ``vector_oracles``."""
 
     def test_cosine_identity(self):
-        v = mock_vector("v", "m", 16)
+        v = mock_vectors(["v"], "m", 16)[0]
         assert abs(cosine_similarity(v, v) - 1.0) <= 1e-9
 
     def test_cosine_orthogonal(self):
@@ -288,8 +287,8 @@ class TestVectorMath:
     @given(st.integers(min_value=0, max_value=10_000),
            st.integers(min_value=0, max_value=10_000))
     def test_symmetry_property(self, seed_a, seed_b):
-        a = mock_vector(f"a{seed_a}", "m", 12)
-        b = mock_vector(f"b{seed_b}", "m", 12)
+        a = mock_vectors([f"a{seed_a}"], "m", 12)[0]
+        b = mock_vectors([f"b{seed_b}"], "m", 12)[0]
         assert cosine_similarity(a, b) == pytest.approx(
             cosine_similarity(b, a), abs=1e-12)
         assert euclidean_distance(a, b) == pytest.approx(
@@ -300,16 +299,16 @@ class TestVectorMath:
            st.floats(min_value=0.001, max_value=1000.0,
                      allow_nan=False, allow_infinity=False))
     def test_cosine_scale_invariance(self, seed, scale):
-        a = mock_vector(f"x{seed}", "m", 12).astype(np.float64)
-        b = mock_vector(f"y{seed}", "m", 12).astype(np.float64)
+        a = mock_vectors([f"x{seed}"], "m", 12)[0].astype(np.float64)
+        b = mock_vectors([f"y{seed}"], "m", 12)[0].astype(np.float64)
         assert cosine_similarity(a * scale, b) == pytest.approx(
             cosine_similarity(a, b), abs=1e-9)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_unit_vector_distance_cosine_identity(self, seed):
-        a = mock_vector(f"p{seed}", "m", 24)
-        b = mock_vector(f"q{seed}", "m", 24)
+        a = mock_vectors([f"p{seed}"], "m", 24)[0]
+        b = mock_vectors([f"q{seed}"], "m", 24)[0]
         d2 = euclidean_distance(a, b) ** 2
         assert d2 == pytest.approx(2.0 - 2.0 * cosine_similarity(a, b), abs=1e-6)
 

@@ -26,8 +26,8 @@ from instructsmith.generator import (
     parse_generator_output,
     render_generator_output,
 )
-from instructsmith.llm_backend import MockChatBackend, ScriptEntry
 from instructsmith.taskspec import load_task_definitions
+from sensitive import ScriptedChatBackend, ScriptEntry
 
 RECORD = RawCodeRecord(
     id="rec-7",
@@ -352,7 +352,7 @@ class TestGenerateInstance:
         self.taskdef = load_task_definitions()["CodeGeneration"]
 
     def test_reference_reply_first_attempt(self):
-        backend = MockChatBackend(
+        backend = ScriptedChatBackend(
             [ScriptEntry(None, golden_text("generator_output.txt"))])
         instance = generate_instance(RECORD, self.taskdef, FakeDB(), backend)
         assert instance.task_name == CIRCLE_FIELDS["task_name"]
@@ -362,7 +362,7 @@ class TestGenerateInstance:
         assert instance.generation_meta["attempts"] == 1
 
     def test_retry_after_malformed_reply(self):
-        backend = MockChatBackend([
+        backend = ScriptedChatBackend([
             ScriptEntry(None, "keys? what keys?"),
             ScriptEntry(None, golden_text("generator_output.txt")),
         ])
@@ -373,7 +373,7 @@ class TestGenerateInstance:
         assert db.sample_seeds[0] != db.sample_seeds[1]
 
     def test_exhaustion_raises_with_last_reply(self):
-        backend = MockChatBackend(
+        backend = ScriptedChatBackend(
             [ScriptEntry(None, "still not parseable", times=None)])
         with pytest.raises(UnparseableReplyError) as excinfo:
             generate_instance(RECORD, self.taskdef, FakeDB(), backend, retries=0)
@@ -381,12 +381,12 @@ class TestGenerateInstance:
         assert excinfo.value.attempts == 1
 
     def test_backend_error_propagates(self):
-        backend = MockChatBackend([ScriptEntry(None, ProtocolError("bad"))])
+        backend = ScriptedChatBackend([ScriptEntry(None, ProtocolError("bad"))])
         with pytest.raises(ProtocolError):
             generate_instance(RECORD, self.taskdef, FakeDB(), backend)
 
     def test_reruns_are_deterministic_in_sampling(self):
-        backend = MockChatBackend(
+        backend = ScriptedChatBackend(
             [ScriptEntry(None, golden_text("generator_output.txt"), times=None)])
         db1, db2 = FakeDB(), FakeDB()
         generate_instance(RECORD, self.taskdef, db1, backend, seed=5)

@@ -9,7 +9,7 @@ from instructsmith.discriminator import (
     load_ruleset,
     parse_discrimination_output,
 )
-from instructsmith.errors import ScriptedMissError
+from instructsmith.errors import BackendError
 from instructsmith.generator import generate_instance, parse_generator_output
 from instructsmith.hermetic import (
     canned_discrimination_backend,
@@ -18,7 +18,14 @@ from instructsmith.hermetic import (
     canned_generation_reply,
     code_tag,
 )
-from instructsmith.llm_backend import BackendConfig, make_chat_backend
+from instructsmith.llm_backend import (
+    BackendConfig,
+    ChatMessage,
+    ChatRequest,
+    RetryPolicy,
+    complete,
+    make_chat_backend,
+)
 from instructsmith.taskspec import load_task_definitions
 from sensitive import Recorder
 
@@ -73,8 +80,16 @@ class TestCannedGeneration:
         assert any(info != "" for info in infos)
 
     def test_missing_code_block_raises(self):
-        with pytest.raises(ScriptedMissError):
+        with pytest.raises(BackendError):
             canned_generation_reply("no code here")
+
+    def test_prompt_without_code_is_sent_once(self):
+        # a plain BackendError, which no retry policy retries
+        backend = Recorder(canned_generation_backend())
+        request = ChatRequest(messages=[ChatMessage("user", "no code here")])
+        with pytest.raises(BackendError):
+            complete(request, backend, RetryPolicy(max_attempts=3, base_delay=0.0))
+        assert len(backend.transcript) == 1
 
     def test_last_code_block_wins(self):
         text = gen_prompt("first = 1") + "\n\n" + gen_prompt("second = 2")
@@ -113,7 +128,7 @@ class TestCannedDiscrimination:
         assert a == b
 
     def test_no_rules_raises(self):
-        with pytest.raises(ScriptedMissError):
+        with pytest.raises(BackendError):
             canned_discrimination_reply("just text, no rules")
 
 

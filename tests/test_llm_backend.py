@@ -10,10 +10,10 @@ from instructsmith.errors import (
     ParseError,
     ProtocolError,
     RateLimitedError,
-    ScriptedMissError,
     ServerBackendError,
     UnparseableReplyError,
 )
+from instructsmith.ioutil import LONE_SURROGATE
 from instructsmith.llm_backend import (
     BackendConfig,
     ChatMessage,
@@ -22,12 +22,11 @@ from instructsmith.llm_backend import (
     HttpChatBackend,
     MockChatBackend,
     RetryPolicy,
-    ScriptEntry,
     ask,
     complete,
 )
 from instructsmith.pipeline import PipelineConfig
-from sensitive import Recorder
+from sensitive import Recorder, ScriptedChatBackend, ScriptEntry
 
 
 def user_request(text, system=""):
@@ -86,8 +85,18 @@ class TestRetryPolicy:
 
 
 class TestMockBackend:
+    def test_reply_is_a_function_of_the_request(self):
+        backend = MockChatBackend(lambda req: f"echo: {req.user_text}", "echo")
+        reply = backend.send(user_request("ping", system="sys prompt"))
+        assert (reply.content, reply.model_name) == ("echo: ping", "echo")
+        # four characters a token, over every message of the request
+        assert reply.usage == {"prompt_tokens": (10 + 4) // 4,
+                               "completion_tokens": 10 // 4}
+        assert backend.send(user_request("ping", system="sys prompt")) == reply
+        assert MockChatBackend(lambda req: "").model_name == "mock-chat"
+
     def test_script_order_and_predicates(self):
-        backend = MockChatBackend([
+        backend = ScriptedChatBackend([
             ScriptEntry("alpha", "reply-a"),
             ScriptEntry(lambda t: "beta" in t, "reply-b"),
             ScriptEntry(None, "fallback", times=None),
@@ -98,13 +107,13 @@ class TestMockBackend:
         assert backend.send(user_request("still nothing")).content == "fallback"
 
     def test_times_exhaustion(self):
-        backend = MockChatBackend([ScriptEntry(None, "only once", times=1)])
+        backend = ScriptedChatBackend([ScriptEntry(None, "only once", times=1)])
         backend.send(user_request("first"))
-        with pytest.raises(ScriptedMissError):
+        with pytest.raises(BackendError):
             backend.send(user_request("second"))
 
     def test_exception_reply_raises(self):
-        backend = MockChatBackend([
+        backend = ScriptedChatBackend([
             ScriptEntry(None, RateLimitedError("scripted 429")),
             ScriptEntry(None, "after the storm"),
         ])
@@ -113,12 +122,12 @@ class TestMockBackend:
         assert backend.send(user_request("x")).content == "after the storm"
 
     def test_callable_reply_sees_request(self):
-        backend = MockChatBackend([
+        backend = ScriptedChatBackend([
             ScriptEntry(None, lambda req: f"echo: {req.user_text}")])
         assert backend.send(user_request("ping")).content == "echo: ping"
 
     def test_transcript_is_byte_exact(self):
-        backend = Recorder(MockChatBackend([ScriptEntry(None, "ok", times=None)]))
+        backend = Recorder(ScriptedChatBackend([ScriptEntry(None, "ok", times=None)]))
         backend.send(user_request("first\nline two", system="sys prompt"))
         backend.send(user_request("second"))
         assert len(backend.transcript) == 2
@@ -128,13 +137,13 @@ class TestMockBackend:
         assert not hasattr(backend.inner, "transcript")  # the mock keeps none
 
     def test_tuple_entries_accepted(self):
-        backend = MockChatBackend([("hi", "hello")])
+        backend = ScriptedChatBackend([("hi", "hello")])
         assert backend.send(user_request("hi there")).content == "hello"
 
 
 class TestComplete:
     def test_retries_then_succeeds(self):
-        backend = MockChatBackend([
+        backend = ScriptedChatBackend([
             ScriptEntry(None, RateLimitedError("429")),
             ScriptEntry(None, ServerBackendError("500")),
             ScriptEntry(None, "finally"),
@@ -146,7 +155,7 @@ class TestComplete:
         assert sleeps == [0.5, 1.0]
 
     def test_non_retryable_raises_immediately(self):
-        backend = Recorder(MockChatBackend([
+        backend = Recorder(ScriptedChatBackend([
             ScriptEntry(None, ProtocolError("bad body")),
             ScriptEntry(None, "never reached"),
         ]))
@@ -156,7 +165,7 @@ class TestComplete:
         assert len(backend.transcript) == 1
 
     def test_exhausted_attempts_reraise_last_error(self):
-        backend = Recorder(MockChatBackend([
+        backend = Recorder(ScriptedChatBackend([
             ScriptEntry(None, RateLimitedError("429"), times=None)]))
         with pytest.raises(RateLimitedError):
             complete(user_request("x"), backend,
@@ -211,6 +220,22 @@ class TestAsk:
             ask(send, lambda reply, attempt: parsed.append(reply), 2,
                 "generation", "reply")
         assert excinfo.value is error and parsed == []
+
+    def test_lone_surrogate_reply_is_asked_again(self):
+        # other non-ASCII text reaches the parser; a lone surrogate does not
+        send, parse, calls = self.conversation(
+            ["caf\xe9 \U0001F600", "ok\ud800", "ok"])
+        assert ask(send, parse, 2, "generation", "reply") == 3
+        assert calls == [("send", 1), ("parse", 1), ("send", 2), ("send", 3),
+                         ("parse", 3)]
+
+    def test_only_lone_surrogates_ends_unparseable(self):
+        send, parse, calls = self.conversation(["\ud800", "caf\xe9 \udfff"])
+        with pytest.raises(UnparseableReplyError) as excinfo:
+            ask(send, parse, 1, "discrimination", "analysis")
+        assert str(excinfo.value) == (
+            f"no parseable analysis in 2 attempts: {LONE_SURROGATE}")
+        assert ("parse", 1) not in calls and ("parse", 2) not in calls
 
     def test_negative_retries_rejected_before_sending(self):
         send, parse, calls = self.conversation(["ok"])

@@ -22,7 +22,7 @@ from instructsmith.hermetic import (
     canned_discrimination_backend,
     canned_generation_backend,
 )
-from instructsmith.llm_backend import MockChatBackend, ScriptEntry
+from instructsmith.llm_backend import MockChatBackend
 from instructsmith.pipeline import (
     STAGES,
     CheckpointState,
@@ -34,6 +34,8 @@ from instructsmith.pipeline import (
 from sensitive import (
     Jitter,
     Recorder,
+    ScriptedChatBackend,
+    ScriptEntry,
     exemplar_sensitive_backend,
     few_shot_section,
 )
@@ -144,14 +146,15 @@ class TestConfig:
             load_pipeline_config(bad)
 
     def test_fingerprints_match_earlier_releases(self, tmp_path, monkeypatch):
-        # a changed fingerprint makes every checkpointed run refuse to resume
+        # a changed fingerprint makes every checkpointed run refuse to resume;
+        # both moved when coreset.stratify_by_language left the schema
         monkeypatch.chdir(tmp_path)
         Path("config.json").write_text(readme_config(), encoding="utf-8")
         assert load_pipeline_config("config.json").fingerprint() == \
-            "4378f3147f499f3c"
+            "6b2fa20887aa980b"
         assert PipelineConfig.from_dict({
             "corpus_path": "c.jsonl", "workdir": "w", "coreset": {"k": 5},
-            "target_accepted": 3}).fingerprint() == "94fff441fbb31e49"
+            "target_accepted": 3}).fingerprint() == "d4741140daba50be"
 
     def test_checkpoint_state_validation(self):
         with pytest.raises(ConsistencyError):
@@ -251,12 +254,10 @@ class TestRun:
 
     def test_quarantine_on_unparseable_generation(self, corpus, tmp_path):
         # first record's prompt draws garbage replies; everything else canned
-        gen = MockChatBackend([
+        gen = ScriptedChatBackend([
             ScriptEntry(lambda text: "fn_0" in text, "not a labeled reply",
                         times=None),
-            ScriptEntry(None,
-                        lambda req: canned_generation_backend().send(req).content,
-                        times=None),
+            ScriptEntry(None, canned_generation_backend().reply, times=None),
         ])
         config = make_config(corpus, tmp_path / "w", target_accepted=10,
                              coreset={"k": 40, "seed": 1})
@@ -275,18 +276,53 @@ class TestRun:
                                                             tmp_path):
         # fn_5's drafts never parse, nor do the judgements of about one
         # instance in seven
-        gen = canned_generation_backend()
-        gen.script.insert(0, ScriptEntry("def fn_5(", "not a labeled reply",
-                                         times=None))
-        disc = canned_discrimination_backend(bad_modulus=5)
-        disc.script.insert(0, ScriptEntry(
-            lambda text: int(re.search(r"Canned Task (\w+)", text)[1], 16) % 7 == 1,
-            "<answer: maybe, unsure>", times=None))
+        gen = ScriptedChatBackend([
+            ScriptEntry("def fn_5(", "not a labeled reply", times=None),
+            ScriptEntry(None, canned_generation_backend().reply, times=None),
+        ], model_name="mock-gen")
+        disc = ScriptedChatBackend([
+            ScriptEntry(lambda text: int(re.search(r"Canned Task (\w+)", text)[1],
+                                         16) % 7 == 1,
+                        "<answer: maybe, unsure>", times=None),
+            ScriptEntry(None, canned_discrimination_backend(bad_modulus=5).reply,
+                        times=None),
+        ], model_name="mock-disc")
         config = make_config(corpus, tmp_path / "w", target_accepted=40,
                              retries={"generation": 1, "discrimination": 2})
         run(config, generation_backend=gen, discrimination_backend=disc)
         assert (tmp_path / "w" / "quarantine.jsonl").read_text() == (
             QUARANTINE_LINES)
+
+    def test_lone_surrogate_reply_is_quarantined(self, corpus, tmp_path):
+        # a reply holding "\ud800" is no text: fn_5's drafts and the
+        # judgements of fn_23's instance cost those records, not the run
+        canned_draft = canned_generation_backend().reply
+        canned_judgement = canned_discrimination_backend(bad_modulus=5).reply
+
+        def draft(req):
+            if "def fn_5(" in req.user_text:
+                return canned_draft(req) + "\ud800"
+            if "def fn_23(" in req.user_text:
+                return canned_draft(req).replace("instruction: ",
+                                                 "instruction: Judge me. ", 1)
+            return canned_draft(req)
+
+        def judgement(req):
+            lone = "\ud800" if "Judge me." in req.user_text else ""
+            return canned_judgement(req) + lone
+
+        config = make_config(corpus, tmp_path / "w", target_accepted=40)
+        summary = run(config, generation_backend=MockChatBackend(draft, "mock-gen"),
+                      discrimination_backend=MockChatBackend(judgement, "mock-disc"))
+        lines = [json.loads(line) for line in
+                 (tmp_path / "w" / "quarantine.jsonl").read_text().splitlines()]
+        assert [(q["record_id"], q["stage"], q["attempts"]) for q in lines] == [
+            ("r005", "generation", 3), ("r023", "discrimination", 3)]
+        assert all("lone surrogate" in q["error"] for q in lines)
+        assert summary.counts["quarantined"] == 2
+        emitted = {ex.source_record_id
+                   for ex in read_dataset(tmp_path / "w" / "dataset.jsonl")}
+        assert emitted and not emitted & {"r005", "r023"}
 
 
 # The quarantine log of the run above: key order, stage names and both
