@@ -31,7 +31,7 @@ class ParseError(InstructSmithError):
 class UnparseableReplyError(InstructSmithError):
     """No reply in one model conversation parsed; ``stage`` names it."""
 
-    def __init__(self, message: str, *, stage: str, attempts: int, last_reply: str):
+    def __init__(self, message: str, *, stage: str, attempts: int, last_reply: object):
         super().__init__(message)
         self.stage = stage
         self.attempts = attempts

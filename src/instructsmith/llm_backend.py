@@ -71,7 +71,10 @@ class ChatRequest:
 
 @dataclass
 class ChatReply:
-    content: str
+    """One reply. ``content`` is what the backend sent, text or not: `ask`
+    does not parse a reply whose content is not text."""
+
+    content: object
     usage: dict[str, int] = field(default_factory=dict)
     model_name: str = ""
 
@@ -232,8 +235,9 @@ class HttpChatBackend:
         except (KeyError, IndexError, TypeError) as exc:
             raise ProtocolError(f"malformed chat response body: {exc}") from exc
         usage = obj.get("usage", {}) if isinstance(obj.get("usage"), dict) else {}
-        return ChatReply(content=str(content), usage=usage,
-                         model_name=str(obj.get("model", self.model_name)))
+        model = obj.get("model")
+        return ChatReply(content=content, usage=usage,
+                         model_name=model if isinstance(model, str) else self.model_name)
 
 
 class MockChatBackend:
@@ -293,17 +297,20 @@ def ask(send: Callable[[int], ChatReply], parse: Callable[[ChatReply, int], T],
     """Return ``parse(send(attempt), attempt)`` for the first of attempts
     1 .. ``retries`` + 1 whose reply parses: a `ParseError` asks again, a
     backend error propagates, and when no reply parses the conversation
-    ends in `UnparseableReplyError`. A reply that is not UTF-8 text (it
-    holds a lone surrogate) does not parse: it could be neither hashed nor
-    written."""
+    ends in `UnparseableReplyError`. A reply whose content is not UTF-8
+    text (it is not a string, or it holds a lone surrogate) does not parse:
+    it could be neither hashed nor written."""
     if retries < 0:
         raise ValueError("retries must be >= 0")
     for attempt in range(1, retries + 2):
         reply = send(attempt)
+        content = reply.content
         try:
-            if not reply.content.isascii():
+            if not isinstance(content, str):
+                raise ParseError(f"not text: content of type {type(content).__name__}")
+            if not content.isascii():
                 try:
-                    reply.content.encode("utf-8")
+                    content.encode("utf-8")
                 except UnicodeEncodeError:
                     raise ParseError(LONE_SURROGATE) from None
             return parse(reply, attempt)
@@ -311,4 +318,4 @@ def ask(send: Callable[[int], ChatReply], parse: Callable[[ChatReply, int], T],
             error = exc
     raise UnparseableReplyError(
         f"no parseable {subject} in {attempt} attempts: {error}",
-        stage=stage, attempts=attempt, last_reply=reply.content)
+        stage=stage, attempts=attempt, last_reply=content)

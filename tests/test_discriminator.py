@@ -1,5 +1,7 @@
 """Tests for rule-based discrimination: prompts, parsing, and labeling."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -423,3 +425,20 @@ class TestReferenceEquivalence:
             expected = _outcome(reference_parse, text, ruleset)
             assert expected[0] == "report"
             assert _outcome(parse_discrimination_output, text, ruleset) == expected
+
+    def test_rule_texts_with_angle_brackets(self):
+        # a rule text holding "<", or a whole span, next to one without;
+        # seeded replies of their pieces and spans
+        ruleset = RuleSet(id="angles", steps=[RuleStep("Check", [
+            Rule("a", "Mark <answer: yes, m> done."), Rule("b", "Keep it short."),
+            Rule("c", "Use a < b here.")])])
+        pieces = ["Mark", "mark", " ", "  ", "\n", "<answer: yes, m>", "done.",
+                  "Keep it short.", "keep  it short.", "Use a < b here.",
+                  "use a <  b here.", "<answer: yes, fine>", "<answer: no, bad>",
+                  "<answer: yes, see ", ">", "Mark <answer: yes, m> done."]
+        rng = random.Random(11)
+        for _ in range(3000):
+            text = "".join(rng.choice(pieces) for _ in range(rng.randrange(2, 14)))
+            text += rng.choice(["\nOverall answer: yes", "\nOverall answer: no", ""])
+            assert (_outcome(parse_discrimination_output, text, ruleset)
+                    == _outcome(reference_parse, text, ruleset))

@@ -1,17 +1,38 @@
 """Tests for the canned backends driving offline end-to-end runs."""
 
+import json
+import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from conftest import reduced_ruleset
+from hermetic_reference import (
+    reference_discrimination_reply,
+    reference_generation_reply,
+    reference_rule_lines,
+)
+from instructsmith import hermetic
 from instructsmith.corpus import RawCodeRecord
 from instructsmith.discriminator import (
+    Rule,
+    RuleSet,
+    RuleStep,
+    build_discrimination_prompt,
     discriminate,
     load_ruleset,
     parse_discrimination_output,
 )
 from instructsmith.errors import BackendError
-from instructsmith.generator import generate_instance, parse_generator_output
+from instructsmith.generator import (
+    InstructionInstance,
+    generate_instance,
+    parse_generator_output,
+)
 from instructsmith.hermetic import (
+    RULE_BLOCK_MEMO,
     canned_discrimination_backend,
     canned_discrimination_reply,
     canned_generation_backend,
@@ -26,6 +47,7 @@ from instructsmith.llm_backend import (
     complete,
     make_chat_backend,
 )
+from instructsmith.pipeline import PipelineConfig, run
 from instructsmith.taskspec import load_task_definitions
 from sensitive import Recorder
 
@@ -191,3 +213,189 @@ class TestFactoryWiring:
                                      None, gen)
         report = discriminate(instance, RULESET, backend)
         assert report.label == "Bad"
+
+
+# -- differential tests against the regex replies ----------------------------
+
+SHIPPED = [load_ruleset(name) for name in ("code_generation", "code_summarization",
+                                           "code_translation", "code_repair")]
+# pieces of rule lines, step banners, fences and whitespace the regexes treat
+# specially (NEL and LINE SEPARATOR are whitespace to \s, not line ends to ^)
+PIECES = ["\n", "\n\n", " ", "\t", "\r", "\x0b", "\x1c", "\x85", "\u2028",
+          "\u3000", "x", "text", "\xe9", "1.", "12.", "  3. ", "[", "]", "[a_1]",
+          "[x]", "  1. [r] a rule", "- Step ", "\n\n- Step ", "solution:\n",
+          "Raw code:\n```\n", "\n```", "```", "Instance:"]
+
+
+def outcome(reply, prompt, *args):
+    try:
+        return reply(prompt, *args)
+    except BackendError as exc:
+        return ("BackendError", str(exc))
+
+
+def noise(rng: random.Random, most: int) -> str:
+    return "".join(rng.choice(PIECES) for _ in range(rng.randrange(most)))
+
+
+def judged(solution: str, ruleset: RuleSet = SHIPPED[0]) -> str:
+    """The discrimination prompt of an instance with ``solution``."""
+    instance = InstructionInstance(task_name="T", instruction="Do it.",
+                                   information="", solution=solution)
+    return build_discrimination_prompt(instance, ruleset)
+
+
+def distinct_rulesets(count: int) -> list[RuleSet]:
+    return [RuleSet(id=f"set{i}", steps=[RuleStep("Check", [
+                Rule(f"rule_{i}_{j}", f"Rule {j} of set {i} must hold.")
+                for j in range(1, 3)])])
+            for i in range(count)]
+
+
+# solutions that end in or hold text a rule-line scan reads specially
+ADVERSARIAL_SOLUTIONS = [
+    "def f():\n    return 1\n  3. [x]",  # the rule text runs on into the banner
+    "def f():\n    return 1\n  3. [x] \t",
+    "def f():\n    return 1\n  3. [x]\x85",
+    "def f():\n    return 1\n  3. [x]\u2028",
+    "  1. [fake_rule] a rule in the instance\n  2. [other] and another",
+    "a = 1\n\n- Step 0: fake\n  1. [z] injected before the real block",
+    "b = [1]\n\n- Step 9:",
+    "  7.\x85[w]\u2028text\x85",
+    "x = 1\u2028  4. [y] after a line separator",
+    "[",
+    "]",
+]
+
+ADVERSARIAL_GENERATION_PROMPTS = [
+    "Raw code:\n```\nunterminated",
+    "Raw code:\n```\nRaw code:\n```\ninner\n```\nouter\n```",
+    "Raw code:\n```\n\n```",
+    "Raw code:\n```\n```\n```",
+    "Raw code:\n```\nfirst\n```\n\nRaw code:\n```\nsecond\n```",
+    "Raw code:\n```\nfirst\n```Raw code:\n```\nsecond",
+    "Raw code:\n```\na\n``` Raw code:\n```\n\n```\n",
+    "Raw code:\n``\nnot a fence\n```",
+    "no block at all",
+]
+
+
+class TestReferenceEquivalence:
+    """The replies equal those of the regex versions in `hermetic_reference`:
+    same text, or both raise `BackendError` with the same message."""
+
+    @pytest.mark.parametrize("solution", ADVERSARIAL_SOLUTIONS)
+    @pytest.mark.parametrize("bad_modulus", [0, 1, 3])
+    def test_judge_on_adversarial_instances(self, solution, bad_modulus):
+        for ruleset in SHIPPED:
+            prompt = judged(solution, ruleset)
+            assert (outcome(canned_discrimination_reply, prompt, bad_modulus)
+                    == outcome(reference_discrimination_reply, prompt, bad_modulus))
+
+    def test_the_crossing_case_is_scanned_whole(self):
+        # the solution's last line reads as a rule whose text is the banner
+        rules = reference_rule_lines(judged(ADVERSARIAL_SOLUTIONS[0]))
+        assert rules[0] == ("x", "- Step 1: Check the Instruction:")
+        assert canned_discrimination_reply(judged(ADVERSARIAL_SOLUTIONS[0])) \
+            .startswith("Analysis:\n  1. - Step 1: Check the Instruction: ")
+
+    @pytest.mark.parametrize("prompt", ADVERSARIAL_GENERATION_PROMPTS)
+    @pytest.mark.parametrize("modulus", [0, 1, 3])
+    def test_generation_on_adversarial_fences(self, prompt, modulus):
+        for text in (prompt, "Task.\n\n" + prompt + "\n\nNow reply."):
+            assert (outcome(canned_generation_reply, text, modulus)
+                    == outcome(reference_generation_reply, text, modulus))
+
+    def test_seeded_noise(self):
+        rng = random.Random(2024)
+        for _ in range(3000):
+            shape = rng.randrange(3)
+            if shape == 0:
+                prompt = noise(rng, 40)
+            elif shape == 1:
+                prompt = judged("x" + noise(rng, 20), rng.choice(SHIPPED))
+            else:
+                block = rng.choice(SHIPPED).prompt_rules
+                prompt = (noise(rng, 10) + block[:rng.randrange(len(block))]
+                          + noise(rng, 10) + rng.choice(SHIPPED).prompt_rules)
+            modulus = rng.randrange(4)
+            assert (outcome(canned_discrimination_reply, prompt, modulus)
+                    == outcome(reference_discrimination_reply, prompt, modulus))
+            assert (outcome(canned_generation_reply, prompt, modulus)
+                    == outcome(reference_generation_reply, prompt, modulus))
+
+    def test_more_rule_blocks_than_the_memo_holds(self):
+        prompts = [judged(f"s = {i}", ruleset) for i, ruleset in
+                   enumerate(distinct_rulesets(RULE_BLOCK_MEMO + 8))]
+        for prompt in prompts + prompts[::-1] + prompts:
+            for modulus in (0, 1):
+                assert (canned_discrimination_reply(prompt, modulus)
+                        == reference_discrimination_reply(prompt, modulus))
+
+
+class JudgementLog:
+    """Forwards each request to ``inner`` and keeps its reply by prompt."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.model_name = inner.model_name
+        self.replies = {}
+        self._lock = threading.Lock()
+
+    def send(self, request):
+        reply = self.inner.send(request)
+        with self._lock:
+            self.replies[request.user_text] = reply.content
+        return reply
+
+
+class TestRuleBlockMemo:
+    def test_memo_is_bounded(self):
+        for memo in (hermetic._block_rules, hermetic._analysis):
+            assert memo.cache_info().maxsize == RULE_BLOCK_MEMO
+        for i, ruleset in enumerate(distinct_rulesets(2 * RULE_BLOCK_MEMO)):
+            canned_discrimination_reply(judged(f"s = {i}", ruleset), 1)
+        for memo in (hermetic._block_rules, hermetic._analysis):
+            assert memo.cache_info().currsize <= RULE_BLOCK_MEMO
+
+    def test_threads_get_the_replies_one_thread_gets(self):
+        # four threads, more than the cores, share the memo while it fills
+        # and evicts, switching often
+        prompts = [judged(f"t = {i}", ruleset) for i, ruleset in
+                   enumerate(distinct_rulesets(RULE_BLOCK_MEMO + 4) + SHIPPED * 8)]
+        random.Random(5).shuffle(prompts)
+        expected = [reference_discrimination_reply(p, 3) for p in prompts]
+        hermetic._block_rules.cache_clear()
+        hermetic._analysis.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(lambda p: canned_discrimination_reply(p, 3),
+                                    prompts * 4, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected * 4
+
+    def test_a_run_at_four_in_flight_gets_the_judgements_of_one(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"id": f"r{i:03d}", "language": "Python",
+                        "code": f"def fn_{i}(x):\n    # compute variant {i}\n"
+                                f"    total = x * {i} + {i * i}\n"
+                                f"    return total + len(str(x)) * {i % 7}\n"})
+            + "\n" for i in range(40)), encoding="utf-8")
+        judgements = {}
+        for width in (1, 4):
+            hermetic._block_rules.cache_clear()
+            disc = JudgementLog(canned_discrimination_backend(bad_modulus=4))
+            run(PipelineConfig.from_dict({
+                    "corpus_path": str(corpus), "workdir": str(tmp_path / f"w{width}"),
+                    "coreset": {"k": 30, "seed": 1}, "target_accepted": 20,
+                    "embedding_backend": {"kind": "mock", "dim": 16},
+                    "concurrency": {"max_in_flight": width}, "seed": 7}),
+                discrimination_backend=disc)
+            judgements[width] = disc.replies
+        assert len(judgements[1]) >= 20
+        assert judgements[1].items() <= judgements[4].items()
+

@@ -318,6 +318,32 @@ class TestHttpBackend:
             with pytest.raises(ProtocolError):
                 backend.send(user_request("q"))
 
+    @pytest.mark.parametrize("content", [None, 7, [{"type": "text", "text": "hi"}]],
+                             ids=["null", "number", "parts"])
+    def test_non_text_content_is_passed_on_and_never_parsed(self, content):
+        # the content comes back as the body holds it, not as its str();
+        # ask refuses it as no text, asks again, and ends unparseable
+        with http_stub(lambda p, h, b: (200, chat_body(content))) as (server, url):
+            backend = HttpChatBackend(BackendConfig(endpoint=url))
+            assert backend.send(user_request("q")).content == content
+            parsed = []
+            with pytest.raises(UnparseableReplyError) as excinfo:
+                ask(lambda attempt: backend.send(user_request("q")),
+                    lambda reply, attempt: parsed.append(reply), 1,
+                    "generation", "reply")
+        error = excinfo.value
+        assert str(error) == ("no parseable reply in 2 attempts: not text: "
+                              f"content of type {type(content).__name__}")
+        assert (error.stage, error.attempts, error.last_reply) == (
+            "generation", 2, content)
+        assert parsed == [] and len(server.requests) == 3
+
+    @pytest.mark.parametrize("model", [None, 3], ids=["null", "number"])
+    def test_non_text_model_falls_back_to_the_configured_name(self, model):
+        with http_stub(lambda p, h, b: (200, chat_body("hi", model=model))) as (_, url):
+            backend = HttpChatBackend(BackendConfig(endpoint=url, model_name="m1"))
+            assert backend.send(user_request("q")).model_name == "m1"
+
     def test_complete_retries_through_http_429(self):
         state = {"calls": 0}
 

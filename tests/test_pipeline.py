@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from entry_dicts import read_dataset
+from httpstub import http_stub
 from instructsmith import pipeline
 from instructsmith.coreset import read_selection
 from instructsmith.embedding import read_embedding_cache
@@ -20,7 +21,9 @@ from instructsmith.errors import BackendError, ConfigError, ConsistencyError
 from instructsmith.exemplar_db import ExemplarDB
 from instructsmith.hermetic import (
     canned_discrimination_backend,
+    canned_discrimination_reply,
     canned_generation_backend,
+    canned_generation_reply,
 )
 from instructsmith.llm_backend import MockChatBackend
 from instructsmith.pipeline import (
@@ -271,6 +274,49 @@ class TestRun:
         else:
             # r000 was not among the records processed before the target hit
             assert summary.counts["quarantined"] == 0
+
+    def test_non_text_http_replies_are_quarantined(self, corpus, tmp_path):
+        # an HTTP reply whose content is null or a number is no text: fn_5's
+        # drafts and the judgements of fn_23's instance cost those records,
+        # not the run; a null "model" is logged as the configured name
+        def respond(path, headers, body):
+            prompt = body["messages"][-1]["content"]
+            if path == "/generate":
+                content = canned_generation_reply(prompt)
+                if "def fn_5(" in prompt:
+                    content = None
+                elif "def fn_23(" in prompt:
+                    content = content.replace("instruction: ",
+                                              "instruction: Judge me. ", 1)
+            elif "Judge me." in prompt:
+                content = 7
+            else:
+                content = canned_discrimination_reply(prompt, bad_modulus=5)
+            return 200, {"choices": [{"message": {"role": "assistant",
+                                                  "content": content}}],
+                         "model": None}
+
+        with http_stub(respond) as (_, url):
+            config = make_config(
+                corpus, tmp_path / "w", target_accepted=40,
+                generation_backend={"kind": "http", "endpoint": url + "/generate",
+                                    "model_name": "gen-configured"},
+                discrimination_backend={"kind": "http", "endpoint": url + "/judge",
+                                        "extra": {"role": "discrimination"}})
+            summary = run(config)
+        lines = [json.loads(line) for line in
+                 (tmp_path / "w" / "quarantine.jsonl").read_text().splitlines()]
+        assert [(q["record_id"], q["stage"], q["attempts"], q["error"])
+                for q in lines] == [
+            ("r005", "generation", 3, "no parseable reply for record r005 in 3 "
+             "attempts: not text: content of type NoneType"),
+            ("r023", "discrimination", 3, "no parseable analysis for 'r023' in "
+             "3 attempts: not text: content of type int")]
+        assert summary.counts["quarantined"] == 2
+        entries = [json.loads(line) for line in
+                   (tmp_path / "w" / "exemplars.jsonl").read_text().splitlines()]
+        assert entries and {e["instance"]["generation_meta"]["model"]
+                            for e in entries} == {"gen-configured"}
 
     def test_quarantine_lines_name_the_failing_conversation(self, corpus,
                                                             tmp_path):
