@@ -24,6 +24,7 @@ from .corpus import FilterConfig, default_blacklist, ingest_records, write_recor
 from .embedding import METRICS, EmbeddingBackendConfig, read_embedding_cache
 from .errors import ConfigError, ConsistencyError, InstructSmithError
 from .ioutil import iter_jsonl
+from .schema import load, unparse
 from .taskspec import LABELS, TASK_KINDS, default_mix, mix_counts
 
 log = logging.getLogger(__name__)
@@ -86,7 +87,7 @@ def cmd_filter(args) -> int:
             raise ConfigError(str(exc)) from exc
     _, report = pipeline.filter_corpus(args.input, filter_config, args.output,
                                        args.report)
-    _print(report.to_dict())
+    _print(unparse(report))
     return 0
 
 
@@ -118,9 +119,9 @@ def cmd_select(args) -> int:
 
 def cmd_assign(args) -> int:
     config = _load_config(args)
-    from .coreset import read_selection
+    from .coreset import SelectionFile
     mix = config.mix if config else default_mix()
-    selection = read_selection(args.selection)
+    selection = load(SelectionFile, Path(args.selection), ConsistencyError)
     assignment = pipeline.assign_selected(selection.selected_ids, mix,
                                           args.seed, args.output)
     _print({"assigned": len(assignment), "counts": mix_counts(assignment),
@@ -173,7 +174,7 @@ def cmd_stats(args) -> int:
     workdir = Path(args.workdir)
     summary_path = workdir / pipeline.SUMMARY_FILE
     if summary_path.exists():
-        _print(pipeline.read_artifact(summary_path))
+        _print(unparse(load(pipeline.RunSummary, summary_path, ConsistencyError)))
         return 0
     db_path = workdir / pipeline.EXEMPLARS_FILE
     if db_path.exists():
@@ -199,7 +200,7 @@ def cmd_run(args) -> int:
     if args.seed is not None:
         config.seed = args.seed
     summary = pipeline.run(config, resume=args.resume)
-    _print(summary.to_dict())
+    _print(unparse(summary))
     return 0
 
 

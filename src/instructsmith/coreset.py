@@ -14,8 +14,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from .embedding import METRICS
-from .errors import ConsistencyError
-from .ioutil import atomic_write_json, read_json
+from .ioutil import atomic_write_json
+from .schema import unparse
 
 if TYPE_CHECKING:  # the functions that compute on vectors import numpy
     import numpy as np
@@ -148,22 +148,10 @@ def kcenter_radius(vectors: np.ndarray, centers: Sequence[int],
     return radius
 
 
-def write_selection(path: str | Path, selection: CoresetSelection,
-                    record_ids: Sequence[str]) -> None:
-    """Persist a selection as {"k", "seed", "metric", "selected_ids",
-    "radius_trace"}, mapping indices to corpus record ids."""
-    ids = [record_ids[i] for i in selection.selected_indices]
-    atomic_write_json(path, {
-        "k": selection.k,
-        "seed": selection.seed,
-        "metric": selection.metric,
-        "selected_ids": ids,
-        "radius_trace": [float(r) for r in selection.radius_trace],
-    })
-
-
 @dataclass
 class SelectionFile:
+    """The select stage's artifact: the picks as corpus record ids."""
+
     k: int
     seed: int
     metric: str
@@ -171,12 +159,11 @@ class SelectionFile:
     radius_trace: list[float] = field(default_factory=list)
 
 
-def read_selection(path: str | Path) -> SelectionFile:
-    try:
-        obj = read_json(path)
-        return SelectionFile(
-            k=int(obj["k"]), seed=int(obj["seed"]), metric=str(obj["metric"]),
-            selected_ids=[str(s) for s in obj["selected_ids"]],
-            radius_trace=[float(r) for r in obj.get("radius_trace", [])])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConsistencyError(f"bad selection file {path}: {exc}") from exc
+def write_selection(path: str | Path, selection: CoresetSelection,
+                    record_ids: Sequence[str]) -> None:
+    """Persist a selection as its `SelectionFile`, mapping indices to corpus
+    record ids."""
+    atomic_write_json(path, unparse(SelectionFile(
+        k=selection.k, seed=selection.seed, metric=selection.metric,
+        selected_ids=[record_ids[i] for i in selection.selected_indices],
+        radius_trace=[float(r) for r in selection.radius_trace])))

@@ -109,10 +109,6 @@ class FilterReport:
                 f"report does not balance: kept {self.kept_count} + rejected "
                 f"{sum(self.rejected.values())} != input {self.input_count}")
 
-    def to_dict(self) -> dict:
-        return {"input_count": self.input_count, "kept_count": self.kept_count,
-                "rejected": dict(self.rejected)}
-
 
 def _record_of(raw: bytes) -> RawCodeRecord | None:
     """The record on one corpus line, or None if the line is blank. A line

@@ -9,7 +9,7 @@ reply stays parseable when rules are added or removed from the set.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
@@ -48,12 +48,12 @@ _REASONS_RE = re.compile(r"Reasons:\s*(.*)\s*$", re.IGNORECASE | re.DOTALL)
 
 @dataclass
 class Rule:
-    rule_id: str
+    rule_id: str = field(metadata={"json": "id"})
     text: str
 
     def __post_init__(self) -> None:
         if not self.rule_id or not self.text.strip():
-            raise ConfigError("rules need a non-empty id and text")
+            raise ConfigError("id and text must be non-empty")
 
 
 @dataclass
@@ -63,7 +63,7 @@ class RuleStep:
 
     def __post_init__(self) -> None:
         if not self.rules:
-            raise ConfigError(f"step {self.name!r} has no rules")
+            raise ConfigError("rules must be non-empty")
 
 
 @dataclass
@@ -73,7 +73,7 @@ class RuleSet:
 
     def __post_init__(self) -> None:
         if not self.steps:
-            raise ConfigError(f"ruleset {self.id!r} has no steps")
+            raise ConfigError("steps must be non-empty")
         ids = [r.rule_id for r in self.all_rules()]
         if len(set(ids)) != len(ids):
             raise ConfigError(f"ruleset {self.id!r} has duplicate rule ids")
@@ -113,17 +113,6 @@ class RuleSet:
                  re.compile(r"\s+".join(map(re.escape, rule.text.lower().split())))
                  if rule.text.isascii() else anchor)
                 for rule, (_, anchor) in zip(self.all_rules(), self.anchors)]
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RuleSet":
-        try:
-            steps = [RuleStep(name=str(s["name"]),
-                              rules=[Rule(rule_id=str(r["id"]), text=str(r["text"]))
-                                     for r in s["rules"]])
-                     for s in d["steps"]]
-            return cls(id=str(d["id"]), steps=steps)
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"bad ruleset schema: {exc}") from exc
 
 
 @dataclass
@@ -174,17 +163,13 @@ def default_ruleset_path(rule_set_id: str) -> Path:
 
 def load_ruleset(source: str | Path) -> RuleSet:
     """Load a ruleset from a JSON file path or a shipped rule-set id."""
-    from .ioutil import read_json
+    from .schema import load
     path = Path(source)
     if not path.suffix and not path.exists():
         path = default_ruleset_path(str(source))
     if not path.exists():
         raise ConfigError(f"ruleset not found: {source}")
-    try:
-        obj = read_json(path)
-    except ValueError as exc:  # not UTF-8 or not JSON
-        raise ConfigError(f"{path}: {exc}") from exc
-    return RuleSet.from_dict(obj)
+    return load(RuleSet, path, ConfigError)
 
 
 def build_discrimination_prompt(instance: InstructionInstance,

@@ -88,6 +88,12 @@ def read_json(path: str | Path) -> Any:
 
 LONE_SURROGATE = "not text: a lone surrogate escape"
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def is_text(value: str) -> bool:
+    """Whether ``value`` is UTF-8 text: it holds no lone surrogate."""
+    return value.isascii() or not _SURROGATE.search(value)
 
 
 def parse_json(text: str) -> Any:
@@ -101,11 +107,8 @@ def parse_json(text: str) -> Any:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise ValueError(f"not JSON: {exc}") from None
-    if _SURROGATE_ESCAPE.search(text):
-        try:
-            encode_json(obj).encode("utf-8")
-        except UnicodeEncodeError:
-            raise ValueError(LONE_SURROGATE) from None
+    if _SURROGATE_ESCAPE.search(text) and not is_text(encode_json(obj)):
+        raise ValueError(LONE_SURROGATE)
     return obj
 
 

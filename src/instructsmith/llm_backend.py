@@ -25,7 +25,7 @@ from .errors import (
     ServerBackendError,
     UnparseableReplyError,
 )
-from .ioutil import LONE_SURROGATE
+from .ioutil import LONE_SURROGATE, is_text
 
 log = logging.getLogger(__name__)
 
@@ -234,10 +234,12 @@ class HttpChatBackend:
             content = obj["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise ProtocolError(f"malformed chat response body: {exc}") from exc
-        usage = obj.get("usage", {}) if isinstance(obj.get("usage"), dict) else {}
-        model = obj.get("model")
-        return ChatReply(content=content, usage=usage,
-                         model_name=model if isinstance(model, str) else self.model_name)
+        usage, model = obj.get("usage"), obj.get("model")
+        usage = ({k: v for k, v in usage.items() if type(v) is int and is_text(k)}
+                 if isinstance(usage, dict) else {})
+        if not (isinstance(model, str) and is_text(model)):
+            model = self.model_name
+        return ChatReply(content=content, usage=usage, model_name=model)
 
 
 class MockChatBackend:
@@ -308,11 +310,8 @@ def ask(send: Callable[[int], ChatReply], parse: Callable[[ChatReply, int], T],
         try:
             if not isinstance(content, str):
                 raise ParseError(f"not text: content of type {type(content).__name__}")
-            if not content.isascii():
-                try:
-                    content.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise ParseError(LONE_SURROGATE) from None
+            if not is_text(content):
+                raise ParseError(LONE_SURROGATE)
             return parse(reply, attempt)
         except ParseError as exc:
             error = exc

@@ -24,12 +24,10 @@ import time
 from array import array
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
-from functools import cache
+from dataclasses import dataclass, field, replace
 from itertools import islice
 from pathlib import Path
-from typing import (TYPE_CHECKING, Callable, Iterable, Sequence, TypedDict,
-                    get_args, get_origin, get_type_hints, is_typeddict)
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypedDict
 
 from .corpus import (
     FilterConfig,
@@ -54,10 +52,10 @@ from .ioutil import (
     atomic_write_json,
     atomic_write_text,
     iter_jsonl,
-    read_json,
     repair_torn_tail,
 )
 from .llm_backend import BackendConfig, make_chat_backend
+from .schema import load, named, parse, read_file, unparse
 from .taskspec import (
     MixPolicy,
     SamplingPolicy,
@@ -142,6 +140,10 @@ class RetryBudget(TypedDict, total=False):
     discrimination: int
 
 
+#: backend fields that change how a model is reached, not what a run makes
+_UNFINGERPRINTED = ("api_key_env", "timeout", "retry")
+
+
 @dataclass
 class PipelineConfig:
     """Everything one run needs; mirrors the on-disk JSON config."""
@@ -164,7 +166,8 @@ class PipelineConfig:
             kind="mock", extra={"role": "discrimination"}))
     exemplar_db: Path | None = None
     sampling: SamplingPolicy = field(default_factory=SamplingPolicy)
-    max_in_flight: int = field(default=1, metadata={"json": "concurrency"})
+    max_in_flight: int = field(default=1,
+                               metadata={"json": "concurrency.max_in_flight"})
     retries: RetryBudget = field(default_factory=dict)
     seed: int = 0
 
@@ -178,7 +181,7 @@ class PipelineConfig:
             if value < 0:
                 raise ConfigError(f"retries.{key} must be >= 0")
         for kind in self.rulesets:
-            _named("rulesets", lambda: validate_kind(kind))
+            named("rulesets", lambda: validate_kind(kind))
         self.corpus_path = Path(self.corpus_path)
         self.workdir = Path(self.workdir)
         if self.output_path is None:
@@ -195,7 +198,7 @@ class PipelineConfig:
         """Parse the JSON config object ``d``; relative paths resolve against
         ``base_dir`` (the config file's directory). Any key or value the
         schema does not allow raises `ConfigError` naming its dotted key."""
-        config = _parse(cls, d, "", Path(base_dir))
+        config = parse(cls, d, "", Path(base_dir))
         if "blacklist" not in d.get("filter", {}):
             config.filter = replace(config.filter, blacklist=default_blacklist())
         config.discrimination_backend.extra.setdefault("role", "discrimination")
@@ -204,135 +207,24 @@ class PipelineConfig:
     def to_dict(self) -> dict:
         """The config as its JSON object, less the backend fields that only
         say how a model is reached; the fingerprint hashes it."""
-        return _unparse(self)
+        d = unparse(self)
+        for backend in ("embedding_backend", "generation_backend",
+                        "discrimination_backend"):
+            for name in _UNFINGERPRINTED:
+                del d[backend][name]
+        return d
 
     def fingerprint(self) -> str:
         payload = json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")
         return hashlib.sha256(payload).hexdigest()[:16]
 
 
-# -- config schema -------------------------------------------------------------
-# The config dataclasses are the schema: a field's name is its JSON key (inside
-# the object its "json" metadata names, if any), its annotation the type of
-# the value, and its default what an absent key means. TypedDict fields are
-# objects whose keys are all optional. Range checks live in each class's
-# __post_init__, so a config built in code is checked the same way.
-
-#: backend fields that change how a model is reached, not what a run makes
-_UNFINGERPRINTED = ("api_key_env", "timeout", "retry")
-
-_EXPECTED = {int: "an integer", float: "a number", bool: "true or false",
-             str: "a string", Path: "a path string", dict: "an object",
-             list: "a list", tuple: "a list"}
-
-
-@cache
-def config_keys(cls) -> tuple[tuple[tuple[str, ...], str, object], ...]:
-    """(JSON key path, field name, type) of each field of config class ``cls``."""
-    hints = get_type_hints(cls)
-    if is_typeddict(cls):
-        return tuple(((name,), name, tp) for name, tp in hints.items())
-    return tuple(((f.metadata["json"], f.name) if "json" in f.metadata
-                  else (f.name,), f.name, hints[f.name]) for f in fields(cls))
-
-
-def _named(key: str, make: Callable):
-    """``make()``, with a check that fails in it re-raised as a `ConfigError`
-    whose message leads with ``key``."""
-    try:
-        return make()
-    except (ConfigError, ValueError) as exc:
-        msg = str(exc)
-        raise ConfigError(msg if msg.startswith(key) else f"{key}.{msg}") from exc
-
-
-def _parse(tp, value, key: str, base: Path):
-    """``value``, found at dotted ``key`` of the config JSON, as type ``tp``."""
-    args = get_args(tp)
-    if type(None) in args:  # X | None
-        return None if value is None else _parse(args[0], value, key, base)
-    if tp is MixPolicy:  # the JSON holds the raw weights
-        weights = _parse(dict[str, float], value, key, base)
-        return _named(key, lambda: MixPolicy.from_raw(weights))
-    if is_dataclass(tp) or is_typeddict(tp):
-        return _parse_object(tp, value, key, base)
-    kind = get_origin(tp) or tp
-    accepted = {float: (int, float), Path: str, tuple: list}.get(kind, kind)
-    # bool is an int subclass, but true is neither an integer nor a number
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
-        raise ConfigError(f"{key} must be {_EXPECTED[kind]}, got {value!r}")
-    if kind is dict:
-        return {k: _parse(args[1], v, f"{key}.{k}", base) for k, v in value.items()}
-    if kind in (list, tuple):
-        return kind(_parse(args[0], v, f"{key}[{i}]", base)
-                    for i, v in enumerate(value))
-    if kind is Path:
-        return Path(value) if Path(value).is_absolute() else base / value
-    return float(value) if kind is float else value
-
-
-def _parse_object(cls, value, key: str, base: Path):
-    by_path = {path: (name, tp) for path, name, tp in config_keys(cls)}
-    kwargs = {}
-
-    def dotted(*path: str) -> str:
-        return ".".join((key, *path) if key else path)
-
-    def read(obj, at: tuple[str, ...]) -> None:
-        if not isinstance(obj, dict):
-            raise ConfigError(f"{dotted(*at) or 'config'} must be an object, "
-                              f"got {obj!r}")
-        for k, v in obj.items():
-            path = (*at, k)
-            if path in by_path:
-                name, tp = by_path[path]
-                kwargs[name] = _parse(tp, v, dotted(*path), base)
-            elif any(p[:len(path)] == path for p in by_path):
-                read(v, path)
-            else:
-                raise ConfigError(f"unknown config key {dotted(*path)!r}")
-
-    read(value, ())
-    if is_typeddict(cls):
-        return kwargs
-    for f in fields(cls):
-        if (f.name not in kwargs and f.default is MISSING
-                and f.default_factory is MISSING):
-            raise ConfigError(f"config is missing required key {dotted(f.name)!r}")
-    return _named(key, lambda: cls(**kwargs))
-
-
-def _unparse(value):
-    """``value`` as its JSON config, the inverse of `_parse`."""
-    if isinstance(value, MixPolicy):
-        return dict(value.weights)
-    if is_dataclass(value):
-        out: dict = {}
-        for path, name, _ in config_keys(type(value)):
-            if name not in _UNFINGERPRINTED:
-                where = out.setdefault(path[0], {}) if len(path) > 1 else out
-                where[path[-1]] = _unparse(getattr(value, name))
-        return out
-    if isinstance(value, dict):
-        return {k: _unparse(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_unparse(v) for v in value]
-    return str(value) if isinstance(value, Path) else value
-
-
 def load_pipeline_config(path: str | Path) -> PipelineConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    try:
-        obj = read_json(path)
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    return PipelineConfig.from_dict(obj, base_dir=path.parent)
+    return read_file(path, lambda obj: PipelineConfig.from_dict(obj, path.parent),
+                     ConfigError)
 
 
 @dataclass
@@ -345,19 +237,30 @@ class CheckpointState:
 
     def __post_init__(self) -> None:
         if self.stage not in STAGES:
-            raise ConsistencyError(f"unknown stage {self.stage!r}")
+            raise ConsistencyError(
+                f"stage must be one of {STAGES}, got {self.stage!r}")
 
-    @property
-    def stage_index(self) -> int:
-        return STAGES.index(self.stage)
 
-    def to_dict(self) -> dict:
-        return {"stage": self.stage, "config_fingerprint": self.config_fingerprint}
+@dataclass
+class AssignmentFile:
+    """The assign stage's artifact: each selected record's task kind."""
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CheckpointState":
-        return cls(stage=str(d["stage"]),
-                   config_fingerprint=str(d.get("config_fingerprint", "")))
+    seed: int
+    assignment: dict[str, str]
+    counts: dict[str, int]
+
+    def __post_init__(self) -> None:
+        for record_id, kind in self.assignment.items():
+            if kind not in TASK_KINDS:
+                raise ConsistencyError(f"assignment.{record_id} must be one of "
+                                       f"{TASK_KINDS}, got {kind!r}")
+
+
+class TaskShare(TypedDict):
+    """One task kind's share of the emitted dataset."""
+
+    count: int
+    percent: float
 
 
 @dataclass
@@ -365,20 +268,10 @@ class RunSummary:
     """Funnel accounting for one run; emitted == good by construction."""
 
     counts: dict[str, int]
-    realized_mix: dict[str, dict]
+    realized_mix: dict[str, TaskShare]
     stage_seconds: dict[str, float]
     dataset_path: str
     target_accepted: int
-
-    def to_dict(self) -> dict:
-        return {
-            "counts": dict(self.counts),
-            "realized_mix": {k: dict(v) for k, v in self.realized_mix.items()},
-            "stage_seconds": {k: round(v, 3)
-                              for k, v in self.stage_seconds.items()},
-            "dataset_path": self.dataset_path,
-            "target_accepted": self.target_accepted,
-        }
 
 
 def _quarantine_entries(path: Path) -> list[dict]:
@@ -395,16 +288,6 @@ def _require_artifact(path: Path, stage: str) -> Path:
     return path
 
 
-def read_artifact(path: Path, parse: Callable = lambda obj: obj):
-    """``parse`` of the JSON in workdir file ``path``; a file that is not
-    JSON, or that ``parse`` cannot read, is a `ConsistencyError` naming it."""
-    try:
-        return parse(read_json(path))
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise ConsistencyError(
-            f"{path}: damaged ({type(exc).__name__}: {exc})") from exc
-
-
 # -- stages ------------------------------------------------------------------
 # Each stage computes its artifact and writes it; `run` and the stage
 # subcommands of the CLI both call these.
@@ -418,7 +301,7 @@ def filter_corpus(corpus_path: str | Path, filter_config: FilterConfig,
     kept, report = apply_filters(ingest_records(corpus_path), filter_config)
     write_records(kept, output_path)
     if report_path is not None:
-        atomic_write_json(report_path, report.to_dict())
+        atomic_write_json(report_path, unparse(report))
     return kept, report
 
 
@@ -448,11 +331,8 @@ def assign_selected(selected_ids: Sequence[str], mix: MixPolicy, seed: int,
                     output_path: str | Path) -> dict[str, str]:
     """Assign stage: apportion task kinds over the selected records."""
     assignment = assign_tasks(selected_ids, mix, seed=seed)
-    atomic_write_json(output_path, {
-        "seed": seed,
-        "assignment": assignment,
-        "counts": mix_counts(assignment),
-    })
+    atomic_write_json(output_path, unparse(
+        AssignmentFile(seed, assignment, mix_counts(assignment))))
     return assignment
 
 
@@ -635,7 +515,7 @@ def run(config: PipelineConfig, *, resume: bool = False,
     workdir.mkdir(parents=True, exist_ok=True)
     checkpoint_path = workdir / CHECKPOINT_FILE
     fingerprint = config.fingerprint()
-    state = (read_artifact(checkpoint_path, CheckpointState.from_dict)
+    state = (load(CheckpointState, checkpoint_path, ConsistencyError)
              if checkpoint_path.exists() else None)
     if state is not None and not resume:
         raise ConfigError(
@@ -644,7 +524,7 @@ def run(config: PipelineConfig, *, resume: bool = False,
     if state is not None and state.config_fingerprint != fingerprint:
         raise ConsistencyError(
             "checkpoint was written by a different config; refusing to resume")
-    done_index = state.stage_index if state is not None else -1
+    done_index = STAGES.index(state.stage) if state is not None else -1
     stage_seconds: dict[str, float] = {}
 
     def done(stage: str) -> bool:
@@ -652,7 +532,7 @@ def run(config: PipelineConfig, *, resume: bool = False,
 
     def checkpoint(stage: str) -> None:
         atomic_write_json(checkpoint_path,
-                          CheckpointState(stage, fingerprint).to_dict())
+                          unparse(CheckpointState(stage, fingerprint)))
 
     @contextmanager
     def timed(name: str):
@@ -664,9 +544,10 @@ def run(config: PipelineConfig, *, resume: bool = False,
         if done("filtered"):
             kept = ingest_records(_require_artifact(workdir / FILTERED_FILE,
                                                     "filtered"))
-            filter_report = read_artifact(
+            filter_report = load(
+                FilterReport,
                 _require_artifact(workdir / FILTER_REPORT_FILE, "filtered"),
-                lambda obj: FilterReport(**obj))
+                ConsistencyError)
         else:
             kept, filter_report = filter_corpus(
                 config.corpus_path, config.filter, workdir / FILTERED_FILE,
@@ -692,9 +573,9 @@ def run(config: PipelineConfig, *, resume: bool = False,
     with timed("select"):
         path = workdir / SELECTION_FILE
         if done("selected"):
-            from .coreset import read_selection
-            selected_ids = read_selection(
-                _require_artifact(path, "selected")).selected_ids
+            from .coreset import SelectionFile
+            selected_ids = load(SelectionFile, _require_artifact(path, "selected"),
+                                ConsistencyError).selected_ids
         else:
             selection = select_coreset(vectors, [r.id for r in kept],
                                        config.coreset, path)
@@ -705,9 +586,8 @@ def run(config: PipelineConfig, *, resume: bool = False,
     with timed("assign"):
         path = workdir / ASSIGNMENTS_FILE
         if done("assigned"):
-            assignment = read_artifact(
-                _require_artifact(path, "assigned"),
-                lambda obj: {str(k): str(v) for k, v in obj["assignment"].items()})
+            assignment = load(AssignmentFile, _require_artifact(path, "assigned"),
+                              ConsistencyError).assignment
             if assignment.keys() != set(selected_ids):
                 raise ConsistencyError(f"{path} does not match the selection")
         else:
@@ -764,11 +644,11 @@ def run(config: PipelineConfig, *, resume: bool = False,
             "emitted": emitted,
         },
         realized_mix=realized_mix,
-        stage_seconds=stage_seconds,
+        stage_seconds={k: round(v, 3) for k, v in stage_seconds.items()},
         dataset_path=str(config.output_path),
         target_accepted=config.target_accepted,
     )
-    atomic_write_json(workdir / SUMMARY_FILE, summary.to_dict())
+    atomic_write_json(workdir / SUMMARY_FILE, unparse(summary))
     checkpoint("done")
     log.info("run complete in %.1fs: %s", time.perf_counter() - t_start,
              summary.counts)

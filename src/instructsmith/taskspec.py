@@ -14,11 +14,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, TypedDict
 
 from .apportion import largest_remainder
 from .errors import ConfigError
-from .ioutil import read_json
 
 TASK_KINDS = ("CodeGeneration", "CodeSummarization", "CodeTranslation",
               "CodeRepair")
@@ -41,23 +40,32 @@ def validate_kind(kind: str) -> str:
     return kind
 
 
+class TaskExtra(TypedDict, total=False):
+    """A task's ``extra`` map; `prompt_header` reads ``target_language``."""
+
+    target_language: str
+    target_languages: list[str]
+
+
 @dataclass
 class TaskDefinition:
     """One task's definition text, generation prompt, and requirements."""
 
     kind: str
-    definition_text: str
-    generation_prompt: str
+    generation_prompt: str = field(metadata={"json": "prompt"})
     requirements: list[str]
-    rule_set_id: str
-    extra_params: dict = field(default_factory=dict)
+    definition_text: str = field(default="", metadata={"json": "definition"})
+    rule_set_id: str = field(default="", metadata={"json": "rule_set"})
+    extra_params: TaskExtra = field(default_factory=dict,
+                                    metadata={"json": "extra"})
 
     def __post_init__(self) -> None:
-        validate_kind(self.kind)
+        if self.kind not in TASK_KINDS:
+            raise ConfigError(f"kind must be one of {TASK_KINDS}, got {self.kind!r}")
         if not self.generation_prompt.strip():
-            raise ConfigError(f"{self.kind}: generation_prompt must be non-empty")
+            raise ConfigError("prompt must be non-empty")
         if not self.requirements or any(not r.strip() for r in self.requirements):
-            raise ConfigError(f"{self.kind}: requirements must be non-empty")
+            raise ConfigError("requirements must be non-empty")
 
     @cached_property
     def prompt_header(self) -> str:
@@ -75,19 +83,20 @@ class TaskDefinition:
             parts.append(f"Target language: {target}")
         return "\n\n".join(parts)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TaskDefinition":
-        try:
-            return cls(
-                kind=str(d["kind"]),
-                definition_text=str(d.get("definition", "")),
-                generation_prompt=str(d["prompt"]),
-                requirements=[str(r) for r in d["requirements"]],
-                rule_set_id=str(d.get("rule_set", "")),
-                extra_params=dict(d.get("extra", {}) or {}),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"task entry missing key {exc}") from exc
+
+@dataclass
+class TaskFile:
+    """The task-definition file: one definition per task kind."""
+
+    tasks: list[TaskDefinition]
+    version: int = 1
+
+    def __post_init__(self) -> None:
+        kinds = [taskdef.kind for taskdef in self.tasks]
+        for kind in TASK_KINDS:
+            if kinds.count(kind) != 1:
+                raise ConfigError(f"tasks must define {kind} once, "
+                                  f"not {kinds.count(kind)} times")
 
 
 @dataclass
@@ -167,21 +176,7 @@ def default_task_file_path() -> Path:
 
 def load_task_definitions(path: str | Path | None = None) -> dict[str, TaskDefinition]:
     """Load the task file; exactly one definition per task kind required."""
+    from .schema import load
     path = Path(path) if path is not None else default_task_file_path()
-    try:
-        obj = read_json(path)
-    except ValueError as exc:  # not UTF-8 or not JSON
-        raise ConfigError(f"{path}: {exc}") from exc
-    entries = obj.get("tasks") if isinstance(obj, dict) else None
-    if not isinstance(entries, list):
-        raise ConfigError(f"{path}: expected top-level 'tasks' list")
-    defs: dict[str, TaskDefinition] = {}
-    for entry in entries:
-        taskdef = TaskDefinition.from_dict(entry)
-        if taskdef.kind in defs:
-            raise ConfigError(f"{path}: duplicate definition for {taskdef.kind}")
-        defs[taskdef.kind] = taskdef
-    missing = [k for k in TASK_KINDS if k not in defs]
-    if missing:
-        raise ConfigError(f"{path}: missing definitions for {', '.join(missing)}")
-    return defs
+    return {taskdef.kind: taskdef
+            for taskdef in load(TaskFile, path, ConfigError).tasks}

@@ -19,10 +19,12 @@ from hypothesis import strategies as st
 from entry_dicts import read_dataset
 from instructsmith import cli
 from instructsmith.cli import main
+from instructsmith.discriminator import default_ruleset_path
 from instructsmith.exemplar_db import ExemplarDB
 from instructsmith.ioutil import read_json
-from instructsmith.pipeline import PipelineConfig, config_keys
-from instructsmith.taskspec import TASK_KINDS, MixPolicy
+from instructsmith.pipeline import PipelineConfig
+from instructsmith.schema import config_keys
+from instructsmith.taskspec import TASK_KINDS, MixPolicy, default_task_file_path
 
 
 def write_corpus(path: Path, n: int = 40) -> None:
@@ -78,6 +80,108 @@ def audit_argv(command: str, train: Path, bench: Path, tmp_path: Path) -> list:
     return args + ["--report", str(tmp_path / "report.json")]
 
 
+def _edited(path: Path, edit) -> str:
+    """The JSON text of file ``path`` after ``edit`` changed its value."""
+    obj = read_json(path)
+    edit(obj)
+    return json.dumps(obj, indent=2)
+
+
+def _set(obj: dict, **values):
+    obj.update(values)
+
+
+#: test id -> (the config key naming a task or ruleset file, the file's
+#: damaged text or an edit of the shipped file, the error line's text)
+DAMAGED_INPUTS = {
+    "task_file": ("task_file", '{"tasks": [', "not JSON"),
+    "rulesets.CodeGeneration": ("rulesets.CodeGeneration", '{"tasks": [',
+                                "not JSON"),
+    "task-extra-not-an-object": (
+        "task_file", lambda o: _set(o["tasks"][0], extra="x"),
+        "tasks[0].extra must be an object, got 'x'"),
+    "task-entry-a-string": (
+        "task_file", lambda o: o["tasks"].__setitem__(1, "CodeSummarization"),
+        "tasks[1] must be an object, got 'CodeSummarization'"),
+    "task-requirements-a-string": (
+        "task_file", lambda o: _set(o["tasks"][0], requirements="Be short"),
+        "tasks[0].requirements must be a list, got 'Be short'"),
+    "task-target-language-not-text": (
+        "task_file", lambda o: _set(o["tasks"][2]["extra"], target_language=5),
+        "tasks[2].extra.target_language must be a string, got 5"),
+    "task-kind-unknown": (
+        "task_file", lambda o: _set(o["tasks"][3], kind="CodeGolf"),
+        "tasks[3].kind must be one of"),
+    "task-prompt-missing": (
+        "task_file", lambda o: o["tasks"][0].pop("prompt"),
+        "missing required key 'tasks[0].prompt'"),
+    "task-key-unknown": (
+        "task_file", lambda o: _set(o["tasks"][0], prompts=[]),
+        "unknown key 'tasks[0].prompts'"),
+    "task-file-without-tasks": (
+        "task_file", lambda o: o.pop("tasks"), "missing required key 'tasks'"),
+    "ruleset-rule-id-a-number": (
+        "rulesets.CodeGeneration",
+        lambda o: _set(o["steps"][1]["rules"][0], id=5),
+        "steps[1].rules[0].id must be a string, got 5"),
+    "ruleset-step-name-missing": (
+        "rulesets.CodeGeneration", lambda o: o["steps"][0].pop("name"),
+        "missing required key 'steps[0].name'"),
+    "ruleset-key-unknown": (
+        "rulesets.CodeGeneration",
+        lambda o: _set(o["steps"][0]["rules"][0], weight=1),
+        "unknown key 'steps[0].rules[0].weight'"),
+}
+
+#: (workdir file, damage) -> (None to write the damage as the file's text,
+#: or an edit of the file's JSON value; the error line's text)
+DAMAGED_ARTIFACTS = {
+    ("checkpoint.json", "[]"): (
+        None, "the top level must be an object, got []"),
+    ("checkpoint.json", "{not json"): (None, "not JSON"),
+    ("assignments.json", "{}"): (None, "missing required key 'seed'"),
+    ("assignments.json", '{"assignment": {}}'): (
+        None, "missing required key 'seed'"),
+    ("filter_report.json", '{"kept_count": 3}'): (
+        None, "missing required key 'input_count'"),
+    ("filter_report.json", "{not json"): (None, "not JSON"),
+    ("checkpoint.json", "stage-a-number"): (
+        lambda o: _set(o, stage=5), "stage must be a string, got 5"),
+    ("checkpoint.json", "stage-unknown"): (
+        lambda o: _set(o, stage="warp"), "stage must be one of"),
+    ("checkpoint.json", "stage-missing"): (
+        lambda o: o.pop("stage"), "missing required key 'stage'"),
+    ("checkpoint.json", "key-unknown"): (
+        lambda o: _set(o, step=1), "unknown key 'step'"),
+    ("filter_report.json", "count-a-string"): (
+        lambda o: _set(o, kept_count="40"),
+        "kept_count must be an integer, got '40'"),
+    ("filter_report.json", "rejection-null"): (
+        lambda o: _set(o["rejected"], empty=None),
+        "rejected.empty must be an integer, got None"),
+    ("filter_report.json", "key-unknown"): (
+        lambda o: _set(o, dropped=0), "unknown key 'dropped'"),
+    ("selection.json", "ids-a-string"): (
+        lambda o: _set(o, selected_ids="r001"),
+        "selected_ids must be a list, got 'r001'"),
+    ("selection.json", "k-missing"): (
+        lambda o: o.pop("k"), "missing required key 'k'"),
+    ("selection.json", "key-unknown"): (
+        lambda o: _set(o, order=[]), "unknown key 'order'"),
+    ("assignments.json", "kinds-null"): (
+        lambda o: o["assignment"].update(dict.fromkeys(o["assignment"])),
+        "assignment.r0"),
+    ("assignments.json", "kind-unknown"): (
+        lambda o: o["assignment"].update(dict.fromkeys(o["assignment"],
+                                                       "CodeGolf")),
+        "assignment.r0"),
+    ("assignments.json", "seed-a-string"): (
+        lambda o: _set(o, seed="7"), "seed must be an integer, got '7'"),
+    ("assignments.json", "key-unknown"): (
+        lambda o: _set(o, mix={}), "unknown key 'mix'"),
+}
+
+
 @pytest.fixture
 def corpus(tmp_path):
     path = tmp_path / "corpus.jsonl"
@@ -127,25 +231,45 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"{bad}: {damage}" in err
 
-    @pytest.mark.parametrize("key", ["task_file", "rulesets.CodeGeneration"])
+    @pytest.mark.parametrize("key", list(DAMAGED_INPUTS))
     def test_damaged_task_or_ruleset_file_is_one_line_usage_error(
             self, tmp_path, corpus, capsys, key):
+        config_key, damage, expected = DAMAGED_INPUTS[key]
         damaged = tmp_path / "damaged.json"
-        damaged.write_text('{"tasks": [', encoding="utf-8")
+        damaged.write_text(damage if isinstance(damage, str) else _edited(
+            default_task_file_path() if config_key == "task_file"
+            else default_ruleset_path("code_generation"), damage),
+            encoding="utf-8")
         config = tmp_path / "config.json"
         write_config(config, corpus, tmp_path / "work",
-                     **_nested(key, str(damaged)))
+                     **_nested(config_key, str(damaged)))
         assert main(["run", "--config", str(config)]) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and f"{damaged}: not JSON" in err
+        assert err.count("\n") == 1 and f"{damaged}: {expected}" in err
+        assert "Traceback" not in err
 
     def test_damaged_selection_is_one_line_error(self, tmp_path, capsys):
         damaged = tmp_path / "selection.json"
-        damaged.write_text("{not json", encoding="utf-8")
-        assert main(["assign", "--selection", str(damaged),
-                     "--output", str(tmp_path / "assignments.json")]) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and f"{damaged}: not JSON" in err
+        selection = {"k": 2, "seed": 0, "metric": "euclidean",
+                     "selected_ids": ["r001", "r002"], "radius_trace": [1.0, 0.5]}
+        for damage, expected in (
+                ("{not json", "not JSON"),
+                ({**selection, "selected_ids": "r001"},
+                 "selected_ids must be a list, got 'r001'"),
+                ({**selection, "k": "2"}, "k must be an integer, got '2'"),
+                ({**selection, "radius_trace": [1.0, None]},
+                 "radius_trace[1] must be a number, got None"),
+                ({k: v for k, v in selection.items() if k != "seed"},
+                 "missing required key 'seed'"),
+                ({**selection, "ids": []}, "unknown key 'ids'")):
+            damaged.write_text(damage if isinstance(damage, str)
+                               else json.dumps(damage), encoding="utf-8")
+            assert main(["assign", "--selection", str(damaged),
+                         "--output", str(tmp_path / "assignments.json")]) == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and f"{damaged}: {expected}" in err
+            assert "Traceback" not in err
+            assert not (tmp_path / "assignments.json").exists()
 
     def test_select_k_zero_is_usage_error(self, tmp_path, corpus, capsys):
         emb = tmp_path / "emb.npy"
@@ -353,6 +477,7 @@ class TestExitCodes:
              {"concurrency": {"max_in_flight": "two"}}),
             ("retries.generation", {"retries": {"generation": "x"}}),
             ("mix.CodeGeneration", {"mix": {"CodeGeneration": "lots"}}),
+            ("mix.CodeRepair", {"mix": {"CodeRepair": 10 ** 400}}),
             ("generation_backend.timeout",
              {"generation_backend": {"kind": "mock", "timeout": "x"}}),
             ("generation_backend.retry",
@@ -492,32 +617,56 @@ class TestExitCodes:
             assert "Traceback" not in err
             assert path.read_text(encoding="utf-8") == damaged
 
-    @pytest.mark.parametrize("name,damaged", [
-        ("checkpoint.json", "[]"), ("checkpoint.json", "{not json"),
-        ("assignments.json", "{}"), ("assignments.json", '{"assignment": {}}'),
-        ("filter_report.json", '{"kept_count": 3}'),
-        ("filter_report.json", "{not json")])
+    @pytest.mark.parametrize("name,damaged", list(DAMAGED_ARTIFACTS))
     def test_resume_over_damaged_artifact_is_one_line(self, tmp_path, corpus,
                                                       name, damaged, capsys):
         config = tmp_path / "config.json"
         workdir = tmp_path / "work"
         write_config(config, corpus, workdir)
         assert main(["run", "--config", str(config)]) == 0
-        (workdir / name).write_text(damaged, encoding="utf-8")
+        edit, expected = DAMAGED_ARTIFACTS[name, damaged]
+        path = workdir / name
+        path.write_text(damaged if edit is None else _edited(path, edit),
+                        encoding="utf-8")
         capsys.readouterr()
         assert main(["run", "--config", str(config), "--resume"]) == 1
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and str(workdir / name) in err
+        assert err.count("\n") == 1 and f"{path}: {expected}" in err
         assert "Traceback" not in err
 
     def test_stats_over_damaged_summary_is_one_line(self, tmp_path, capsys):
         workdir = tmp_path / "work"
         workdir.mkdir()
-        for damage in ("{not json", "[" * 100_000, '{"counts": "\\udc00"}'):
-            (workdir / "summary.json").write_text(damage, encoding="utf-8")
+        summary = {
+            "counts": {"ingested": 3, "emitted": 1},
+            "realized_mix": {"CodeGeneration": {"count": 1, "percent": 100.0}},
+            "stage_seconds": {"filter": 0.001},
+            "dataset_path": "work/dataset.jsonl", "target_accepted": 1}
+        share = summary["realized_mix"]["CodeGeneration"]
+        for damage, expected in (
+                ("{not json", "not JSON"), ("[" * 100_000, "not JSON"),
+                ('{"counts": "\\udc00"}', "not text: a lone surrogate"),
+                ({**summary, "counts": "3"}, "counts must be an object"),
+                ({**summary, "realized_mix": {"CodeGeneration": {
+                    **share, "count": 1.0}}},
+                 "realized_mix.CodeGeneration.count must be an integer"),
+                ({**summary, "realized_mix": {"CodeGeneration": {"count": 1}}},
+                 "missing required key 'realized_mix.CodeGeneration.percent'"),
+                ({k: v for k, v in summary.items() if k != "dataset_path"},
+                 "missing required key 'dataset_path'"),
+                ({**summary, "stage_seconds": {"filter": None}},
+                 "stage_seconds.filter must be a number"),
+                ({**summary, "stage_seconds": {"filter": 10 ** 400}},
+                 "stage_seconds.filter must be a number"),
+                ({**summary, "seed": 7}, "unknown key 'seed'")):
+            (workdir / "summary.json").write_text(
+                damage if isinstance(damage, str) else json.dumps(damage),
+                encoding="utf-8")
             assert main(["stats", "--workdir", str(workdir)]) == 1
             err = capsys.readouterr().err
-            assert err.count("\n") == 1 and str(workdir / "summary.json") in err
+            assert err.count("\n") == 1
+            assert f"{workdir / 'summary.json'}: {expected}" in err
+            assert "Traceback" not in err
 
     def test_audit_non_json_bench_line_is_error(self, tmp_path, capsys):
         train = tmp_path / "train.jsonl"
@@ -852,8 +1001,10 @@ class TestRunCommand:
         assert main(["run", "--config", str(config), "--resume"]) == 0
         capsys.readouterr()
         assert main(["stats", "--workdir", str(workdir)]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["counts"]["emitted"] == 12
+        out = capsys.readouterr().out
+        # the summary as written, realized_mix counts still integers
+        assert out == (workdir / "summary.json").read_text(encoding="utf-8")
+        assert json.loads(out)["counts"]["emitted"] == 12
 
     def test_stats_reads_a_torn_log_without_changing_it(self, tmp_path,
                                                         corpus, capsys):

@@ -6,11 +6,13 @@ import pytest
 from instructsmith.apportion import largest_remainder
 from instructsmith.coreset import (
     CoresetSelection,
+    SelectionFile,
     kcenter_greedy,
     kcenter_radius,
-    read_selection,
     write_selection,
 )
+from instructsmith.errors import ConsistencyError
+from instructsmith.schema import load
 from kcenter_reference import (
     GuardLimitError,
     kcenter_optimal_bruteforce,
@@ -250,7 +252,7 @@ class TestSelectionType:
         ids = ["rec-a", "rec-b", "rec-c"]
         path = tmp_path / "selection.json"
         write_selection(path, sel, ids)
-        loaded = read_selection(path)
+        loaded = load(SelectionFile, path, ConsistencyError)
         assert loaded.k == 2
         assert loaded.seed == 5
         assert loaded.metric == "euclidean"

@@ -338,11 +338,24 @@ class TestHttpBackend:
             "generation", 2, content)
         assert parsed == [] and len(server.requests) == 3
 
-    @pytest.mark.parametrize("model", [None, 3], ids=["null", "number"])
+    @pytest.mark.parametrize("model", [None, 3, "m\ud800"],
+                             ids=["null", "number", "lone-surrogate"])
     def test_non_text_model_falls_back_to_the_configured_name(self, model):
         with http_stub(lambda p, h, b: (200, chat_body("hi", model=model))) as (_, url):
             backend = HttpChatBackend(BackendConfig(endpoint=url, model_name="m1"))
             assert backend.send(user_request("q")).model_name == "m1"
+
+    @pytest.mark.parametrize("usage,kept", [
+        ({"prompt_tokens": 7, "completion_tokens": "lots", "total_tokens": True,
+          "cached": None, "extra": [1], "ratio": 0.5, "\ud800": 1},
+         {"prompt_tokens": 7}),
+        ([7, 3], {}), (None, {}), ("7", {})],
+        ids=["mixed", "list", "null", "string"])
+    def test_usage_keeps_only_integer_counts(self, usage, kept):
+        body = {**chat_body("hi"), "usage": usage}
+        with http_stub(lambda p, h, b: (200, body)) as (_, url):
+            reply = HttpChatBackend(BackendConfig(endpoint=url)).send(user_request("q"))
+        assert reply.usage == kept
 
     def test_complete_retries_through_http_429(self):
         state = {"calls": 0}

@@ -15,7 +15,7 @@ import pytest
 from entry_dicts import read_dataset
 from httpstub import http_stub
 from instructsmith import pipeline
-from instructsmith.coreset import read_selection
+from instructsmith.coreset import SelectionFile
 from instructsmith.embedding import read_embedding_cache
 from instructsmith.errors import BackendError, ConfigError, ConsistencyError
 from instructsmith.exemplar_db import ExemplarDB
@@ -34,6 +34,7 @@ from instructsmith.pipeline import (
     load_pipeline_config,
     run,
 )
+from instructsmith.schema import load, unparse
 from sensitive import (
     Jitter,
     Recorder,
@@ -180,7 +181,7 @@ class TestRun:
             assert (workdir / name).exists(), name
         assert len(read_dataset(workdir / "dataset.jsonl")) == 25
         saved = json.loads((workdir / "summary.json").read_text())
-        assert saved == summary.to_dict()
+        assert saved == unparse(summary)
         assert saved["counts"] == counts
 
     @pytest.mark.parametrize("n_records", [60, 2000])
@@ -318,6 +319,34 @@ class TestRun:
         assert entries and {e["instance"]["generation_meta"]["model"]
                             for e in entries} == {"gen-configured"}
 
+    def test_http_reply_metadata_is_parsed(self, corpus, tmp_path):
+        # a served model name with a lone surrogate and usage counts that
+        # are no integers reach the exemplar log as the configured name and
+        # the integer counts alone
+        def respond(path, headers, body):
+            prompt = body["messages"][-1]["content"]
+            content = (canned_generation_reply(prompt) if path == "/generate"
+                       else canned_discrimination_reply(prompt, bad_modulus=5))
+            return 200, {"choices": [{"message": {"role": "assistant",
+                                                  "content": content}}],
+                         "model": "m\ud800",
+                         "usage": {"prompt_tokens": 9, "completion_tokens": "4",
+                                   "total_tokens": None}}
+
+        with http_stub(respond) as (_, url):
+            config = make_config(
+                corpus, tmp_path / "w",
+                generation_backend={"kind": "http", "endpoint": url + "/generate",
+                                    "model_name": "gen-configured"},
+                discrimination_backend={"kind": "http", "endpoint": url + "/judge",
+                                        "extra": {"role": "discrimination"}})
+            summary = run(config)
+        assert summary.counts["emitted"] == 25
+        metas = [json.loads(line)["instance"]["generation_meta"] for line in
+                 (tmp_path / "w" / "exemplars.jsonl").read_text().splitlines()]
+        assert metas and all(m["model"] == "gen-configured"
+                             and m["usage"] == {"prompt_tokens": 9} for m in metas)
+
     def test_quarantine_lines_name_the_failing_conversation(self, corpus,
                                                             tmp_path):
         # fn_5's drafts never parse, nor do the judgements of about one
@@ -412,6 +441,36 @@ def test_pinned_bytes(corpus, tmp_path, name):
     digests = {file: hashlib.sha256((tmp_path / "w" / file).read_bytes()).hexdigest()
                for file in PINNED_DIGESTS[name]}
     assert digests == PINNED_DIGESTS[name]
+
+
+# sha256 of the five single-file artifacts of the canned W = 1 run, with
+# relative paths so that the fingerprint and dataset_path do not vary, and
+# summary.json's stage_seconds zeroed: a change to any writer moves one.
+PINNED_ARTIFACTS = {
+    "checkpoint.json":
+        "8987b6d15dab584bddbf084b1b812c4c94389ab72ff841e5aba04cab980ba5de",
+    "filter_report.json":
+        "d95a1e96408bacfed2ecfbd13b3b1935e352ada42115907b9c19a433302f1aeb",
+    "selection.json":
+        "bfe3c8ea8e7f562e6a20cdd30f01526be57df7fb77e7610895fd83a1452efd85",
+    "assignments.json":
+        "2eac301d90e35a573865eebc7b3c32fba7c4eb1d7b1a515ee805bbac05ce13b5",
+    "summary.json":
+        "4d35c19294824ea134835cde6816c1029f92e22b188f306fd553c770e80191ce",
+}
+
+
+def test_pinned_artifact_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run(make_config(write_corpus(Path("corpus.jsonl")), "w"))
+    digests = {}
+    for name in PINNED_ARTIFACTS:
+        data = (tmp_path / "w" / name).read_bytes()
+        if name == "summary.json":
+            data = re.sub(rb'"stage_seconds": \{[^}]*\}',
+                          lambda m: re.sub(rb"\d+\.\d+", b"0.0", m.group()), data)
+        digests[name] = hashlib.sha256(data).hexdigest()
+    assert digests == PINNED_ARTIFACTS
 
 
 class Boom(RuntimeError):
@@ -626,7 +685,8 @@ class TestCallingThread:
                     bad_modulus=5),
                 after_record=lambda rid, outcome: committed.append(rid))
         assert excinfo.value is error
-        order = read_selection(workdir / "selection.json").selected_ids
+        order = load(SelectionFile, workdir / "selection.json",
+                     ConsistencyError).selected_ids
         assert committed == order[:4]
         assert sorted(logged_record_ids(workdir)) == sorted(order[:4])
         run(config, resume=True)
@@ -643,7 +703,8 @@ class TestCallingThread:
                 discrimination_backend=canned_discrimination_backend(
                     bad_modulus=5))
         assert excinfo.value is interrupt
-        order = read_selection(tmp_path / "w" / "selection.json").selected_ids
+        order = load(SelectionFile, tmp_path / "w" / "selection.json",
+                     ConsistencyError).selected_ids
         assert sorted(logged_record_ids(tmp_path / "w")) == sorted(order[:2])
 
 
@@ -681,7 +742,8 @@ def test_scheduler_stress_commits_in_position_order(tmp_path):
     if "error" in outcome:
         raise outcome["error"]
     summary = outcome["summary"]
-    order = read_selection(workdir / "selection.json").selected_ids
+    order = load(SelectionFile, workdir / "selection.json",
+                 ConsistencyError).selected_ids
     assert committed == order[:len(committed)]
     assert len(committed) == summary.counts["generated"]
     db = ExemplarDB.load(workdir / "exemplars.jsonl")
