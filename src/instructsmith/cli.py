@@ -6,8 +6,9 @@ any prefix of the pipeline can be reproduced or patched by hand. Exit codes:
 interrupted (Ctrl-C).
 
 A stage's modules load when the stage runs, as in `pipeline`: ``--help``,
-``stats`` and a config error load none of the generate, coreset or
-decontamination modules.
+``stats`` and a config error load none of the coreset or decontamination
+modules, and only ``stats`` of an unfinished run loads the exemplar log's
+reader.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from . import pipeline
 from .corpus import FilterConfig, default_blacklist, ingest_records, write_records
 from .embedding import METRICS, EmbeddingBackendConfig, read_embedding_cache
 from .errors import ConfigError, ConsistencyError, InstructSmithError
-from .ioutil import iter_jsonl
 from .schema import load, unparse
 from .taskspec import LABELS, TASK_KINDS, default_mix, mix_counts
 
@@ -46,22 +46,13 @@ def _embedding_config(args) -> EmbeddingBackendConfig:
 
 
 def _exemplar_counts(path: Path) -> dict[str, int]:
-    """"kind/label" entry counts of exemplar log ``path``, zero-filled for the
-    known kinds. The log is only read: an unterminated last line is skipped,
-    not cut off, and a repeated entry id counts once, as a load keeps it."""
-    counts = Counter({(kind, label): 0 for kind in TASK_KINDS for label in LABELS})
-    seen = set()
-    for lineno, obj in iter_jsonl(path, complete_only=True):
-        try:
-            entry_id = str(obj["entry_id"])
-            key = (str(obj["task_kind"]), str(obj["label"]))
-        except (KeyError, TypeError) as exc:
-            raise ConsistencyError(
-                f"{path}:{lineno}: bad exemplar entry: {exc!r}") from exc
-        if entry_id not in seen:
-            seen.add(entry_id)
-            counts[key] += 1
-    return {f"{kind}/{label}": n for (kind, label), n in sorted(counts.items())}
+    """"kind/label" entry counts of exemplar log ``path``, zero-filled, read
+    as a resume reads it; a torn last line is skipped, not cut off."""
+    from .exemplar_db import ExemplarDB
+    counts = Counter((row.task_kind, row.label)
+                     for row in ExemplarDB.read(path).entries())
+    return {f"{kind}/{label}": counts[kind, label]
+            for kind in sorted(TASK_KINDS) for label in sorted(LABELS)}
 
 
 def cmd_ingest(args) -> int:
@@ -178,11 +169,9 @@ def cmd_stats(args) -> int:
         return 0
     db_path = workdir / pipeline.EXEMPLARS_FILE
     if db_path.exists():
-        quarantine = workdir / pipeline.QUARANTINE_FILE
-        quarantined = (sum(1 for _ in iter_jsonl(quarantine, complete_only=True))
-                       if quarantine.exists() else 0)
+        quarantine = pipeline.read_quarantine(workdir / pipeline.QUARANTINE_FILE)
         _print({"exemplars": _exemplar_counts(db_path),
-                "quarantined": quarantined})
+                "quarantined": len(quarantine)})
         return 0
     dataset = workdir / pipeline.DATASET_FILE
     if dataset.exists():

@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .ioutil import id_field, parse_json, text_field
+from .errors import ConfigError
+from .ioutil import parse_json
+from .schema import Id, parse
 
 log = logging.getLogger(__name__)
 
@@ -24,14 +26,11 @@ REJECT_REASONS = ("empty", "too_short", "too_long", "blacklisted")
 MATCH_SCOPES = ("code_only", "code_and_comment")
 
 
-_OPTIONAL_FIELDS = ("comment", "language", "repo", "path", "license")
-
-
 @dataclass
 class RawCodeRecord:
     """One corpus entry: a code body with its paired comment and provenance."""
 
-    id: str
+    id: Id
     code: str
     comment: str = ""
     language: str = ""
@@ -47,14 +46,6 @@ class RawCodeRecord:
             if value:
                 d[key] = value
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RawCodeRecord":
-        """A record from its JSON object: ``id`` a string or an integer,
-        every other field a string (a TypeError names the first that is
-        not)."""
-        return cls(id=id_field(d, "id"), code=text_field(d, "code"),
-                   **{key: text_field(d, key, "") for key in _OPTIONAL_FIELDS})
 
 
 @dataclass
@@ -112,20 +103,14 @@ class FilterReport:
 
 def _record_of(raw: bytes) -> RawCodeRecord | None:
     """The record on one corpus line, or None if the line is blank. A line
-    that holds no record raises ValueError or TypeError saying why."""
+    that holds no record raises ValueError or `ConfigError` saying why."""
     try:
         line = raw.decode("utf-8").strip()
     except UnicodeDecodeError as exc:
         raise ValueError(f"not UTF-8: {exc}") from None
     if not line:
         return None
-    obj = parse_json(line)
-    if not isinstance(obj, dict):
-        raise ValueError("not an object")
-    try:
-        record = RawCodeRecord.from_dict(obj)
-    except KeyError as exc:
-        raise ValueError(f"missing {exc.args[0]}") from None
+    record = parse(RawCodeRecord, parse_json(line), ignore_unknown=True)
     missing = [k for k in ("id", "code") if not getattr(record, k).strip()]
     if missing:
         raise ValueError(f"missing {', '.join(missing)}")
@@ -141,25 +126,23 @@ def ingest_records(path: str | Path) -> list[RawCodeRecord]:
     unreadable file raises ``OSError``. Records come back in file order.
     """
     path = Path(path)
-    records: list[RawCodeRecord] = []
-    seen_ids: set[str] = set()
+    records: dict[str, RawCodeRecord] = {}  # by id, in file order
     skipped = 0
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
                 rec = _record_of(raw)
-                if rec is not None and rec.id in seen_ids:
+                if rec is not None and rec.id in records:
                     raise ValueError(f"duplicate id {rec.id!r}")
-            except (TypeError, ValueError) as exc:
+            except (ConfigError, ValueError) as exc:
                 skipped += 1
                 log.warning("%s:%d: skipped (%s)", path, lineno, exc)
                 continue
             if rec is not None:
-                seen_ids.add(rec.id)
-                records.append(rec)
+                records[rec.id] = rec
     if skipped:
         log.info("ingested %d records from %s (%d lines skipped)", len(records), path, skipped)
-    return records
+    return list(records.values())
 
 
 def write_records(records: Iterable[RawCodeRecord], path: str | Path) -> int:

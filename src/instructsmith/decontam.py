@@ -31,8 +31,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .embedding import EmbeddingBackendConfig, embed_batch, stack_vectors
-from .errors import ConfigError, ConsistencyError
-from .ioutil import atomic_write_text, id_field, iter_jsonl, text_field
+from .errors import ConfigError
+from .ioutil import atomic_write_text
+from .schema import Id, read_rows
 
 if TYPE_CHECKING:  # the functions that compute on vectors import numpy
     import numpy as np
@@ -53,23 +54,15 @@ SLICE_SIMILARITIES = 2**15
 class BenchmarkItem:
     """One held-out evaluation problem with its reference solution."""
 
-    bench_id: str
+    bench_id: Id
     canonical_solution: str
-    benchmark_name: str = ""
+    benchmark_name: str = field(default="", metadata={"json": "benchmark"})
 
     def __post_init__(self) -> None:
         if not self.bench_id:
             raise ValueError("bench_id must be non-empty")
         if not self.canonical_solution.strip():
             raise ValueError("canonical_solution must be non-empty")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BenchmarkItem":
-        """An item from its benchmark line: ``bench_id`` a string or an
-        integer, the other fields strings (a TypeError names the first that
-        is not)."""
-        return cls(id_field(d, "bench_id"), text_field(d, "canonical_solution"),
-                   text_field(d, "benchmark", ""))
 
 
 class Neighbor(NamedTuple):
@@ -300,18 +293,8 @@ def apply_plan(plan: DecontamPlan, train: Sequence[tuple[str, object]]) -> list:
 def read_benchmark_file(path: str | Path) -> list[BenchmarkItem]:
     """Read a benchmark file; a damaged line, JSON or not, is a
     `ConfigError` naming ``path:line``: the file is user input."""
-    items = []
-    try:
-        for lineno, obj in iter_jsonl(path):
-            try:
-                items.append(BenchmarkItem.from_dict(obj))
-            except KeyError as exc:
-                raise ConfigError(f"{path}:{lineno}: missing key {exc}") from exc
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(
-                    f"{path}:{lineno}: bad benchmark item: {exc}") from exc
-    except ConsistencyError as exc:  # a line that is not JSON
-        raise ConfigError(str(exc)) from exc
+    items = [item for _, item in read_rows(BenchmarkItem, path, ConfigError,
+                                           "bad benchmark item")]
     if not items:
         raise ConfigError(f"{path}: benchmark file is empty")
     return items

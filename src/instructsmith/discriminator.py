@@ -165,10 +165,10 @@ def load_ruleset(source: str | Path) -> RuleSet:
     """Load a ruleset from a JSON file path or a shipped rule-set id."""
     from .schema import load
     path = Path(source)
-    if not path.suffix and not path.exists():
+    if not path.suffix and not path.is_file():
         path = default_ruleset_path(str(source))
-    if not path.exists():
-        raise ConfigError(f"ruleset not found: {source}")
+    if not path.is_file():
+        raise ConfigError(f"ruleset not found: {str(source)!r}")
     return load(RuleSet, path, ConfigError)
 
 

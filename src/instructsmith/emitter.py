@@ -9,7 +9,7 @@ stable across runs and platforms.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -17,14 +17,14 @@ from typing import Iterable, Iterator
 
 from .errors import ConsistencyError
 from .generator import InstructionInstance
-from .ioutil import atomic_write_jsonl, id_field, iter_jsonl, text_field
+from .ioutil import atomic_write_jsonl
+from .schema import Id, read_rows
 from .taskspec import TASK_KINDS
 
 log = logging.getLogger(__name__)
 
 WITH_INPUT_TEMPLATE = "prompt_with_input.txt"
 WITHOUT_INPUT_TEMPLATE = "prompt_without_input.txt"
-WITHOUT_INPUT_CLASSIC_TEMPLATE = "prompt_without_input_classic.txt"
 
 
 @dataclass(frozen=True, slots=True)
@@ -32,10 +32,10 @@ class TrainingExample:
     """One fine-tuning example; input may be empty, the rest may not."""
 
     instruction: str
-    input: str
     output: str
-    task_kind: str
-    source_record_id: str
+    task_kind: str = field(metadata={"json": "_task"})
+    input: str = ""
+    source_record_id: Id = field(default="", metadata={"json": "_source_id"})
 
     def __post_init__(self) -> None:
         if not self.instruction.strip():
@@ -53,15 +53,6 @@ class TrainingExample:
             "_task": self.task_kind,
             "_source_id": self.source_record_id,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainingExample":
-        """An example from its dataset row: ``_source_id`` a string or an
-        integer, every other field a string (a TypeError names the first
-        that is not)."""
-        return cls(text_field(d, "instruction"), text_field(d, "input", ""),
-                   text_field(d, "output"), text_field(d, "_task"),
-                   id_field(d, "_source_id", ""))
 
 
 def to_training_example(instance: InstructionInstance) -> TrainingExample:
@@ -81,23 +72,20 @@ def _template(name: str) -> str:
     return path.read_text(encoding="utf-8")
 
 
-def render_prompt(example: TrainingExample, *,
-                  alpaca_classic_no_input_preamble: bool = False) -> str:
+def render_prompt(example: TrainingExample) -> str:
     """Render the fine-tuning prompt for one example.
 
     Non-empty input uses the with-input template; empty input uses the
-    without-input one. The default without-input preamble is kept verbatim
-    (it still mentions an input); the classic flag switches to the
-    conventional wording. Substitution is plain text replacement, so braces
-    inside code survive untouched.
+    without-input one, whose preamble is kept verbatim (it still mentions
+    an input). Substitution is plain text replacement, so braces inside
+    code survive untouched.
     """
     if example.input:
         text = _template(WITH_INPUT_TEMPLATE)
         return (text.replace("{instruction}", example.instruction)
                     .replace("{input}", example.input))
-    name = (WITHOUT_INPUT_CLASSIC_TEMPLATE if alpaca_classic_no_input_preamble
-            else WITHOUT_INPUT_TEMPLATE)
-    return _template(name).replace("{instruction}", example.instruction)
+    return _template(WITHOUT_INPUT_TEMPLATE).replace("{instruction}",
+                                                     example.instruction)
 
 
 def write_dataset(examples: Iterable[TrainingExample],
@@ -123,12 +111,5 @@ def iter_dataset(path: str | Path, digest=None
     line at a time, validating each (strict: no torn tails); a bad row is a
     `ConsistencyError` naming ``path:line``. ``digest`` is fed every line
     read, as `iter_jsonl` does."""
-    for lineno, obj in iter_jsonl(path, digest=digest):
-        try:
-            example = TrainingExample.from_dict(obj)
-        except KeyError as exc:
-            raise ConsistencyError(f"{path}:{lineno}: missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ConsistencyError(
-                f"{path}:{lineno}: bad dataset row: {exc}") from exc
-        yield lineno, example
+    return read_rows(TrainingExample, path, ConsistencyError,
+                     "bad dataset row", digest=digest)

@@ -13,31 +13,48 @@ import random
 import sys
 import threading
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring as _json_str
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING
 
-from .discriminator import DiscriminationReport
 from .emitter import TrainingExample, to_training_example
 from .errors import ConsistencyError
 from .generator import InstructionInstance, render_exemplar
-from .ioutil import JsonlAppender, encode_json, iter_jsonl
-from .taskspec import LABELS, SamplingPolicy
+from .ioutil import JsonlAppender, encode_json
+from .schema import read_rows
+from .taskspec import LABELS, SamplingPolicy, validate_kind
+
+if TYPE_CHECKING:  # a load builds no report: the judge's module stays unloaded
+    from .discriminator import DiscriminationReport
 
 log = logging.getLogger(__name__)
 
 _SEQ = attrgetter("created_seq")
 
 
+@dataclass(slots=True)
+class LoggedVerdict:
+    rule_id: str
+    answer: str
+    reason: str
+
+
+@dataclass(slots=True)
+class LoggedReport:
+    verdicts: list[LoggedVerdict] = field(default_factory=list)
+    overall_reasons: str = ""
+
+
 @dataclass
-class ExemplarEntry:
-    """One judged instance with its analysis and insertion sequence number."""
+class LogLine:
+    """The keys of an entry's log line that its row is built from: what a
+    load reads, so it builds no entry, report or verdict."""
 
     entry_id: str
     instance: InstructionInstance
-    report: DiscriminationReport
+    report: LoggedReport
     label: str
     task_kind: str
     created_seq: int = -1
@@ -45,6 +62,19 @@ class ExemplarEntry:
     def __post_init__(self) -> None:
         if self.label not in LABELS:
             raise ValueError(f"label must be one of {LABELS}")
+        # the row's training example takes its kind from the instance
+        if self.instance.task_kind != validate_kind(self.task_kind):
+            raise ValueError("instance.task_kind must equal task_kind")
+
+
+@dataclass
+class ExemplarEntry(LogLine):
+    """One judged instance with its analysis and insertion sequence number."""
+
+    report: DiscriminationReport
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
         if self.label != self.report.label:
             raise ValueError(
                 f"entry label {self.label} disagrees with report label "
@@ -93,45 +123,18 @@ class Exemplar:
     example: TrainingExample | None = None
 
     @classmethod
-    def build(cls, created_seq: int, entry_id: str, task_kind: str,
-              label: str, instance: InstructionInstance,
-              rejections: Iterable[tuple[str, str]],
-              overall_reasons: str) -> "Exemplar":
-        """The row of one entry, from its parts: ``rejections`` are the
-        (rule id, reason) of each rule a Bad entry failed, read only when
-        the entry is Bad."""
-        # task_kind and label: one shared string per kind and label, not one
-        # per loaded row
-        return cls(created_seq, entry_id, instance.source_record_id,
-                   sys.intern(task_kind), sys.intern(label),
-                   render_exemplar(label, instance, rejections, overall_reasons),
+    def of(cls, entry: LogLine) -> "Exemplar":
+        """The row of an entry or of its log line; of the report, only the
+        rules a Bad entry failed and its overall reasons are read."""
+        instance, label, report = entry.instance, entry.label, entry.report
+        rejections = ((v.rule_id, v.reason) for v in report.verdicts
+                      if v.answer == "no")
+        # one shared task_kind and label string each, not one per row
+        return cls(entry.created_seq, entry.entry_id, instance.source_record_id,
+                   sys.intern(entry.task_kind), sys.intern(label),
+                   render_exemplar(label, instance, rejections,
+                                   report.overall_reasons),
                    to_training_example(instance) if label == "Good" else None)
-
-    @classmethod
-    def of(cls, entry: ExemplarEntry) -> "Exemplar":
-        report = entry.report
-        return cls.build(
-            entry.created_seq, entry.entry_id, entry.task_kind, entry.label,
-            entry.instance,
-            ((v.rule_id, v.reason) for v in report.verdicts if v.answer == "no"),
-            report.overall_reasons)
-
-    @classmethod
-    def from_line(cls, obj: dict) -> "Exemplar":
-        """The row of one parsed log line, built without the entry: the
-        instance is read and checked, the report only for the rules the
-        entry failed and its overall reasons."""
-        label = str(obj["label"])
-        if label not in LABELS:
-            raise ValueError(f"label must be one of {LABELS}")
-        report = obj["report"]
-        return cls.build(
-            int(obj.get("created_seq", -1)), str(obj["entry_id"]),
-            str(obj["task_kind"]), label,
-            InstructionInstance.from_dict(obj["instance"]),
-            [(str(v["rule_id"]), str(v["reason"]))
-             for v in report.get("verdicts", ()) if v["answer"] == "no"],
-            str(report.get("overall_reasons", "")))
 
 
 def make_entry(instance: InstructionInstance,
@@ -198,14 +201,11 @@ class ExemplarDB:
     def read(cls, path: str | Path) -> "ExemplarDB":
         """Rebuild an in-memory db from its file, leaving the file as it is:
         an unterminated last line is skipped. The file is read line by line,
-        and each line becomes its row (`Exemplar.from_line`) as it is read."""
+        and each line becomes its row (`Exemplar.of`) as it is read."""
         db = cls()
-        for lineno, obj in iter_jsonl(path, complete_only=True):
-            try:
-                row = Exemplar.from_line(obj)
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                raise ConsistencyError(
-                    f"{path}:{lineno}: bad exemplar entry: {exc}") from exc
+        for lineno, line in read_rows(LogLine, path, ConsistencyError,
+                                      "bad exemplar entry", complete_only=True):
+            row = Exemplar.of(line)
             if row.entry_id in db._rows:
                 log.warning("%s:%d: duplicate entry id %r ignored",
                             path, lineno, row.entry_id)

@@ -50,24 +50,12 @@ class InstructionInstance:
     solution: str
     source_record_id: str = ""
     task_kind: str = ""
-    generation_meta: dict = field(default_factory=dict)
+    generation_meta: dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         for name in REQUIRED_KEYS:
             if not getattr(self, name).strip():
                 raise ValueError(f"{name} must be non-empty")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "InstructionInstance":
-        return cls(
-            task_name=str(d["task_name"]),
-            instruction=str(d["instruction"]),
-            information=str(d.get("information", "")),
-            solution=str(d["solution"]),
-            source_record_id=str(d.get("source_record_id", "")),
-            task_kind=str(d.get("task_kind", "")),
-            generation_meta=dict(d.get("generation_meta", {}) or {}),
-        )
 
 
 @dataclass

@@ -112,40 +112,12 @@ def parse_json(text: str) -> Any:
     return obj
 
 
-def _kind(value: Any) -> str:
-    return {type(None): "null", bool: "a boolean", int: "an integer",
-            float: "a number", list: "an array", dict: "an object"
-            }.get(type(value), type(value).__name__)
-
-
-def text_field(row: dict, key: str, default: str | None = None) -> str:
-    """``row[key]``, which must be a JSON string. A missing key gives
-    ``default`` or, without one, a KeyError; any other value is a TypeError
-    naming the key."""
-    value = row[key] if default is None else row.get(key, default)
-    if not isinstance(value, str):
-        raise TypeError(f"{key} must be a string, got {_kind(value)}")
-    return value
-
-
-def id_field(row: dict, key: str, default: str | None = None) -> str:
-    """``row[key]`` as text: a JSON string as it is, or a JSON integer in
-    decimal. A missing key is handled as in `text_field`; null, true, false,
-    a decimal, an array or an object is a TypeError naming the key."""
-    value = row[key] if default is None else row.get(key, default)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return str(value)
-    if not isinstance(value, str):
-        raise TypeError(
-            f"{key} must be a string or an integer, got {_kind(value)}")
-    return value
-
-
-def iter_jsonl(path: str | Path, *, complete_only: bool = False,
-               digest=None) -> Iterator[tuple[int, Any]]:
+def iter_jsonl(path: str | Path, *, complete_only: bool = False, digest=None,
+               error: type[Exception] = ConsistencyError
+               ) -> Iterator[tuple[int, Any]]:
     """Yield ``(line_number, parsed_object)`` for each non-blank line, reading
     the file line by line; a line that is not UTF-8 or that `parse_json`
-    refuses raises `ConsistencyError` naming ``path:line``. A torn
+    refuses raises ``error`` naming ``path:line``. A torn
     final line is the caller's to drop first, with `repair_torn_tail`, or to
     skip, with ``complete_only``, which leaves the file as it is. ``digest`` (a hashlib
     object), if given, is fed every line read, as bytes. The file closes
@@ -159,13 +131,13 @@ def iter_jsonl(path: str | Path, *, complete_only: bool = False,
             try:
                 stripped = raw.decode("utf-8").strip()
             except UnicodeDecodeError as exc:
-                raise ConsistencyError(f"{path}:{i}: not UTF-8: {exc}") from exc
+                raise error(f"{path}:{i}: not UTF-8: {exc}") from exc
             if not stripped:
                 continue
             try:
                 obj = parse_json(stripped)
             except ValueError as exc:
-                raise ConsistencyError(f"{path}:{i}: {exc}") from exc
+                raise error(f"{path}:{i}: {exc}") from exc
             yield i, obj
 
 

@@ -51,15 +51,14 @@ from .ioutil import (
     atomic_open,
     atomic_write_json,
     atomic_write_text,
-    iter_jsonl,
-    repair_torn_tail,
 )
 from .llm_backend import BackendConfig, make_chat_backend
-from .schema import load, named, parse, read_file, unparse
+from .schema import load, named, parse, read_file, read_rows, unparse
 from .taskspec import (
     MixPolicy,
     SamplingPolicy,
     TASK_KINDS,
+    TaskDefinition,
     assign_tasks,
     default_mix,
     load_task_definitions,
@@ -133,6 +132,11 @@ class CoresetConfig:
             raise ConfigError(f"coreset.metric must be one of {METRICS}")
 
 
+@dataclass
+class Concurrency:
+    max_in_flight: int = 1
+
+
 class RetryBudget(TypedDict, total=False):
     """Extra attempts per record after the first, per stage."""
 
@@ -166,8 +170,7 @@ class PipelineConfig:
             kind="mock", extra={"role": "discrimination"}))
     exemplar_db: Path | None = None
     sampling: SamplingPolicy = field(default_factory=SamplingPolicy)
-    max_in_flight: int = field(default=1,
-                               metadata={"json": "concurrency.max_in_flight"})
+    concurrency: Concurrency = field(default_factory=Concurrency)
     retries: RetryBudget = field(default_factory=dict)
     seed: int = 0
 
@@ -182,16 +185,14 @@ class PipelineConfig:
                 raise ConfigError(f"retries.{key} must be >= 0")
         for kind in self.rulesets:
             named("rulesets", lambda: validate_kind(kind))
-        self.corpus_path = Path(self.corpus_path)
-        self.workdir = Path(self.workdir)
         if self.output_path is None:
             self.output_path = self.workdir / DATASET_FILE
-        self.output_path = Path(self.output_path)
         if self.exemplar_db is None:
             self.exemplar_db = self.workdir / EXEMPLARS_FILE
-        self.exemplar_db = Path(self.exemplar_db)
-        if self.task_file is not None:
-            self.task_file = Path(self.task_file)
+
+    @property
+    def max_in_flight(self) -> int:
+        return self.concurrency.max_in_flight
 
     @classmethod
     def from_dict(cls, d: dict, base_dir: str | Path = ".") -> "PipelineConfig":
@@ -274,11 +275,41 @@ class RunSummary:
     target_accepted: int
 
 
-def _quarantine_entries(path: Path) -> list[dict]:
-    repair_torn_tail(path)
+class QuarantineEntry(TypedDict):
+    """A record whose conversation never parsed: a quarantine log line."""
+
+    record_id: str
+    task: str
+    stage: str
+    error: str
+    attempts: int
+
+
+def read_quarantine(path: Path) -> list[QuarantineEntry]:
+    """The entries of quarantine log ``path``, none when it is absent; a
+    torn last line is skipped, and the next append cuts it off."""
     if not path.exists():
         return []
-    return [obj for _, obj in iter_jsonl(path)]
+    return [entry for _, entry in read_rows(
+        QuarantineEntry, path, ConsistencyError, "bad quarantine entry",
+        complete_only=True)]
+
+
+def load_task_bundle(config: PipelineConfig
+                     ) -> tuple[dict[str, TaskDefinition], dict[str, RuleSet]]:
+    """The task definitions and each task kind's ruleset: the config's
+    ``rulesets`` entry, else the task's ``rule_set``. A missing, empty or
+    damaged one is a `ConfigError` whose message leads with its key."""
+    from .discriminator import load_ruleset
+    taskdefs = load_task_definitions(config.task_file)
+    rulesets = {}
+    for kind in TASK_KINDS:
+        try:
+            rulesets[kind] = load_ruleset(
+                config.rulesets.get(kind, taskdefs[kind].rule_set_id))
+        except ConfigError as exc:
+            raise ConfigError(f"rulesets.{kind}: {exc}") from exc
+    return taskdefs, rulesets
 
 
 def _require_artifact(path: Path, stage: str) -> Path:
@@ -370,7 +401,9 @@ class _InlineExecutor(Executor):
 
 def generate_exemplars(config: PipelineConfig, records: Sequence[RawCodeRecord],
                        assignment: dict[str, str], db: ExemplarDB,
-                       quarantined: list[dict], generation_backend,
+                       quarantined: list[QuarantineEntry],
+                       taskdefs: dict[str, TaskDefinition],
+                       rulesets: dict[str, RuleSet], generation_backend,
                        discrimination_backend,
                        after_record: Callable[[str, str], None] | None = None
                        ) -> None:
@@ -386,6 +419,7 @@ def generate_exemplars(config: PipelineConfig, records: Sequence[RawCodeRecord],
     the config alone, not on thread timing or on where an earlier run was
     killed.
 
+    ``taskdefs`` and ``rulesets`` are the task bundle (`load_task_bundle`).
     Records already in ``db`` or in ``quarantined`` are skipped, so a killed
     run resumes from its logs. Judged instances go into ``db``; records whose
     conversation stays unparseable are appended to the quarantine log and
@@ -394,16 +428,9 @@ def generate_exemplars(config: PipelineConfig, records: Sequence[RawCodeRecord],
     rows = db.entries()
     seq_of = {row.source_record_id: row.created_seq for row in rows}
     processed = set(seq_of)
-    processed.update(str(q["record_id"]) for q in quarantined)
+    processed.update(q["record_id"] for q in quarantined)
     accepted = sum(1 for row in rows if row.label == "Good")
-    if all(r.id in processed for r in records):
-        return
-    from .discriminator import load_ruleset
     from .exemplar_db import make_entry
-    taskdefs = load_task_definitions(config.task_file)
-    rulesets: dict[str, RuleSet] = {
-        kind: load_ruleset(config.rulesets.get(kind, taskdefs[kind].rule_set_id))
-        for kind in TASK_KINDS}
 
     def process_one(record: RawCodeRecord, before_seq: int):
         kind = assignment[record.id]
@@ -511,6 +538,7 @@ def run(config: PipelineConfig, *, resume: bool = False,
     if stop_after not in (None, "generating"):
         raise ConfigError("stop_after must be None or 'generating'")
     t_start = time.perf_counter()
+    taskdefs, rulesets = load_task_bundle(config)  # before any stage writes
     workdir = config.workdir
     workdir.mkdir(parents=True, exist_ok=True)
     checkpoint_path = workdir / CHECKPOINT_FILE
@@ -598,13 +626,13 @@ def run(config: PipelineConfig, *, resume: bool = False,
     from .exemplar_db import ExemplarDB
     db = ExemplarDB.load(config.exemplar_db)
     try:
-        quarantined = _quarantine_entries(workdir / QUARANTINE_FILE)
+        quarantined = read_quarantine(workdir / QUARANTINE_FILE)
         with timed("generate"):
             if not done("done"):
                 records_by_id = {r.id: r for r in kept}
                 generate_exemplars(
                     config, [records_by_id[rid] for rid in selected_ids],
-                    assignment, db, quarantined,
+                    assignment, db, quarantined, taskdefs, rulesets,
                     generation_backend or make_chat_backend(
                         config.generation_backend),
                     discrimination_backend or make_chat_backend(

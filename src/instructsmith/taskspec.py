@@ -9,6 +9,7 @@ proportions within a fraction of a percent at any corpus size and seed.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -16,7 +17,6 @@ from importlib import resources
 from pathlib import Path
 from typing import Sequence, TypedDict
 
-from .apportion import largest_remainder
 from .errors import ConfigError
 
 TASK_KINDS = ("CodeGeneration", "CodeSummarization", "CodeTranslation",
@@ -141,6 +141,32 @@ class SamplingPolicy:
 def default_mix() -> MixPolicy:
     """The reported generation-phase mix, renormalized to sum exactly 1."""
     return MixPolicy.from_raw(RAW_MIX_PERCENTS)
+
+
+def largest_remainder(total: int, weights: Sequence[float]) -> list[int]:
+    """Split ``total`` into integer quotas proportional to ``weights``.
+
+    Uses the largest-remainder method: floor each exact quota, then hand the
+    leftover units to the buckets with the largest fractional parts, ties
+    broken by lowest index. The result always sums to ``total`` exactly.
+    """
+    if total < 0:
+        raise ValueError("total must be >= 0")
+    if not weights:
+        raise ValueError("weights must be non-empty")
+    if any(w < 0 for w in weights):
+        raise ValueError("weights must be non-negative")
+    weight_sum = float(sum(weights))
+    if weight_sum <= 0:
+        raise ValueError("weights must not all be zero")
+    exact = [total * w / weight_sum for w in weights]
+    quotas = [math.floor(q) for q in exact]
+    leftover = total - sum(quotas)
+    by_remainder = sorted(range(len(weights)),
+                          key=lambda i: (-(exact[i] - quotas[i]), i))
+    for i in by_remainder[:leftover]:
+        quotas[i] += 1
+    return quotas
 
 
 def assign_tasks(record_ids: Sequence[str], policy: MixPolicy,

@@ -2,8 +2,8 @@
 for tests.
 
 The program writes an entry's log line with `ExemplarEntry.to_json` and reads
-it back with `Exemplar.from_line`, so it keeps no dict form of an entry, an
-instance or a report. These give the dict a log line is the JSON text of,
+it back through the schema as a `LogLine`, so it keeps no dict form of an
+entry, an instance or a report. These give the dict a log line is the JSON text of,
 field for field in the line's order, and rebuild a report from its dict.
 The program streams a dataset file row by row (`iter_dataset`); the tests
 compare it whole, with `read_dataset`.

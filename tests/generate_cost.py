@@ -79,18 +79,16 @@ def replay(config, records, assignment, log_path: Path) -> tuple[dict, int]:
     with the canned mocks."""
     from instructsmith.discriminator import (
         DISCRIMINATION_SYSTEM_TEXT, DISCRIMINATION_TEMPERATURE,
-        build_discrimination_prompt, load_ruleset, parse_discrimination_output)
+        build_discrimination_prompt, parse_discrimination_output)
     from instructsmith.exemplar_db import ExemplarDB, make_entry
     from instructsmith.generator import (
         GENERATION_SYSTEM_TEXT, GENERATION_TEMPERATURE, build_generation_prompt,
         exemplar_sample_seed, parse_generator_output)
     from instructsmith.ioutil import JsonlAppender
     from instructsmith.llm_backend import ChatMessage, ChatRequest, make_chat_backend
-    from instructsmith.taskspec import TASK_KINDS, load_task_definitions
+    from instructsmith.pipeline import load_task_bundle
 
-    taskdefs = load_task_definitions(config.task_file)
-    rulesets = {kind: load_ruleset(config.rulesets.get(kind, taskdefs[kind].rule_set_id))
-                for kind in TASK_KINDS}
+    taskdefs, rulesets = load_task_bundle(config)
     gen = make_chat_backend(config.generation_backend)
     disc = make_chat_backend(config.discrimination_backend)
     db = ExemplarDB()

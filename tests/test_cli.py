@@ -99,16 +99,16 @@ DAMAGED_INPUTS = {
                                 "not JSON"),
     "task-extra-not-an-object": (
         "task_file", lambda o: _set(o["tasks"][0], extra="x"),
-        "tasks[0].extra must be an object, got 'x'"),
+        "tasks[0].extra must be an object, got a string"),
     "task-entry-a-string": (
         "task_file", lambda o: o["tasks"].__setitem__(1, "CodeSummarization"),
-        "tasks[1] must be an object, got 'CodeSummarization'"),
+        "tasks[1] must be an object, got a string"),
     "task-requirements-a-string": (
         "task_file", lambda o: _set(o["tasks"][0], requirements="Be short"),
-        "tasks[0].requirements must be a list, got 'Be short'"),
+        "tasks[0].requirements must be a list, got a string"),
     "task-target-language-not-text": (
         "task_file", lambda o: _set(o["tasks"][2]["extra"], target_language=5),
-        "tasks[2].extra.target_language must be a string, got 5"),
+        "tasks[2].extra.target_language must be a string, got an integer"),
     "task-kind-unknown": (
         "task_file", lambda o: _set(o["tasks"][3], kind="CodeGolf"),
         "tasks[3].kind must be one of"),
@@ -123,7 +123,7 @@ DAMAGED_INPUTS = {
     "ruleset-rule-id-a-number": (
         "rulesets.CodeGeneration",
         lambda o: _set(o["steps"][1]["rules"][0], id=5),
-        "steps[1].rules[0].id must be a string, got 5"),
+        "steps[1].rules[0].id must be a string, got an integer"),
     "ruleset-step-name-missing": (
         "rulesets.CodeGeneration", lambda o: o["steps"][0].pop("name"),
         "missing required key 'steps[0].name'"),
@@ -137,7 +137,7 @@ DAMAGED_INPUTS = {
 #: or an edit of the file's JSON value; the error line's text)
 DAMAGED_ARTIFACTS = {
     ("checkpoint.json", "[]"): (
-        None, "the top level must be an object, got []"),
+        None, "the top level must be an object, got an array"),
     ("checkpoint.json", "{not json"): (None, "not JSON"),
     ("assignments.json", "{}"): (None, "missing required key 'seed'"),
     ("assignments.json", '{"assignment": {}}'): (
@@ -146,7 +146,7 @@ DAMAGED_ARTIFACTS = {
         None, "missing required key 'input_count'"),
     ("filter_report.json", "{not json"): (None, "not JSON"),
     ("checkpoint.json", "stage-a-number"): (
-        lambda o: _set(o, stage=5), "stage must be a string, got 5"),
+        lambda o: _set(o, stage=5), "stage must be a string, got an integer"),
     ("checkpoint.json", "stage-unknown"): (
         lambda o: _set(o, stage="warp"), "stage must be one of"),
     ("checkpoint.json", "stage-missing"): (
@@ -155,15 +155,15 @@ DAMAGED_ARTIFACTS = {
         lambda o: _set(o, step=1), "unknown key 'step'"),
     ("filter_report.json", "count-a-string"): (
         lambda o: _set(o, kept_count="40"),
-        "kept_count must be an integer, got '40'"),
+        "kept_count must be an integer, got a string"),
     ("filter_report.json", "rejection-null"): (
         lambda o: _set(o["rejected"], empty=None),
-        "rejected.empty must be an integer, got None"),
+        "rejected.empty must be an integer, got null"),
     ("filter_report.json", "key-unknown"): (
         lambda o: _set(o, dropped=0), "unknown key 'dropped'"),
     ("selection.json", "ids-a-string"): (
         lambda o: _set(o, selected_ids="r001"),
-        "selected_ids must be a list, got 'r001'"),
+        "selected_ids must be a list, got a string"),
     ("selection.json", "k-missing"): (
         lambda o: o.pop("k"), "missing required key 'k'"),
     ("selection.json", "key-unknown"): (
@@ -176,7 +176,7 @@ DAMAGED_ARTIFACTS = {
                                                        "CodeGolf")),
         "assignment.r0"),
     ("assignments.json", "seed-a-string"): (
-        lambda o: _set(o, seed="7"), "seed must be an integer, got '7'"),
+        lambda o: _set(o, seed="7"), "seed must be an integer, got a string"),
     ("assignments.json", "key-unknown"): (
         lambda o: _set(o, mix={}), "unknown key 'mix'"),
 }
@@ -247,6 +247,99 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"{damaged}: {expected}" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "work").exists()  # checked before any stage
+
+    @pytest.mark.parametrize("case,expected", [
+        ("task-without-rule-set", "rulesets.CodeRepair: ruleset not found: ''"),
+        ("ruleset-named-empty", "rulesets.CodeRepair: ruleset not found: ''"),
+        ("ruleset-file-missing", "rulesets.CodeRepair: ruleset not found"),
+        ("ruleset-a-directory", "rulesets.CodeRepair: ruleset not found"),
+        ("ruleset-without-steps",
+         "rulesets.CodeRepair: {path}: steps must be non-empty")],
+        ids=["task-without-rule-set", "ruleset-named-empty",
+             "ruleset-file-missing", "ruleset-a-directory",
+             "ruleset-without-steps"])
+    def test_broken_task_bundle_is_usage_error_before_any_stage(
+            self, tmp_path, corpus, capsys, case, expected):
+        tasks = read_json(default_task_file_path())
+        task_file = tmp_path / "tasks.json"
+        ruleset = tmp_path / "ruleset.json"
+        ruleset.write_text('{"id": "code_repair", "steps": []}', encoding="utf-8")
+        rulesets = {"ruleset-named-empty": "",
+                    "ruleset-file-missing": str(tmp_path / "absent.json"),
+                    "ruleset-a-directory": str(tmp_path),
+                    "ruleset-without-steps": str(ruleset)}
+        overrides = {"task_file": str(task_file)}
+        if case == "task-without-rule-set":
+            for taskdef in tasks["tasks"]:
+                if taskdef["kind"] == "CodeRepair":
+                    del taskdef["rule_set"]
+        else:
+            overrides["rulesets"] = {"CodeRepair": rulesets[case]}
+        task_file.write_text(json.dumps(tasks), encoding="utf-8")
+        config = tmp_path / "config.json"
+        write_config(config, corpus, tmp_path / "work", **overrides)
+        assert main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert expected.format(path=ruleset) in err
+        assert not (tmp_path / "work").exists()
+
+    @pytest.mark.parametrize("line,expected", [
+        ('{"task": "CodeRepair"}', "missing required key 'record_id'"),
+        ("[1, 2]", "the top level must be an object, got an array"),
+        ('{"record_id": 7, "task": "CodeRepair", "stage": "generation", '
+         '"error": "no reply", "attempts": 3}',
+         "record_id must be a string, got an integer")],
+        ids=["no-record-id", "an-array", "record-id-an-integer"])
+    def test_damaged_quarantine_line_is_one_line_error(self, tmp_path, corpus,
+                                                       capsys, line, expected):
+        config = tmp_path / "config.json"
+        workdir = tmp_path / "work"
+        write_config(config, corpus, workdir)
+        assert main(["generate", "--config", str(config)]) == 0
+        quarantine = workdir / "quarantine.jsonl"
+        quarantine.write_text(json.dumps({
+            "record_id": "r999", "task": "CodeRepair", "stage": "generation",
+            "error": "no reply", "attempts": 3}) + "\n" + line + "\n",
+            encoding="utf-8")
+        capsys.readouterr()
+        for argv in (["run", "--config", str(config), "--resume"],
+                     ["stats", "--workdir", str(workdir)]):
+            assert main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "Traceback" not in err
+            assert f"{quarantine}:2: bad quarantine entry: {expected}" in err
+
+    @pytest.mark.parametrize("edit,expected", [
+        (lambda o: _set(o, label="Maybe"), "label must be one of"),
+        (lambda o: _set(o, entry_id=5), "entry_id must be a string, got an integer"),
+        (lambda o: _set(o, task_kind="CodeGolf"), "CodeGolf is not a task kind"),
+        (lambda o: _set(o["instance"], instruction=7),
+         "instance.instruction must be a string, got an integer"),
+        (lambda o: _set(o["instance"], task_kind="CodeGolf"),
+         "instance.task_kind must equal task_kind")],
+        ids=["label-unknown", "entry-id-an-integer", "kind-unknown",
+             "instruction-an-integer", "instance-kind-unknown"])
+    def test_stats_refuses_the_log_lines_a_resume_refuses(
+            self, tmp_path, corpus, capsys, edit, expected):
+        config = tmp_path / "config.json"
+        workdir = tmp_path / "work"
+        write_config(config, corpus, workdir)
+        assert main(["generate", "--config", str(config)]) == 0
+        log = workdir / "exemplars.jsonl"
+        lines = log.read_text(encoding="utf-8").splitlines()
+        damaged = json.loads(lines[1])
+        edit(damaged)
+        lines[1] = json.dumps(damaged)
+        log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        for argv in (["stats", "--workdir", str(workdir)],
+                     ["run", "--config", str(config), "--resume"]):
+            assert main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "Traceback" not in err
+            assert f"{log}:2: bad exemplar entry: {expected}" in err
 
     def test_damaged_selection_is_one_line_error(self, tmp_path, capsys):
         damaged = tmp_path / "selection.json"
@@ -255,10 +348,10 @@ class TestExitCodes:
         for damage, expected in (
                 ("{not json", "not JSON"),
                 ({**selection, "selected_ids": "r001"},
-                 "selected_ids must be a list, got 'r001'"),
-                ({**selection, "k": "2"}, "k must be an integer, got '2'"),
+                 "selected_ids must be a list, got a string"),
+                ({**selection, "k": "2"}, "k must be an integer, got a string"),
                 ({**selection, "radius_trace": [1.0, None]},
-                 "radius_trace[1] must be a number, got None"),
+                 "radius_trace[1] must be a number, got null"),
                 ({k: v for k, v in selection.items() if k != "seed"},
                  "missing required key 'seed'"),
                 ({**selection, "ids": []}, "unknown key 'ids'")):
@@ -689,10 +782,8 @@ class TestExitCodes:
 def _leaf_keys(cls, prefix=()):
     """(JSON key path, JSON type) of every key of the config schema under
     config class ``cls``, objects included, from the parser's own walk."""
-    for path, _, tp in config_keys(cls):
-        if len(path) > 1:  # a field kept in a section object of the JSON
-            yield prefix + path[:-1], dict
-        path = prefix + path
+    for key, _, tp in config_keys(cls):
+        path = prefix + (key,)
         if type(None) in get_args(tp):
             tp = get_args(tp)[0]
         if tp is MixPolicy:  # the JSON holds the raw weights

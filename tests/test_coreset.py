@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from instructsmith.apportion import largest_remainder
 from instructsmith.coreset import (
     CoresetSelection,
     SelectionFile,
@@ -13,6 +12,7 @@ from instructsmith.coreset import (
 )
 from instructsmith.errors import ConsistencyError
 from instructsmith.schema import load
+from instructsmith.taskspec import largest_remainder
 from kcenter_reference import (
     GuardLimitError,
     kcenter_optimal_bruteforce,

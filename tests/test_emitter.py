@@ -99,16 +99,6 @@ class TestRenderPrompt:
     def test_verbatim_preamble_mentions_input_even_without_one(self):
         assert "paired with an input" in render_prompt(example())
 
-    def test_classic_flag_switches_preamble(self):
-        classic = render_prompt(example(), alpaca_classic_no_input_preamble=True)
-        assert "paired with an input" not in classic
-        assert "### Instruction:" in classic
-        assert classic.endswith("### Response:")
-
-    def test_classic_flag_ignored_when_input_present(self, circle_example):
-        assert render_prompt(circle_example) == render_prompt(
-            circle_example, alpaca_classic_no_input_preamble=True)
-
     def test_braces_in_code_survive(self):
         ex = example(instruction="Format {x} nicely.",
                      input_="d = {'a': 1}", output="print(d)")

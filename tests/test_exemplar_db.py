@@ -393,34 +393,6 @@ class TestMemory:
         assert row.label == "Bad" and row.source_record_id == "rec-w-Bad"
         assert [r.entry_id for r in db.entries()] == ["w-Good", "w-Bad"]
 
-    def test_load_builds_rows_without_entries(self, tmp_path, monkeypatch):
-        # A loaded line becomes its row directly: no entry, no report, and
-        # the instance the row is rendered from is dropped.
-        path = tmp_path / "x.jsonl"
-        filled_db(ExemplarDB.load(path)).close()
-
-        def unexpected(*args, **kwargs):
-            raise AssertionError("load built an entry or a report")
-
-        monkeypatch.setattr(ExemplarEntry, "__init__", unexpected)
-        monkeypatch.setattr(DiscriminationReport, "__init__", unexpected)
-        refs = []
-        from_dict = InstructionInstance.from_dict
-
-        def watched(d):
-            instance = from_dict(d)
-            refs.append(weakref.ref(instance))
-            return instance
-
-        monkeypatch.setattr(InstructionInstance, "from_dict", staticmethod(watched))
-        loaded = ExemplarDB.load(path)
-        loaded.close()
-        gc.collect()
-        assert len(refs) == len(loaded) == 6
-        assert [r() for r in refs] == [None] * 6
-        monkeypatch.undo()
-        assert loaded.entries() == filled_db().entries()
-
     def test_load_holds_under_2048_bytes_per_entry(self, tmp_path):
         # Entries shaped like a mock run's: five rule verdicts with reasons,
         # generation metadata, one in sixteen Bad. Kept whole, such entries

@@ -401,8 +401,3 @@ def test_instance_validation():
     with pytest.raises(ValueError):
         InstructionInstance(task_name="t", instruction="i", information="",
                             solution="  ")
-
-
-def test_instance_dict_round_trip(circle_instance):
-    back = InstructionInstance.from_dict(instance_dict(circle_instance))
-    assert back == circle_instance

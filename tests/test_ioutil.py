@@ -13,11 +13,9 @@ from instructsmith.ioutil import (
     atomic_write_json,
     atomic_write_jsonl,
     atomic_write_text,
-    id_field,
     iter_jsonl,
     read_json,
     repair_torn_tail,
-    text_field,
 )
 
 
@@ -153,20 +151,6 @@ def test_iter_jsonl_reads_surrogate_pairs_and_escaped_backslashes(tmp_path):
     target = tmp_path / "rows.jsonl"
     target.write_text('{"a": "\\ud83d\\ude00", "b": "\\\\ud800"}\n', encoding="ascii")
     assert list(iter_jsonl(target)) == [(1, {"a": "\U0001F600", "b": "\\ud800"})]
-
-
-def test_fields_are_parsed_not_coerced():
-    row = {"s": "x", "n": 7, "z": None, "t": True, "f": 1.0, "l": ["x"]}
-    assert text_field(row, "s") == "x" and text_field(row, "absent", "") == ""
-    assert id_field(row, "s") == "x" and id_field(row, "n") == "7"
-    for key in ("n", "z", "t", "f", "l"):
-        with pytest.raises(TypeError, match=f"^{key} must be a string, got"):
-            text_field(row, key)
-    for key in ("z", "t", "f", "l"):
-        with pytest.raises(TypeError, match=f"^{key} must be a string or an integer"):
-            id_field(row, key)
-    with pytest.raises(KeyError):
-        id_field(row, "absent")
 
 
 def test_appender_flushes_each_line(tmp_path):

@@ -1019,6 +1019,10 @@ def test_cli_calls_without_vectors_never_import_numpy(corpus, tmp_path):
 STAGE_MODULES = {f"instructsmith.{name}" for name in (
     "coreset", "decontam", "discriminator", "emitter", "exemplar_db",
     "generator")}
+#: what the exemplar log's reader loads: the rows it builds need the prompt
+#: blocks and training examples, not the judge
+LOG_READER_MODULES = {f"instructsmith.{name}" for name in (
+    "emitter", "exemplar_db", "generator")}
 
 STAGE_STEPS = """
 import json
@@ -1057,8 +1061,9 @@ if "instructsmith.decontam" not in sys.modules:
 
 def test_stage_modules_load_when_their_stage_runs(corpus, tmp_path):
     # importing, parsing, building backends and the CLI calls that run no
-    # stage load none of the stage modules; a run loads all but decontam,
-    # and still makes the pinned bytes; the audit loads decontam
+    # stage load none of the stage modules, but stats of an unfinished run
+    # counts through the exemplar log's reader; a run loads all but
+    # decontam, and still makes the pinned bytes; the audit loads decontam
     workdir = tmp_path / "w"
     proc = fresh_python("-c", STAGE_STEPS, ",".join(sorted(STAGE_MODULES)),
                         readme_config(), json.dumps(config_dict(corpus, workdir)),
@@ -1073,15 +1078,16 @@ def test_stage_modules_load_when_their_stage_runs(corpus, tmp_path):
         (unfinished / name).write_bytes((workdir / name).read_bytes())
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(config_dict(corpus, workdir, target_acepted=3)))
-    for args, code in ((["--help"], 0),
-                       (["stats", "--workdir", str(workdir)], 0),
-                       (["stats", "--workdir", str(unfinished)], 0),
-                       (["run", "--config", str(bad)], 2)):
+    for args, code, loads in (
+            (["--help"], 0, set()),
+            (["stats", "--workdir", str(workdir)], 0, set()),
+            (["stats", "--workdir", str(unfinished)], 0, LOG_READER_MODULES),
+            (["run", "--config", str(bad)], 2, set())):
         proc = fresh_python("-X", "importtime", "-m", "instructsmith", *args)
         assert proc.returncode == code, (args, proc.stderr[-2000:])
         modules = imported_modules(proc.stderr)
         assert "instructsmith.cli" in modules
-        assert not modules & STAGE_MODULES, args
+        assert modules & STAGE_MODULES == loads, args
 
 
 @pytest.mark.parametrize("module", sorted(
