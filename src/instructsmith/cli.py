@@ -1,7 +1,9 @@
 """Command-line interface: one subcommand per pipeline stage plus `run`.
 
 Every stage reads and writes the same files the orchestrated run uses, so
-any prefix of the pipeline can be reproduced or patched by hand. Exit codes:
+any prefix of the pipeline can be reproduced or patched by hand. A stage's
+settings come only from the ``--config`` it is given, as `run` reads them;
+flags name files, never a config value. Exit codes:
 0 success, 1 operational failure, 2 usage or configuration error, 130
 interrupted (Ctrl-C).
 
@@ -16,16 +18,17 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import shlex
 import sys
 from collections import Counter
 from pathlib import Path
 
 from . import pipeline
-from .corpus import FilterConfig, default_blacklist, ingest_records, write_records
-from .embedding import METRICS, EmbeddingBackendConfig, read_embedding_cache
+from .corpus import FilterConfig, ingest_records, write_records
+from .embedding import EmbeddingBackendConfig, read_embedding_cache
 from .errors import ConfigError, ConsistencyError, InstructSmithError
 from .schema import load, unparse
-from .taskspec import LABELS, TASK_KINDS, default_mix, mix_counts
+from .taskspec import LABELS, TASK_KINDS, mix_counts
 
 log = logging.getLogger(__name__)
 
@@ -34,15 +37,15 @@ def _print(obj) -> None:
     print(json.dumps(obj, indent=2, ensure_ascii=False))
 
 
-def _load_config(args) -> pipeline.PipelineConfig | None:
-    if getattr(args, "config", None) is None:
-        return None
-    return pipeline.load_pipeline_config(args.config)
+def _setting(args, key: str, default):
+    """Config key ``key`` of the ``--config`` given, else ``default()``."""
+    if args.config is None:
+        return default()
+    return getattr(pipeline.load_pipeline_config(args.config), key)
 
 
 def _embedding_config(args) -> EmbeddingBackendConfig:
-    config = _load_config(args)
-    return config.embedding_backend if config else EmbeddingBackendConfig()
+    return _setting(args, "embedding_backend", EmbeddingBackendConfig)
 
 
 def _exemplar_counts(path: Path) -> dict[str, int]:
@@ -63,21 +66,9 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_filter(args) -> int:
-    config = _load_config(args)
-    if config is not None:
-        filter_config = config.filter
-    else:
-        kwargs = {"blacklist": default_blacklist()}
-        if args.min_code_chars is not None:
-            kwargs["min_code_chars"] = args.min_code_chars
-        if args.max_code_chars is not None:
-            kwargs["max_code_chars"] = args.max_code_chars
-        try:
-            filter_config = FilterConfig(**kwargs)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    _, report = pipeline.filter_corpus(args.input, filter_config, args.output,
-                                       args.report)
+    _, report = pipeline.filter_corpus(
+        args.input, _setting(args, "filter", FilterConfig), args.output,
+        args.report)
     _print(unparse(report))
     return 0
 
@@ -94,7 +85,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_select(args) -> int:
-    coreset = pipeline.CoresetConfig(k=args.k, seed=args.seed, metric=args.metric)
+    coreset = pipeline.load_pipeline_config(args.config).coreset
     try:
         ids, vectors = read_embedding_cache(args.embeddings)
     except ConsistencyError as exc:  # a bad input file, as for --bench
@@ -109,12 +100,11 @@ def cmd_select(args) -> int:
 
 
 def cmd_assign(args) -> int:
-    config = _load_config(args)
+    config = pipeline.load_pipeline_config(args.config)
     from .coreset import SelectionFile
-    mix = config.mix if config else default_mix()
     selection = load(SelectionFile, Path(args.selection), ConsistencyError)
-    assignment = pipeline.assign_selected(selection.selected_ids, mix,
-                                          args.seed, args.output)
+    assignment = pipeline.assign_selected(selection.selected_ids, config.mix,
+                                          config.seed, args.output)
     _print({"assigned": len(assignment), "counts": mix_counts(assignment),
             "output": str(args.output)})
     return 0
@@ -122,8 +112,6 @@ def cmd_assign(args) -> int:
 
 def cmd_generate(args) -> int:
     config = pipeline.load_pipeline_config(args.config)
-    if args.seed is not None:
-        config.seed = args.seed
     pipeline.run(config, resume=args.resume, stop_after="generating")
     stats = _exemplar_counts(config.exemplar_db)
     _print({"exemplars": sum(stats.values()), "by_task_and_label": stats,
@@ -133,8 +121,9 @@ def cmd_generate(args) -> int:
 
 def cmd_emit(args) -> int:
     from .exemplar_db import ExemplarDB
+    target = _setting(args, "target_accepted", lambda: None)
     rows = ExemplarDB.read(args.exemplars).entries()
-    _print(pipeline.emit_dataset(rows, args.target, args.output))
+    _print(pipeline.emit_dataset(rows, target, args.output))
     return 0
 
 
@@ -186,8 +175,6 @@ def cmd_stats(args) -> int:
 
 def cmd_run(args) -> int:
     config = pipeline.load_pipeline_config(args.config)
-    if args.seed is not None:
-        config.seed = args.seed
     summary = pipeline.run(config, resume=args.resume)
     _print(unparse(summary))
     return 0
@@ -213,9 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--report", help="also write the filter report JSON here")
-    p.add_argument("--config", help="pipeline config supplying filter settings")
-    p.add_argument("--min-code-chars", type=int)
-    p.add_argument("--max-code-chars", type=int)
+    p.add_argument("--config", help="pipeline config supplying the filter "
+                                     "settings (default: the shipped defaults)")
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("embed", help="embed record code into a binary .npy "
@@ -229,30 +215,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", required=True,
                    help=".npy cache written by the embed stage")
     p.add_argument("--output", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--metric", default="euclidean", choices=METRICS)
+    p.add_argument("--config", required=True,
+                   help="pipeline config supplying k, seed and metric")
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("assign", help="assign task kinds to selected records")
     p.add_argument("--selection", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", help="pipeline config supplying the mix")
+    p.add_argument("--config", required=True,
+                   help="pipeline config supplying the mix and seed")
     p.set_defaults(func=cmd_assign)
 
     p = sub.add_parser("generate",
                        help="run the generate/discriminate loop (no emission)")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int)
     p.add_argument("--resume", action="store_true")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("emit", help="write the dataset from judged exemplars")
     p.add_argument("--exemplars", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--target", type=int,
-                   help="cap on accepted examples (default: all)")
+    p.add_argument("--config", help="pipeline config whose target_accepted "
+                                     "caps the examples (default: all)")
     p.set_defaults(func=cmd_emit)
 
     p = sub.add_parser("audit", help="nearest-neighbor leakage report")
@@ -284,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="execute the full pipeline end to end")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int)
     p.add_argument("--resume", action="store_true")
     p.set_defaults(func=cmd_run)
 
@@ -309,8 +292,11 @@ def main(argv=None) -> int:
         return 1
     except KeyboardInterrupt:
         # the work so far is on disk; a resumable command picks it up
-        hint = (f"; `instructsmith {args.command} --resume` continues it"
-                if hasattr(args, "resume") else "")
+        hint = ""
+        if hasattr(args, "resume"):
+            resume = shlex.join(["instructsmith", args.command, "--config",
+                                 args.config, "--resume"])
+            hint = f"; `{resume}` continues it"
         print(f"interrupted{hint}", file=sys.stderr)
         return 130
 

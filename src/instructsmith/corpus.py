@@ -48,17 +48,27 @@ class RawCodeRecord:
         return d
 
 
+def default_blacklist() -> list[str]:
+    """The shipped no-go word list (skips blank and comment lines)."""
+    from importlib import resources
+    text = (resources.files("instructsmith") / "data" / "blacklist.txt"
+            ).read_text(encoding="utf-8")
+    return [line.strip() for line in text.splitlines()
+            if line.strip() and not line.lstrip().startswith("#")]
+
+
 @dataclass
 class FilterConfig:
     """Length bounds and blacklist for corpus filtering.
 
     The defaults keep typical functions while dropping stubs and pathological
     files; both bounds are measured in characters of the trimmed code body.
+    The blacklist defaults to the shipped word list; an empty one drops none.
     """
 
     min_code_chars: int = 80
     max_code_chars: int = 4096
-    blacklist: list[str] = field(default_factory=list)
+    blacklist: list[str] = field(default_factory=default_blacklist)
     match_scope: str = "code_only"
 
     def __post_init__(self) -> None:
@@ -148,15 +158,6 @@ def ingest_records(path: str | Path) -> list[RawCodeRecord]:
 def write_records(records: Iterable[RawCodeRecord], path: str | Path) -> int:
     from .ioutil import atomic_write_jsonl
     return atomic_write_jsonl(path, (r.to_dict() for r in records))
-
-
-def default_blacklist() -> list[str]:
-    """The shipped no-go word list (skips blank and comment lines)."""
-    from importlib import resources
-    text = (resources.files("instructsmith") / "data" / "blacklist.txt"
-            ).read_text(encoding="utf-8")
-    return [line.strip() for line in text.splitlines()
-            if line.strip() and not line.lstrip().startswith("#")]
 
 
 def _blacklist_pattern(words: Sequence[str]) -> re.Pattern | None:

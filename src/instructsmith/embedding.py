@@ -192,14 +192,24 @@ class HttpEmbeddingBackend:
                         api_key_env=self.config.api_key_env,
                         timeout=self.config.timeout)
         try:
-            ordered = sorted(obj["data"], key=lambda item: int(item["index"]))
-            vectors = [np.asarray(item["embedding"], dtype=np.float32) for item in ordered]
+            indexes = [item["index"] for item in obj["data"]]
+            vectors = [np.asarray(item["embedding"], dtype=np.float32)
+                       for item in obj["data"]]
         except (ValueError, KeyError, TypeError) as exc:
             raise ProtocolError(f"malformed embedding response: {exc}") from exc
         if len(vectors) != len(texts):
             raise ProtocolError(
                 f"expected {len(texts)} vectors, got {len(vectors)}")
-        return vectors
+        # each text's vector is the item that names its position
+        wrong = [index for index in indexes if type(index) is not int]
+        if wrong:
+            raise ProtocolError(
+                f"embedding index must be an integer, got {wrong[0]!r}")
+        by_index = dict(zip(indexes, vectors))
+        if sorted(by_index) != list(range(len(texts))):
+            raise ProtocolError(f"embedding indexes must be 0..{len(texts) - 1}"
+                                f", each once, got {sorted(indexes)}")
+        return [by_index[i] for i in range(len(texts))]
 
 
 EmbeddingBackend = MockEmbeddingBackend | HttpEmbeddingBackend

@@ -24,7 +24,7 @@ import time
 from array import array
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypedDict
@@ -34,7 +34,6 @@ from .corpus import (
     FilterReport,
     RawCodeRecord,
     apply_filters,
-    default_blacklist,
     ingest_records,
     write_records,
 )
@@ -137,11 +136,12 @@ class Concurrency:
     max_in_flight: int = 1
 
 
-class RetryBudget(TypedDict, total=False):
+@dataclass
+class Retries:
     """Extra attempts per record after the first, per stage."""
 
-    generation: int
-    discrimination: int
+    generation: int = 2
+    discrimination: int = 2
 
 
 #: backend fields that change how a model is reached, not what a run makes
@@ -171,7 +171,7 @@ class PipelineConfig:
     exemplar_db: Path | None = None
     sampling: SamplingPolicy = field(default_factory=SamplingPolicy)
     concurrency: Concurrency = field(default_factory=Concurrency)
-    retries: RetryBudget = field(default_factory=dict)
+    retries: Retries = field(default_factory=Retries)
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -179,8 +179,7 @@ class PipelineConfig:
             raise ConfigError("target_accepted must be >= 1")
         if self.max_in_flight < 1:
             raise ConfigError("concurrency.max_in_flight must be >= 1")
-        self.retries = {"generation": 2, "discrimination": 2, **self.retries}
-        for key, value in self.retries.items():
+        for key, value in vars(self.retries).items():
             if value < 0:
                 raise ConfigError(f"retries.{key} must be >= 0")
         for kind in self.rulesets:
@@ -200,8 +199,6 @@ class PipelineConfig:
         ``base_dir`` (the config file's directory). Any key or value the
         schema does not allow raises `ConfigError` naming its dotted key."""
         config = parse(cls, d, "", Path(base_dir))
-        if "blacklist" not in d.get("filter", {}):
-            config.filter = replace(config.filter, blacklist=default_blacklist())
         config.discrimination_backend.extra.setdefault("role", "discrimination")
         return config
 
@@ -437,12 +434,12 @@ def generate_exemplars(config: PipelineConfig, records: Sequence[RawCodeRecord],
         try:
             instance = generate_instance(
                 record, taskdefs[kind], db, generation_backend,
-                retries=config.retries["generation"],
+                retries=config.retries.generation,
                 sampling_policy=config.sampling, seed=config.seed,
                 before_seq=before_seq)
             report = discriminate(
                 instance, rulesets[kind], discrimination_backend,
-                retries=config.retries["discrimination"])
+                retries=config.retries.discrimination)
         except UnparseableReplyError as exc:
             return ("quarantined", {"record_id": record.id, "task": kind,
                                     "stage": exc.stage, "error": str(exc),

@@ -7,6 +7,8 @@ hermetic mock backends make every invocation deterministic and offline.
 from __future__ import annotations
 
 import json
+import re
+import shlex
 from collections import Counter
 from dataclasses import is_dataclass
 from pathlib import Path
@@ -341,7 +343,10 @@ class TestExitCodes:
             assert err.count("\n") == 1 and "Traceback" not in err
             assert f"{log}:2: bad exemplar entry: {expected}" in err
 
-    def test_damaged_selection_is_one_line_error(self, tmp_path, capsys):
+    def test_damaged_selection_is_one_line_error(self, tmp_path, corpus,
+                                                 capsys):
+        config = tmp_path / "config.json"
+        write_config(config, corpus, tmp_path / "work")
         damaged = tmp_path / "selection.json"
         selection = {"k": 2, "seed": 0, "metric": "euclidean",
                      "selected_ids": ["r001", "r002"], "radius_trace": [1.0, 0.5]}
@@ -357,7 +362,8 @@ class TestExitCodes:
                 ({**selection, "ids": []}, "unknown key 'ids'")):
             damaged.write_text(damage if isinstance(damage, str)
                                else json.dumps(damage), encoding="utf-8")
-            assert main(["assign", "--selection", str(damaged),
+            assert main(["assign", "--config", str(config),
+                         "--selection", str(damaged),
                          "--output", str(tmp_path / "assignments.json")]) == 1
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and f"{damaged}: {expected}" in err
@@ -365,14 +371,17 @@ class TestExitCodes:
             assert not (tmp_path / "assignments.json").exists()
 
     def test_select_k_zero_is_usage_error(self, tmp_path, corpus, capsys):
+        config = tmp_path / "config.json"
+        write_config(config, corpus, tmp_path / "work", coreset={"k": 0})
         emb = tmp_path / "emb.npy"
         assert main(["embed", "--input", str(corpus), "--output", str(emb)]) == 0
         capsys.readouterr()
-        rc = main(["select", "--embeddings", str(emb),
-                   "--output", str(tmp_path / "sel.json"), "--k", "0"])
+        rc = main(["select", "--config", str(config), "--embeddings", str(emb),
+                   "--output", str(tmp_path / "sel.json")])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "coreset.k" in err
+        assert not (tmp_path / "sel.json").exists()
 
     @pytest.mark.parametrize("command", ["audit", "decontaminate"])
     def test_bench_line_without_id_is_usage_error(self, tmp_path, command,
@@ -497,7 +506,8 @@ class TestExitCodes:
         assert plan["per_item_contributions"] == {"3": ["0:7"]}
 
     @pytest.mark.parametrize("argv,hint", [
-        (["run", "--config", "config.json"], "`instructsmith run --resume`"),
+        (["run", "--config", "config.json"],
+         "`instructsmith run --config config.json --resume`"),
         (["stats", "--workdir", "work"], None)])
     def test_ctrl_c_is_one_line_and_130(self, monkeypatch, capsys, argv, hint):
         def interrupted(args):
@@ -510,6 +520,26 @@ class TestExitCodes:
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
         assert captured.err.startswith("interrupted")
         assert (hint in captured.err) if hint else "--resume" not in captured.err
+
+    @pytest.mark.parametrize("command", ["run", "generate"])
+    def test_ctrl_c_hint_is_a_command_that_resumes(self, tmp_path, corpus,
+                                                   monkeypatch, capsys,
+                                                   command):
+        config = tmp_path / "my config.json"
+        write_config(config, corpus, tmp_path / "work")
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli.pipeline, "run", interrupted)
+        assert main([command, "--config", str(config)]) == 130
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        hinted = shlex.split(err.split("`")[1])
+        assert hinted[0] == "instructsmith"
+        args = cli.build_parser().parse_args(hinted[1:])
+        assert (args.command, args.config, args.resume) == (
+            command, str(config), True)
 
     def test_emit_missing_exemplars_is_error(self, tmp_path, capsys):
         missing = tmp_path / "absent" / "exemplars.jsonl"
@@ -634,8 +664,10 @@ class TestExitCodes:
         assert main(["embed", "--input", str(corpus), "--output", str(emb)]) == 0
         emb.write_bytes(emb.read_bytes()[:-9])
         capsys.readouterr()
-        rc = main(["select", "--embeddings", str(emb),
-                   "--output", str(tmp_path / "sel.json"), "--k", "3"])
+        config = tmp_path / "config.json"
+        write_config(config, corpus, tmp_path / "work", coreset={"k": 3})
+        rc = main(["select", "--config", str(config), "--embeddings", str(emb),
+                   "--output", str(tmp_path / "sel.json")])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(emb) in err
@@ -876,28 +908,39 @@ class TestStageCommands:
         assert out.exists()
 
     def test_filter_writes_report(self, tmp_path, corpus, capsys):
+        config = tmp_path / "config.json"
+        write_config(config, corpus, tmp_path / "work",
+                     filter={"min_code_chars": 10})
         out = tmp_path / "filtered.jsonl"
         report = tmp_path / "report.json"
-        assert main(["filter", "--input", str(corpus), "--output", str(out),
-                     "--report", str(report), "--min-code-chars", "10"]) == 0
+        assert main(["filter", "--config", str(config), "--input", str(corpus),
+                     "--output", str(out), "--report", str(report)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["input_count"] == 40
         assert read_json(report) == payload
 
     def test_filter_rejects_short_code(self, tmp_path, corpus, capsys):
+        config = tmp_path / "config.json"
+        write_config(config, corpus, tmp_path / "work",
+                     filter={"min_code_chars": 2000})
         out = tmp_path / "filtered.jsonl"
-        assert main(["filter", "--input", str(corpus), "--output", str(out),
-                     "--min-code-chars", "2000"]) == 0
+        assert main(["filter", "--config", str(config), "--input", str(corpus),
+                     "--output", str(out)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["kept_count"] == 0
 
     def test_filter_bad_bounds_is_usage_error(self, tmp_path, corpus):
-        rc = main(["filter", "--input", str(corpus),
-                   "--output", str(tmp_path / "f.jsonl"),
-                   "--min-code-chars", "10000"])
+        config = tmp_path / "config.json"
+        write_config(config, corpus, tmp_path / "work",
+                     filter={"min_code_chars": 10000})
+        rc = main(["filter", "--config", str(config), "--input", str(corpus),
+                   "--output", str(tmp_path / "f.jsonl")])
         assert rc == 2
 
     def test_embed_select_assign_chain(self, tmp_path, corpus, capsys):
+        config = tmp_path / "config.json"
+        write_config(config, corpus, tmp_path / "work",
+                     coreset={"k": 10, "seed": 3}, seed=3)
         emb = tmp_path / "emb.npy"
         sel = tmp_path / "sel.json"
         asg = tmp_path / "asg.json"
@@ -906,32 +949,38 @@ class TestStageCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["embedded"] == 40
 
-        assert main(["select", "--embeddings", str(emb), "--output", str(sel),
-                     "--k", "10", "--seed", "3"]) == 0
+        assert main(["select", "--config", str(config), "--embeddings", str(emb),
+                     "--output", str(sel)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["selected"] == 10
         selection = read_json(sel)
         assert len(selection["selected_ids"]) == 10
         assert selection["seed"] == 3
 
-        assert main(["assign", "--selection", str(sel), "--output", str(asg),
-                     "--seed", "3"]) == 0
+        assert main(["assign", "--config", str(config), "--selection", str(sel),
+                     "--output", str(asg)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["assigned"] == 10
         assignment = read_json(asg)
         assert set(assignment["assignment"]) == set(selection["selected_ids"])
 
     def test_select_cosine_metric(self, tmp_path, corpus, capsys):
+        config = tmp_path / "config.json"
+        write_config(config, corpus, tmp_path / "work",
+                     coreset={"k": 5, "metric": "cosine_distance"})
         emb = tmp_path / "emb.npy"
         sel = tmp_path / "sel.json"
         main(["embed", "--input", str(corpus), "--output", str(emb)])
         capsys.readouterr()
-        assert main(["select", "--embeddings", str(emb), "--output", str(sel),
-                     "--k", "5", "--metric", "cosine_distance"]) == 0
+        assert main(["select", "--config", str(config), "--embeddings", str(emb),
+                     "--output", str(sel)]) == 0
         assert json.loads(capsys.readouterr().out)["selected"] == 5
         assert read_json(sel)["metric"] == "cosine_distance"
 
     def test_stage_chain_matches_run(self, tmp_path, corpus, capsys):
+        # the stages read every setting from the config, as run does; its
+        # seed and coreset.seed (7 and 1) are not 0, so a stage that ignored
+        # them would write other bytes
         config = tmp_path / "config.json"
         workdir = tmp_path / "work"
         write_config(config, corpus, workdir)
@@ -944,14 +993,15 @@ class TestStageCommands:
             ["embed", "--config", str(config),
              "--input", str(chain / "filtered.jsonl"),
              "--output", str(chain / "embeddings.npy")],
-            ["select", "--embeddings", str(chain / "embeddings.npy"),
-             "--output", str(chain / "selection.json"), "--k", "30",
-             "--seed", "1"],
+            ["select", "--config", str(config),
+             "--embeddings", str(chain / "embeddings.npy"),
+             "--output", str(chain / "selection.json")],
             ["assign", "--config", str(config),
              "--selection", str(chain / "selection.json"),
-             "--output", str(chain / "assignments.json"), "--seed", "7"],
-            ["emit", "--exemplars", str(workdir / "exemplars.jsonl"),
-             "--output", str(chain / "dataset.jsonl"), "--target", "12"],
+             "--output", str(chain / "assignments.json")],
+            ["emit", "--config", str(config),
+             "--exemplars", str(workdir / "exemplars.jsonl"),
+             "--output", str(chain / "dataset.jsonl")],
         ]
         for step in steps:
             assert main(step) == 0, step
@@ -965,16 +1015,48 @@ class TestStageCommands:
     def test_select_stratify_flags_are_gone(self, tmp_path, corpus, flags,
                                             capsys):
         # per-language selection was removed; its flags are unknown now
+        config = tmp_path / "config.json"
+        write_config(config, corpus, tmp_path / "work", coreset={"k": 6})
         emb = tmp_path / "emb.npy"
         main(["embed", "--input", str(corpus), "--output", str(emb)])
         capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
-            main(["select", "--embeddings", str(emb),
-                  "--output", str(tmp_path / "sel.json"), "--k", "6", *flags])
+            main(["select", "--config", str(config), "--embeddings", str(emb),
+                  "--output", str(tmp_path / "sel.json"), *flags])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "unrecognized arguments" in err and "Traceback" not in err
         assert not (tmp_path / "sel.json").exists()
+
+    @pytest.mark.parametrize("command,flags", [
+        ("filter", ["--min-code-chars", "10"]),
+        ("filter", ["--max-code-chars", "5000"]),
+        ("select", ["--k", "6"]), ("select", ["--seed", "1"]),
+        ("select", ["--metric", "cosine_distance"]),
+        ("assign", ["--seed", "7"]), ("emit", ["--target", "12"]),
+        ("run", ["--seed", "99"]), ("generate", ["--seed", "99"])])
+    def test_flags_that_copied_a_config_key_are_gone(self, tmp_path, corpus,
+                                                     command, flags, capsys):
+        # a stage's settings come only from its config
+        config = tmp_path / "config.json"
+        workdir = tmp_path / "work"
+        write_config(config, corpus, workdir)
+        out = tmp_path / "out"
+        files = {"filter": ["--input", str(corpus), "--output", str(out)],
+                 "select": ["--embeddings", str(tmp_path / "emb.npy"),
+                            "--output", str(out)],
+                 "assign": ["--selection", str(tmp_path / "sel.json"),
+                            "--output", str(out)],
+                 "emit": ["--exemplars", str(tmp_path / "exemplars.jsonl"),
+                          "--output", str(out)]}
+        before = sorted(tmp_path.iterdir())
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(config), *files.get(command, []),
+                  *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and "Traceback" not in err
+        assert sorted(tmp_path.iterdir()) == before
 
 
 class TestRunCommand:
@@ -1041,10 +1123,11 @@ class TestRunCommand:
                                                    capsys):
         config = tmp_path / "config.json"
         workdir = tmp_path / "work"
-        write_config(config, corpus, workdir)
-        assert main(["run", "--config", str(config), "--seed", "99"]) == 0
+        write_config(config, corpus, workdir, seed=99)
+        assert main(["run", "--config", str(config)]) == 0
         capsys.readouterr()
-        # Resuming with the original seed must be refused: different config.
+        # Resuming with another seed must be refused: different config.
+        write_config(config, corpus, workdir)
         rc = main(["run", "--config", str(config), "--resume"])
         assert rc == 1
         assert "different config" in capsys.readouterr().err
@@ -1070,8 +1153,9 @@ class TestRunCommand:
         assert not (workdir / "dataset.jsonl").exists()
 
         out = tmp_path / "dataset.jsonl"
-        assert main(["emit", "--exemplars", str(workdir / "exemplars.jsonl"),
-                     "--output", str(out), "--target", "12"]) == 0
+        assert main(["emit", "--config", str(config),
+                     "--exemplars", str(workdir / "exemplars.jsonl"),
+                     "--output", str(out)]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["count"] == 12
         assert len(read_dataset(out)) == 12
@@ -1135,8 +1219,8 @@ class TestRunCommand:
         ExemplarDB.load(repaired).close()
         for source, out in ((log, "dataset.jsonl"),
                             (repaired, "dataset.repaired.jsonl")):
-            assert main(["emit", "--exemplars", str(source), "--output",
-                         str(tmp_path / out), "--target", "12"]) == 0
+            assert main(["emit", "--config", str(config), "--exemplars",
+                         str(source), "--output", str(tmp_path / out)]) == 0
         assert log.read_bytes() == torn
         assert len(read_dataset(tmp_path / "dataset.jsonl")) == 12
         assert ((tmp_path / "dataset.jsonl").read_bytes()
@@ -1204,3 +1288,26 @@ class TestAuditCommands:
         leak = read_dataset(dataset)[0].output
         cleaned = read_dataset(out_dir / "dataset.cleaned.jsonl")
         assert all(ex.output != leak for ex in cleaned)
+
+
+def readme_commands() -> list[list[str]]:
+    """The arguments of each ``instructsmith`` line in the README's shell
+    blocks, continuation lines joined."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    return [shlex.split(line)[1:]
+            for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("instructsmith ")]
+
+
+def test_readme_shows_every_stage_command():
+    assert {argv[0] for argv in readme_commands()} >= {
+        "filter", "embed", "select", "assign", "generate", "emit", "run",
+        "stats", "audit", "decontaminate"}
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_command_parses(argv):
+    # a removed or misspelt flag in the docs exits 2 here
+    cli.build_parser().parse_args(argv)

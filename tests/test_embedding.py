@@ -412,7 +412,7 @@ class TestHttpEmbeddingBackend:
         def respond(path, headers, body):
             data = [{"index": i, "embedding": [float(i), 0.0, 1.0]}
                     for i in range(len(body["input"]))]
-            return 200, {"data": list(reversed(data))}
+            return 200, {"data": [data[1], data[2], data[0]]}  # shuffled
 
         with http_stub(respond) as (server, url):
             config = EmbeddingBackendConfig(
@@ -424,6 +424,23 @@ class TestHttpEmbeddingBackend:
         sent = server.requests[0]
         assert sent["body"] == {"model": "emb-model", "input": ["a", "b", "c"]}
         assert sent["headers"]["authorization"] == "Bearer sk-emb"
+
+    @pytest.mark.parametrize("indexes,problem", [
+        ([1, 1], "each once, got [1, 1]"), (["1", 0], "got '1'"),
+        ([True, 0], "got True"), ([2.7, 0], "got 2.7"),
+        ([0, 2], "each once, got [0, 2]"), ([-1, 0], "got [-1, 0]"),
+        ([None, 0], "got None")])
+    def test_index_that_names_no_text_once_is_protocol_error(self, indexes,
+                                                            problem):
+        # a wrong index would hand one text another text's vector
+        def respond(path, headers, body):
+            return 200, {"data": [{"index": index, "embedding": [float(i), 1.0]}
+                                  for i, index in enumerate(indexes)]}
+
+        with http_stub(respond) as (_, url):
+            config = EmbeddingBackendConfig(kind="http", endpoint=url)
+            with pytest.raises(ProtocolError, match=re.escape(problem)):
+                HttpEmbeddingBackend(config).embed_chunk(["a", "b"])
 
     def test_count_mismatch_is_protocol_error(self):
         def respond(path, headers, body):

@@ -16,6 +16,7 @@ from entry_dicts import read_dataset
 from httpstub import http_stub
 from instructsmith import pipeline
 from instructsmith.coreset import SelectionFile
+from instructsmith.corpus import default_blacklist
 from instructsmith.embedding import read_embedding_cache
 from instructsmith.errors import BackendError, ConfigError, ConsistencyError
 from instructsmith.exemplar_db import ExemplarDB
@@ -94,7 +95,7 @@ class TestConfig:
         config = make_config(corpus, tmp_path / "w")
         assert config.output_path == tmp_path / "w" / "dataset.jsonl"
         assert config.exemplar_db == tmp_path / "w" / "exemplars.jsonl"
-        assert config.retries == {"generation": 2, "discrimination": 2}
+        assert unparse(config.retries) == {"generation": 2, "discrimination": 2}
         assert config.max_in_flight == 1
         assert "image" in config.filter.blacklist
         assert abs(sum(config.mix.weights.values()) - 1.0) < 1e-12
@@ -159,6 +160,33 @@ class TestConfig:
         assert PipelineConfig.from_dict({
             "corpus_path": "c.jsonl", "workdir": "w", "coreset": {"k": 5},
             "target_accepted": 3}).fingerprint() == "d4741140daba50be"
+
+    def test_config_built_in_code_equals_parsed(self):
+        # every default is a field default, so a config built in code is the
+        # config parsed from the same keys, shipped blacklist included
+        built = PipelineConfig(corpus_path=Path("c.jsonl"), workdir=Path("w"),
+                               coreset=pipeline.CoresetConfig(k=5),
+                               target_accepted=3)
+        parsed = PipelineConfig.from_dict({
+            "corpus_path": "c.jsonl", "workdir": "w", "coreset": {"k": 5},
+            "target_accepted": 3})
+        assert built.to_dict() == parsed.to_dict()
+        assert built.fingerprint() == parsed.fingerprint() == "d4741140daba50be"
+        assert built.filter.blacklist == default_blacklist()
+        assert PipelineConfig.from_dict({
+            "corpus_path": "c.jsonl", "workdir": "w", "coreset": {"k": 5},
+            "target_accepted": 3, "filter": {"blacklist": []}}).filter.blacklist == []
+
+    @pytest.mark.parametrize("retries", [{}, {"generation": 0},
+                                         {"discrimination": 5},
+                                         {"generation": 1, "discrimination": 3}])
+    def test_retries_read_as_before(self, corpus, tmp_path, retries):
+        config = make_config(corpus, tmp_path / "w", retries=retries)
+        assert unparse(config.retries) == {"generation": 2, "discrimination": 2,
+                                           **retries}
+        with pytest.raises(ConfigError, match=r"retries\.discrimination must be >= 0"):
+            make_config(corpus, tmp_path / "w",
+                        retries={**retries, "discrimination": -1})
 
     def test_checkpoint_state_validation(self):
         with pytest.raises(ConsistencyError):
