@@ -1,9 +1,10 @@
 """Command-line interface: one subcommand per pipeline stage plus `run`.
 
-Every stage reads and writes the same files the orchestrated run uses, so
-any prefix of the pipeline can be reproduced or patched by hand. A stage's
-settings come only from the ``--config`` it is given, as `run` reads them;
-flags name files, never a config value. Exit codes:
+A stage command is `run` stopped after its stage in the config's workdir:
+it continues the workdir's checkpoint, runs the stages not yet done up to
+its own and stops, so any prefix of the pipeline can be run, and an
+artifact patched in the workdir between two commands is what the next
+stage reads. Settings come only from ``--config``. Exit codes:
 0 success, 1 operational failure, 2 usage or configuration error, 130
 interrupted (Ctrl-C).
 
@@ -24,13 +25,23 @@ from collections import Counter
 from pathlib import Path
 
 from . import pipeline
-from .corpus import FilterConfig, ingest_records, write_records
-from .embedding import EmbeddingBackendConfig, read_embedding_cache
+from .corpus import ingest_records, write_records
+from .embedding import EmbeddingBackendConfig
 from .errors import ConfigError, ConsistencyError, InstructSmithError
 from .schema import load, unparse
-from .taskspec import LABELS, TASK_KINDS, mix_counts
+from .taskspec import LABELS, TASK_KINDS
 
 log = logging.getLogger(__name__)
+
+#: stage command -> (the stage `run` stops after, its help)
+STAGE_COMMANDS = {
+    "filter": ("filtered", "apply length and blacklist filters"),
+    "embed": ("embedded", "embed record code into a binary .npy cache of "
+                          "(id, float32 vector) rows"),
+    "select": ("selected", "pick a diverse coreset from the embeddings"),
+    "assign": ("assigned", "assign task kinds to the selected records"),
+    "generate": ("generating", "run the generate/discriminate loop"),
+}
 
 
 def _print(obj) -> None:
@@ -65,57 +76,16 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def cmd_filter(args) -> int:
-    _, report = pipeline.filter_corpus(
-        args.input, _setting(args, "filter", FilterConfig), args.output,
-        args.report)
-    _print(unparse(report))
-    return 0
+def _checkpoint(workdir: Path) -> dict:
+    """The checkpoint of ``workdir`` as its JSON object."""
+    return unparse(load(pipeline.CheckpointState,
+                        workdir / pipeline.CHECKPOINT_FILE, ConsistencyError))
 
 
-def cmd_embed(args) -> int:
-    backend = _embedding_config(args)
-    records = ingest_records(args.input)
-    if not records:
-        raise ConfigError(f"{args.input}: no records to embed")
-    vectors = pipeline.embed_records(records, backend, args.output)
-    _print({"embedded": len(vectors), "dim": vectors.shape[1],
-            "model": backend.model_name, "output": str(args.output)})
-    return 0
-
-
-def cmd_select(args) -> int:
-    coreset = pipeline.load_pipeline_config(args.config).coreset
-    try:
-        ids, vectors = read_embedding_cache(args.embeddings)
-    except ConsistencyError as exc:  # a bad input file, as for --bench
-        raise ConfigError(str(exc)) from exc
-    if not ids:
-        raise ConfigError(f"{args.embeddings}: empty embedding cache")
-    selection = pipeline.select_coreset(vectors, ids, coreset, args.output)
-    _print({"selected": len(selection.selected_indices),
-            "final_radius": selection.radius_trace[-1],
-            "output": str(args.output)})
-    return 0
-
-
-def cmd_assign(args) -> int:
+def cmd_stage(args) -> int:
     config = pipeline.load_pipeline_config(args.config)
-    from .coreset import SelectionFile
-    selection = load(SelectionFile, Path(args.selection), ConsistencyError)
-    assignment = pipeline.assign_selected(selection.selected_ids, config.mix,
-                                          config.seed, args.output)
-    _print({"assigned": len(assignment), "counts": mix_counts(assignment),
-            "output": str(args.output)})
-    return 0
-
-
-def cmd_generate(args) -> int:
-    config = pipeline.load_pipeline_config(args.config)
-    pipeline.run(config, resume=args.resume, stop_after="generating")
-    stats = _exemplar_counts(config.exemplar_db)
-    _print({"exemplars": sum(stats.values()), "by_task_and_label": stats,
-            "db": str(config.exemplar_db)})
+    pipeline.run(config, resume=True, stop_after=args.stage)
+    _print(_checkpoint(config.workdir))
     return 0
 
 
@@ -169,6 +139,9 @@ def cmd_stats(args) -> int:
         _print({"dataset_examples": sum(per_task.values()),
                 "per_task": dict(per_task)})
         return 0
+    if (workdir / pipeline.CHECKPOINT_FILE).exists():
+        _print(_checkpoint(workdir))
+        return 0
     print(f"no run artifacts found under {workdir}", file=sys.stderr)
     return 1
 
@@ -196,43 +169,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("filter", help="apply length and blacklist filters")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--report", help="also write the filter report JSON here")
-    p.add_argument("--config", help="pipeline config supplying the filter "
-                                     "settings (default: the shipped defaults)")
-    p.set_defaults(func=cmd_filter)
+    for command, (stage, help) in STAGE_COMMANDS.items():
+        p = sub.add_parser(command, help=f"{help} (`run` stopped after "
+                                          f"this stage)")
+        p.add_argument("--config", required=True)
+        p.set_defaults(func=cmd_stage, stage=stage)
 
-    p = sub.add_parser("embed", help="embed record code into a binary .npy "
-                                     "cache of (id, float32 vector) rows")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--config", help="pipeline config supplying the backend")
-    p.set_defaults(func=cmd_embed)
-
-    p = sub.add_parser("select", help="pick a diverse coreset from embeddings")
-    p.add_argument("--embeddings", required=True,
-                   help=".npy cache written by the embed stage")
-    p.add_argument("--output", required=True)
-    p.add_argument("--config", required=True,
-                   help="pipeline config supplying k, seed and metric")
-    p.set_defaults(func=cmd_select)
-
-    p = sub.add_parser("assign", help="assign task kinds to selected records")
-    p.add_argument("--selection", required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--config", required=True,
-                   help="pipeline config supplying the mix and seed")
-    p.set_defaults(func=cmd_assign)
-
-    p = sub.add_parser("generate",
-                       help="run the generate/discriminate loop (no emission)")
-    p.add_argument("--config", required=True)
-    p.add_argument("--resume", action="store_true")
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("emit", help="write the dataset from judged exemplars")
+    p = sub.add_parser("emit", help="export the dataset of an exemplar log, "
+                                    "which it only reads")
     p.add_argument("--exemplars", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--config", help="pipeline config whose target_accepted "
@@ -293,10 +237,11 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         # the work so far is on disk; a resumable command picks it up
         hint = ""
-        if hasattr(args, "resume"):
-            resume = shlex.join(["instructsmith", args.command, "--config",
-                                 args.config, "--resume"])
-            hint = f"; `{resume}` continues it"
+        if args.command in ("run", *STAGE_COMMANDS):
+            resume = ["instructsmith", args.command, "--config", args.config]
+            if args.command == "run":
+                resume.append("--resume")
+            hint = f"; `{shlex.join(resume)}` continues it"
         print(f"interrupted{hint}", file=sys.stderr)
         return 130
 

@@ -5,8 +5,9 @@ atomic checkpoint records the stage and the config fingerprint, so an
 interrupted run resumes from the last completed stage. Record-level
 progress during generation is derived from the append-only exemplar and
 quarantine files, never from the checkpoint, which makes the run safe to
-kill at any point. The stage functions are shared with the stage
-subcommands of the CLI.
+kill at any point. A resumed run reads each stage already done from its
+artifact, so an artifact patched by hand is what the next stage reads. The
+stage subcommands of the CLI are `run` stopped after their stage.
 
 A stage's modules load when the stage runs: importing this module, parsing
 a config and building backends load none of ``coreset``, ``decontam``,
@@ -65,10 +66,7 @@ from .taskspec import (
     validate_kind,
 )
 
-if TYPE_CHECKING:  # numpy and the stage modules load at the stage that needs them
-    import numpy as np
-
-    from .coreset import CoresetSelection
+if TYPE_CHECKING:  # the stage modules load at the stage that needs them
     from .discriminator import RuleSet
     from .exemplar_db import Exemplar, ExemplarDB
 
@@ -227,8 +225,8 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
 
 @dataclass
 class CheckpointState:
-    """The last completed stage and the fingerprint of the config that
-    reached it (the seed is part of the fingerprint)."""
+    """The last completed stage and the fingerprint of the config and task
+    bundle that reached it (the seed is part of the fingerprint)."""
 
     stage: str
     config_fingerprint: str = ""
@@ -314,54 +312,6 @@ def _require_artifact(path: Path, stage: str) -> Path:
         raise ConsistencyError(
             f"checkpoint says stage {stage!r} is done but {path} is missing")
     return path
-
-
-# -- stages ------------------------------------------------------------------
-# Each stage computes its artifact and writes it; `run` and the stage
-# subcommands of the CLI both call these.
-
-
-def filter_corpus(corpus_path: str | Path, filter_config: FilterConfig,
-                  output_path: str | Path, report_path: str | Path | None = None
-                  ) -> tuple[list[RawCodeRecord], FilterReport]:
-    """Filter stage: write the corpus records that pass ``filter_config``,
-    and the filter report when ``report_path`` is given."""
-    kept, report = apply_filters(ingest_records(corpus_path), filter_config)
-    write_records(kept, output_path)
-    if report_path is not None:
-        atomic_write_json(report_path, unparse(report))
-    return kept, report
-
-
-def embed_records(records: Sequence[RawCodeRecord],
-                  backend: EmbeddingBackendConfig,
-                  cache_path: str | Path) -> np.ndarray:
-    """Embed stage: embed each record's code into an (n, d) float32 matrix,
-    written to the cache file by record id."""
-    vectors = embed_batch([r.code for r in records], backend)
-    write_embedding_cache(cache_path, [r.id for r in records], vectors)
-    return vectors
-
-
-def select_coreset(vectors: np.ndarray, ids: Sequence[str],
-                   coreset: CoresetConfig,
-                   output_path: str | Path) -> CoresetSelection:
-    """Select stage: greedy k-center over ``vectors``; the selection is
-    written by id."""
-    from .coreset import write_selection
-    selection = kcenter_greedy(vectors, coreset.k, seed=coreset.seed,
-                               metric=coreset.metric)
-    write_selection(output_path, selection, ids)
-    return selection
-
-
-def assign_selected(selected_ids: Sequence[str], mix: MixPolicy, seed: int,
-                    output_path: str | Path) -> dict[str, str]:
-    """Assign stage: apportion task kinds over the selected records."""
-    assignment = assign_tasks(selected_ids, mix, seed=seed)
-    atomic_write_json(output_path, unparse(
-        AssignmentFile(seed, assignment, mix_counts(assignment))))
-    return assignment
 
 
 class _Settled:
@@ -522,24 +472,30 @@ def run(config: PipelineConfig, *, resume: bool = False,
         generation_backend=None, discrimination_backend=None,
         after_record: Callable[[str, str], None] | None = None,
         stop_after: str | None = None) -> RunSummary | None:
-    """Execute the full pipeline; see module docstring for the stage list.
+    """Execute the pipeline; see module docstring for the stage list.
 
     ``resume`` continues a checkpointed run in the same workdir instead of
     refusing to touch it. Injected backends override the configured ones
     (tests use this to wrap or script them). ``after_record`` is invoked as
     ``after_record(record_id, outcome)`` once each record's outcome is
     durably committed; outcomes are "good", "bad", and "quarantined".
-    ``stop_after="generating"`` skips emission (the stage CLI uses it) and
-    returns None; a later resume finishes the run.
+    ``stop_after`` names a stage before "done": the run stops once that
+    stage is done, run or read back, and returns None; a later resume
+    continues it. A stage subcommand of the CLI is
+    ``run(config, resume=True, stop_after=stage)``.
     """
-    if stop_after not in (None, "generating"):
-        raise ConfigError("stop_after must be None or 'generating'")
+    if stop_after not in (None, *STAGES[:-1]):
+        raise ConfigError(f"stop_after must be None or one of {STAGES[:-1]}")
     t_start = time.perf_counter()
     taskdefs, rulesets = load_task_bundle(config)  # before any stage writes
     workdir = config.workdir
     workdir.mkdir(parents=True, exist_ok=True)
     checkpoint_path = workdir / CHECKPOINT_FILE
-    fingerprint = config.fingerprint()
+    # of the config and the task bundle as parsed: an edited prompt or rule
+    # changes it, a re-indented file does not
+    fingerprint = hashlib.sha256(json.dumps(
+        [config.fingerprint(), unparse(taskdefs), unparse(rulesets)],
+        sort_keys=True).encode("utf-8")).hexdigest()[:16]
     state = (load(CheckpointState, checkpoint_path, ConsistencyError)
              if checkpoint_path.exists() else None)
     if state is not None and not resume:
@@ -574,26 +530,35 @@ def run(config: PipelineConfig, *, resume: bool = False,
                 _require_artifact(workdir / FILTER_REPORT_FILE, "filtered"),
                 ConsistencyError)
         else:
-            kept, filter_report = filter_corpus(
-                config.corpus_path, config.filter, workdir / FILTERED_FILE,
-                workdir / FILTER_REPORT_FILE)
+            kept, filter_report = apply_filters(
+                ingest_records(config.corpus_path), config.filter)
+            write_records(kept, workdir / FILTERED_FILE)
+            atomic_write_json(workdir / FILTER_REPORT_FILE,
+                              unparse(filter_report))
             if not kept:
                 raise ConsistencyError("no records survive filtering")
             checkpoint("filtered")
     log.info("filter: kept %d of %d records", filter_report.kept_count,
              filter_report.input_count)
+    if stop_after == "filtered":
+        return None
 
     with timed("embed"):
+        ids = [r.id for r in kept]
         cache_path = workdir / EMBEDDINGS_FILE
         if done("embedded"):
-            ids, vectors = read_embedding_cache(
+            cached_ids, vectors = read_embedding_cache(
                 _require_artifact(cache_path, "embedded"))
-            if ids != [r.id for r in kept]:
+            if cached_ids != ids:
                 raise ConsistencyError(
                     f"{cache_path} does not match the filtered corpus")
         else:
-            vectors = embed_records(kept, config.embedding_backend, cache_path)
+            vectors = embed_batch([r.code for r in kept],
+                                  config.embedding_backend)
+            write_embedding_cache(cache_path, ids, vectors)
             checkpoint("embedded")
+    if stop_after == "embedded":
+        return None
 
     with timed("select"):
         path = workdir / SELECTION_FILE
@@ -601,12 +566,20 @@ def run(config: PipelineConfig, *, resume: bool = False,
             from .coreset import SelectionFile
             selected_ids = load(SelectionFile, _require_artifact(path, "selected"),
                                 ConsistencyError).selected_ids
+            if len(set(selected_ids).intersection(ids)) != len(selected_ids):
+                raise ConsistencyError(f"{path}: selected_ids must be distinct "
+                                       f"ids of filtered records")
         else:
-            selection = select_coreset(vectors, [r.id for r in kept],
-                                       config.coreset, path)
-            selected_ids = [kept[i].id for i in selection.selected_indices]
+            from .coreset import write_selection
+            coreset = config.coreset
+            selection = kcenter_greedy(vectors, coreset.k, seed=coreset.seed,
+                                       metric=coreset.metric)
+            write_selection(path, selection, ids)
+            selected_ids = [ids[i] for i in selection.selected_indices]
             checkpoint("selected")
     log.info("select: %d of %d records chosen", len(selected_ids), len(kept))
+    if stop_after == "selected":
+        return None
 
     with timed("assign"):
         path = workdir / ASSIGNMENTS_FILE
@@ -616,9 +589,12 @@ def run(config: PipelineConfig, *, resume: bool = False,
             if assignment.keys() != set(selected_ids):
                 raise ConsistencyError(f"{path} does not match the selection")
         else:
-            assignment = assign_selected(selected_ids, config.mix, config.seed,
-                                         path)
+            assignment = assign_tasks(selected_ids, config.mix, seed=config.seed)
+            atomic_write_json(path, unparse(AssignmentFile(
+                config.seed, assignment, mix_counts(assignment))))
             checkpoint("assigned")
+    if stop_after == "assigned":
+        return None
 
     from .exemplar_db import ExemplarDB
     db = ExemplarDB.load(config.exemplar_db)

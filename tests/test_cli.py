@@ -22,11 +22,13 @@ from entry_dicts import read_dataset
 from instructsmith import cli
 from instructsmith.cli import main
 from instructsmith.discriminator import default_ruleset_path
+from instructsmith.embedding import read_embedding_cache
 from instructsmith.exemplar_db import ExemplarDB
 from instructsmith.ioutil import read_json
 from instructsmith.pipeline import PipelineConfig
 from instructsmith.schema import config_keys
 from instructsmith.taskspec import TASK_KINDS, MixPolicy, default_task_file_path
+from test_pipeline import readme_config
 
 
 def write_corpus(path: Path, n: int = 40) -> None:
@@ -91,6 +93,46 @@ def _edited(path: Path, edit) -> str:
 
 def _set(obj: dict, **values):
     obj.update(values)
+
+
+#: the pipeline functions that compute a stage's artifact
+STAGE_FUNCTIONS = ("apply_filters", "embed_batch", "kcenter_greedy",
+                   "assign_tasks")
+
+#: the workdir files a run writes, less the checkpoint and the summary,
+#: which hold the workdir's path and the stage timings
+STAGE_ARTIFACTS = ("filtered.jsonl", "filter_report.json", "embeddings.npy",
+                   "selection.json", "assignments.json", "exemplars.jsonl",
+                   "quarantine.jsonl", "dataset.jsonl")
+
+
+def _counting(calls: Counter, name: str, fn):
+    """``fn``, counting its calls in ``calls[name]``."""
+    def call(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return call
+
+
+def _snapshot(workdir: Path) -> dict:
+    """Each file of ``workdir``: its bytes and modification time."""
+    return {path.name: (path.read_bytes(), path.stat().st_mtime_ns)
+            for path in workdir.iterdir()}
+
+
+def _bundle_config(tmp_path: Path, corpus: Path) -> tuple[Path, dict]:
+    """A config whose task file and CodeGeneration ruleset are copies of the
+    shipped ones: its path, and the copies' paths by name."""
+    files = {"task_file": tmp_path / "tasks.json",
+             "ruleset": tmp_path / "ruleset.json"}
+    files["task_file"].write_bytes(default_task_file_path().read_bytes())
+    files["ruleset"].write_bytes(
+        default_ruleset_path("code_generation").read_bytes())
+    config = tmp_path / "config.json"
+    write_config(config, corpus, tmp_path / "work",
+                 task_file=str(files["task_file"]),
+                 rulesets={"CodeGeneration": str(files["ruleset"])})
+    return config, files
 
 
 #: test id -> (the config key naming a task or ruleset file, the file's
@@ -346,8 +388,11 @@ class TestExitCodes:
     def test_damaged_selection_is_one_line_error(self, tmp_path, corpus,
                                                  capsys):
         config = tmp_path / "config.json"
-        write_config(config, corpus, tmp_path / "work")
-        damaged = tmp_path / "selection.json"
+        workdir = tmp_path / "work"
+        write_config(config, corpus, workdir)
+        assert main(["select", "--config", str(config)]) == 0
+        capsys.readouterr()
+        damaged = workdir / "selection.json"
         selection = {"k": 2, "seed": 0, "metric": "euclidean",
                      "selected_ids": ["r001", "r002"], "radius_trace": [1.0, 0.5]}
         for damage, expected in (
@@ -359,29 +404,27 @@ class TestExitCodes:
                  "radius_trace[1] must be a number, got null"),
                 ({k: v for k, v in selection.items() if k != "seed"},
                  "missing required key 'seed'"),
-                ({**selection, "ids": []}, "unknown key 'ids'")):
+                ({**selection, "ids": []}, "unknown key 'ids'"),
+                ({**selection, "selected_ids": ["r001", "r999"]},
+                 "selected_ids must be distinct ids of filtered records"),
+                ({**selection, "selected_ids": ["r001", "r001"]},
+                 "selected_ids must be distinct ids of filtered records")):
             damaged.write_text(damage if isinstance(damage, str)
                                else json.dumps(damage), encoding="utf-8")
-            assert main(["assign", "--config", str(config),
-                         "--selection", str(damaged),
-                         "--output", str(tmp_path / "assignments.json")]) == 1
+            assert main(["assign", "--config", str(config)]) == 1
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and f"{damaged}: {expected}" in err
             assert "Traceback" not in err
-            assert not (tmp_path / "assignments.json").exists()
+            assert not (workdir / "assignments.json").exists()
 
     def test_select_k_zero_is_usage_error(self, tmp_path, corpus, capsys):
         config = tmp_path / "config.json"
         write_config(config, corpus, tmp_path / "work", coreset={"k": 0})
-        emb = tmp_path / "emb.npy"
-        assert main(["embed", "--input", str(corpus), "--output", str(emb)]) == 0
-        capsys.readouterr()
-        rc = main(["select", "--config", str(config), "--embeddings", str(emb),
-                   "--output", str(tmp_path / "sel.json")])
+        rc = main(["select", "--config", str(config)])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "coreset.k" in err
-        assert not (tmp_path / "sel.json").exists()
+        assert not (tmp_path / "work").exists()
 
     @pytest.mark.parametrize("command", ["audit", "decontaminate"])
     def test_bench_line_without_id_is_usage_error(self, tmp_path, command,
@@ -521,7 +564,7 @@ class TestExitCodes:
         assert captured.err.startswith("interrupted")
         assert (hint in captured.err) if hint else "--resume" not in captured.err
 
-    @pytest.mark.parametrize("command", ["run", "generate"])
+    @pytest.mark.parametrize("command", ["run", *cli.STAGE_COMMANDS])
     def test_ctrl_c_hint_is_a_command_that_resumes(self, tmp_path, corpus,
                                                    monkeypatch, capsys,
                                                    command):
@@ -538,8 +581,11 @@ class TestExitCodes:
         hinted = shlex.split(err.split("`")[1])
         assert hinted[0] == "instructsmith"
         args = cli.build_parser().parse_args(hinted[1:])
-        assert (args.command, args.config, args.resume) == (
-            command, str(config), True)
+        assert (args.command, args.config) == (command, str(config))
+        if command == "run":
+            assert args.resume
+        else:  # a stage command always continues its workdir
+            assert args.stage == cli.STAGE_COMMANDS[command][0]
 
     def test_emit_missing_exemplars_is_error(self, tmp_path, capsys):
         missing = tmp_path / "absent" / "exemplars.jsonl"
@@ -658,20 +704,20 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "work").exists()
 
-    def test_select_truncated_cache_is_usage_error(self, tmp_path, corpus,
-                                                   capsys):
-        emb = tmp_path / "emb.npy"
-        assert main(["embed", "--input", str(corpus), "--output", str(emb)]) == 0
+    def test_select_truncated_cache_is_error(self, tmp_path, corpus, capsys):
+        # a damaged workdir artifact, so exit 1
+        config = tmp_path / "config.json"
+        workdir = tmp_path / "work"
+        write_config(config, corpus, workdir, coreset={"k": 3})
+        assert main(["embed", "--config", str(config)]) == 0
+        emb = workdir / "embeddings.npy"
         emb.write_bytes(emb.read_bytes()[:-9])
         capsys.readouterr()
-        config = tmp_path / "config.json"
-        write_config(config, corpus, tmp_path / "work", coreset={"k": 3})
-        rc = main(["select", "--config", str(config), "--embeddings", str(emb),
-                   "--output", str(tmp_path / "sel.json")])
-        assert rc == 2
+        rc = main(["select", "--config", str(config)])
+        assert rc == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(emb) in err
-        assert not (tmp_path / "sel.json").exists()
+        assert not (workdir / "selection.json").exists()
 
     def test_resume_old_jsonl_workdir_is_error(self, tmp_path, corpus, capsys):
         config = tmp_path / "config.json"
@@ -909,106 +955,167 @@ class TestStageCommands:
 
     def test_filter_writes_report(self, tmp_path, corpus, capsys):
         config = tmp_path / "config.json"
-        write_config(config, corpus, tmp_path / "work",
-                     filter={"min_code_chars": 10})
-        out = tmp_path / "filtered.jsonl"
-        report = tmp_path / "report.json"
-        assert main(["filter", "--config", str(config), "--input", str(corpus),
-                     "--output", str(out), "--report", str(report)]) == 0
+        workdir = tmp_path / "work"
+        write_config(config, corpus, workdir, filter={"min_code_chars": 10})
+        assert main(["filter", "--config", str(config)]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["input_count"] == 40
-        assert read_json(report) == payload
+        assert payload == read_json(workdir / "checkpoint.json")
+        assert payload["stage"] == "filtered"
+        assert read_json(workdir / "filter_report.json")["input_count"] == 40
+        assert sorted(p.name for p in workdir.iterdir()) == [
+            "checkpoint.json", "filter_report.json", "filtered.jsonl"]
 
     def test_filter_rejects_short_code(self, tmp_path, corpus, capsys):
+        # as in run, a filter that keeps nothing is an error; its report
+        # is written, the checkpoint is not
         config = tmp_path / "config.json"
-        write_config(config, corpus, tmp_path / "work",
-                     filter={"min_code_chars": 2000})
-        out = tmp_path / "filtered.jsonl"
-        assert main(["filter", "--config", str(config), "--input", str(corpus),
-                     "--output", str(out)]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["kept_count"] == 0
+        workdir = tmp_path / "work"
+        write_config(config, corpus, workdir, filter={"min_code_chars": 2000})
+        assert main(["filter", "--config", str(config)]) == 1
+        assert "no records survive filtering" in capsys.readouterr().err
+        assert read_json(workdir / "filter_report.json")["kept_count"] == 0
+        assert not (workdir / "checkpoint.json").exists()
 
     def test_filter_bad_bounds_is_usage_error(self, tmp_path, corpus):
         config = tmp_path / "config.json"
         write_config(config, corpus, tmp_path / "work",
                      filter={"min_code_chars": 10000})
-        rc = main(["filter", "--config", str(config), "--input", str(corpus),
-                   "--output", str(tmp_path / "f.jsonl")])
-        assert rc == 2
+        assert main(["filter", "--config", str(config)]) == 2
+        assert not (tmp_path / "work").exists()
 
     def test_embed_select_assign_chain(self, tmp_path, corpus, capsys):
         config = tmp_path / "config.json"
-        write_config(config, corpus, tmp_path / "work",
+        workdir = tmp_path / "work"
+        write_config(config, corpus, workdir,
                      coreset={"k": 10, "seed": 3}, seed=3)
-        emb = tmp_path / "emb.npy"
-        sel = tmp_path / "sel.json"
-        asg = tmp_path / "asg.json"
-        assert main(["embed", "--input", str(corpus),
-                     "--output", str(emb)]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["embedded"] == 40
+        assert main(["embed", "--config", str(config)]) == 0
+        assert json.loads(capsys.readouterr().out)["stage"] == "embedded"
+        ids, vectors = read_embedding_cache(workdir / "embeddings.npy")
+        assert len(ids) == len(vectors) == 40
 
-        assert main(["select", "--config", str(config), "--embeddings", str(emb),
-                     "--output", str(sel)]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["selected"] == 10
-        selection = read_json(sel)
+        assert main(["select", "--config", str(config)]) == 0
+        assert json.loads(capsys.readouterr().out)["stage"] == "selected"
+        selection = read_json(workdir / "selection.json")
         assert len(selection["selected_ids"]) == 10
         assert selection["seed"] == 3
 
-        assert main(["assign", "--config", str(config), "--selection", str(sel),
-                     "--output", str(asg)]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["assigned"] == 10
-        assignment = read_json(asg)
+        assert main(["assign", "--config", str(config)]) == 0
+        assert json.loads(capsys.readouterr().out)["stage"] == "assigned"
+        assignment = read_json(workdir / "assignments.json")
         assert set(assignment["assignment"]) == set(selection["selected_ids"])
+        assert not (workdir / "exemplars.jsonl").exists()
 
     def test_select_cosine_metric(self, tmp_path, corpus, capsys):
         config = tmp_path / "config.json"
-        write_config(config, corpus, tmp_path / "work",
+        workdir = tmp_path / "work"
+        write_config(config, corpus, workdir,
                      coreset={"k": 5, "metric": "cosine_distance"})
-        emb = tmp_path / "emb.npy"
-        sel = tmp_path / "sel.json"
-        main(["embed", "--input", str(corpus), "--output", str(emb)])
-        capsys.readouterr()
-        assert main(["select", "--config", str(config), "--embeddings", str(emb),
-                     "--output", str(sel)]) == 0
-        assert json.loads(capsys.readouterr().out)["selected"] == 5
-        assert read_json(sel)["metric"] == "cosine_distance"
+        assert main(["select", "--config", str(config)]) == 0
+        selection = read_json(workdir / "selection.json")
+        assert len(selection["selected_ids"]) == 5
+        assert selection["metric"] == "cosine_distance"
 
-    def test_stage_chain_matches_run(self, tmp_path, corpus, capsys):
-        # the stages read every setting from the config, as run does; its
-        # seed and coreset.seed (7 and 1) are not 0, so a stage that ignored
-        # them would write other bytes
+    def test_stage_chain_matches_run(self, tmp_path, corpus, capsys,
+                                     monkeypatch):
+        # each stage command continues the workdir the one before it left,
+        # so the chain computes each stage once and writes run's bytes; the
+        # config's seed and coreset.seed (7 and 1) are not 0, so a stage
+        # that ignored them would write other bytes
         config = tmp_path / "config.json"
         workdir = tmp_path / "work"
         write_config(config, corpus, workdir)
         assert main(["run", "--config", str(config)]) == 0
+        calls = Counter()
+        for name in STAGE_FUNCTIONS:
+            monkeypatch.setattr(cli.pipeline, name, _counting(
+                calls, name, getattr(cli.pipeline, name)))
+        chain_config = tmp_path / "chain.json"
         chain = tmp_path / "chain"
-        chain.mkdir()
-        steps = [
-            ["filter", "--config", str(config), "--input", str(corpus),
-             "--output", str(chain / "filtered.jsonl")],
-            ["embed", "--config", str(config),
-             "--input", str(chain / "filtered.jsonl"),
-             "--output", str(chain / "embeddings.npy")],
-            ["select", "--config", str(config),
-             "--embeddings", str(chain / "embeddings.npy"),
-             "--output", str(chain / "selection.json")],
-            ["assign", "--config", str(config),
-             "--selection", str(chain / "selection.json"),
-             "--output", str(chain / "assignments.json")],
-            ["emit", "--config", str(config),
-             "--exemplars", str(workdir / "exemplars.jsonl"),
-             "--output", str(chain / "dataset.jsonl")],
-        ]
+        write_config(chain_config, corpus, chain)
+        emitted = tmp_path / "emitted.jsonl"
+        steps = [[command, "--config", str(chain_config)]
+                 for command in cli.STAGE_COMMANDS]
+        steps += [["run", "--config", str(chain_config), "--resume"],
+                  ["emit", "--config", str(chain_config),
+                   "--exemplars", str(chain / "exemplars.jsonl"),
+                   "--output", str(emitted)]]
         for step in steps:
             assert main(step) == 0, step
-        capsys.readouterr()
-        for name in ("filtered.jsonl", "embeddings.npy", "selection.json",
-                     "assignments.json", "dataset.jsonl"):
+        assert calls == dict.fromkeys(STAGE_FUNCTIONS, 1)
+        for name in STAGE_ARTIFACTS:
             assert (chain / name).read_bytes() == (workdir / name).read_bytes(), name
+        assert emitted.read_bytes() == (workdir / "dataset.jsonl").read_bytes()
+
+    def test_patched_selection_is_what_generation_reads(self, tmp_path, corpus,
+                                                        capsys):
+        config = tmp_path / "config.json"
+        workdir = tmp_path / "work"
+        write_config(config, corpus, workdir)
+        assert main(["select", "--config", str(config)]) == 0
+        path = workdir / "selection.json"
+        selection = read_json(path)
+        dropped = selection["selected_ids"].pop(0)  # the first one generated
+        path.write_text(json.dumps(selection), encoding="utf-8")
+        for command in ("assign", "generate"):
+            assert main([command, "--config", str(config)]) == 0, command
+        assert dropped not in read_json(workdir / "assignments.json")["assignment"]
+        rows = ExemplarDB.read(workdir / "exemplars.jsonl").entries()
+        assert rows and dropped not in {row.source_record_id for row in rows}
+
+    @pytest.mark.parametrize("command", list(cli.STAGE_COMMANDS))
+    def test_stage_command_refuses_another_configs_workdir(
+            self, tmp_path, corpus, capsys, command):
+        config = tmp_path / "config.json"
+        workdir = tmp_path / "work"
+        write_config(config, corpus, workdir, seed=99)
+        assert main(["filter", "--config", str(config)]) == 0
+        before = _snapshot(workdir)
+        write_config(config, corpus, workdir)
+        capsys.readouterr()
+        assert main([command, "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "different config" in err
+        assert _snapshot(workdir) == before
+
+    @pytest.mark.parametrize("command", list(cli.STAGE_COMMANDS))
+    def test_stage_command_past_its_stage_only_reads(self, tmp_path, corpus,
+                                                     capsys, command):
+        config = tmp_path / "config.json"
+        workdir = tmp_path / "work"
+        write_config(config, corpus, workdir)
+        assert main(["run", "--config", str(config)]) == 0
+        before = _snapshot(workdir)
+        capsys.readouterr()
+        assert main([command, "--config", str(config)]) == 0
+        assert json.loads(capsys.readouterr().out)["stage"] == "done"
+        assert _snapshot(workdir) == before
+
+    @pytest.mark.parametrize("edited,edit", [
+        ("task_file", lambda o: _set(o["tasks"][0], prompt="Write a function.")),
+        ("ruleset", lambda o: _set(o["steps"][0]["rules"][0], text="It runs."))],
+        ids=["task-prompt", "rule-text"])
+    def test_edited_task_bundle_is_refused(self, tmp_path, corpus, capsys,
+                                           edited, edit):
+        # the checkpoint's fingerprint covers the parsed task bundle
+        config, files = _bundle_config(tmp_path, corpus)
+        assert main(["assign", "--config", str(config)]) == 0
+        path = files[edited]
+        path.write_text(_edited(path, edit), encoding="utf-8")
+        capsys.readouterr()
+        for argv in (["generate", "--config", str(config)],
+                     ["run", "--config", str(config), "--resume"]):
+            assert main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "different config" in err
+
+    def test_reindented_task_bundle_resumes(self, tmp_path, corpus, capsys):
+        config, files = _bundle_config(tmp_path, corpus)
+        assert main(["assign", "--config", str(config)]) == 0
+        for path in files.values():
+            path.write_text(json.dumps(read_json(path), indent=7),
+                            encoding="utf-8")
+        assert main(["generate", "--config", str(config)]) == 0
+        assert main(["run", "--config", str(config), "--resume"]) == 0
 
     @pytest.mark.parametrize("flags", [["--stratify-by-language"],
                                        ["--records", "corpus.jsonl"]])
@@ -1017,16 +1124,12 @@ class TestStageCommands:
         # per-language selection was removed; its flags are unknown now
         config = tmp_path / "config.json"
         write_config(config, corpus, tmp_path / "work", coreset={"k": 6})
-        emb = tmp_path / "emb.npy"
-        main(["embed", "--input", str(corpus), "--output", str(emb)])
-        capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
-            main(["select", "--config", str(config), "--embeddings", str(emb),
-                  "--output", str(tmp_path / "sel.json"), *flags])
+            main(["select", "--config", str(config), *flags])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "unrecognized arguments" in err and "Traceback" not in err
-        assert not (tmp_path / "sel.json").exists()
+        assert not (tmp_path / "work").exists()
 
     @pytest.mark.parametrize("command,flags", [
         ("filter", ["--min-code-chars", "10"]),
@@ -1039,16 +1142,9 @@ class TestStageCommands:
                                                      command, flags, capsys):
         # a stage's settings come only from its config
         config = tmp_path / "config.json"
-        workdir = tmp_path / "work"
-        write_config(config, corpus, workdir)
-        out = tmp_path / "out"
-        files = {"filter": ["--input", str(corpus), "--output", str(out)],
-                 "select": ["--embeddings", str(tmp_path / "emb.npy"),
-                            "--output", str(out)],
-                 "assign": ["--selection", str(tmp_path / "sel.json"),
-                            "--output", str(out)],
-                 "emit": ["--exemplars", str(tmp_path / "exemplars.jsonl"),
-                          "--output", str(out)]}
+        write_config(config, corpus, tmp_path / "work")
+        files = {"emit": ["--exemplars", str(tmp_path / "exemplars.jsonl"),
+                          "--output", str(tmp_path / "out")]}
         before = sorted(tmp_path.iterdir())
         with pytest.raises(SystemExit) as exc:
             main([command, "--config", str(config), *files.get(command, []),
@@ -1057,6 +1153,38 @@ class TestStageCommands:
         err = capsys.readouterr().err
         assert "unrecognized arguments" in err and "Traceback" not in err
         assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("command,flag", [
+        ("filter", "--input"), ("filter", "--output"), ("filter", "--report"),
+        ("embed", "--input"), ("embed", "--output"),
+        ("select", "--embeddings"), ("select", "--output"),
+        ("assign", "--selection"), ("assign", "--output"),
+        ("generate", "--resume")])
+    def test_file_flags_of_stage_commands_are_gone(self, tmp_path, corpus,
+                                                   command, flag, capsys):
+        # a stage command reads and writes its config's workdir
+        config = tmp_path / "config.json"
+        write_config(config, corpus, tmp_path / "work")
+        argv = [command, "--config", str(config), flag]
+        if flag != "--resume":
+            argv.append(str(tmp_path / "file"))
+        before = sorted(tmp_path.iterdir())
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and "Traceback" not in err
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_stats_shows_the_checkpoint_before_generation(self, tmp_path,
+                                                          corpus, capsys):
+        config = tmp_path / "config.json"
+        workdir = tmp_path / "work"
+        write_config(config, corpus, workdir)
+        assert main(["assign", "--config", str(config)]) == 0
+        printed = capsys.readouterr().out
+        assert main(["stats", "--workdir", str(workdir)]) == 0
+        assert capsys.readouterr().out == printed
 
 
 class TestRunCommand:
@@ -1112,11 +1240,12 @@ class TestRunCommand:
         assert ((tmp_path / "work" / "dataset.jsonl").read_bytes()
                 == (tmp_path / "clean" / "dataset.jsonl").read_bytes())
         caplog.clear()
+        stage = tmp_path / "stage.json"
+        write_config(stage, damaged, tmp_path / "stage")
         with caplog.at_level("WARNING", logger="instructsmith.corpus"):
-            assert main(["filter", "--input", str(damaged),
-                         "--output", str(tmp_path / "filtered.jsonl")]) == 0
+            assert main(["filter", "--config", str(stage)]) == 0
         assert f"{damaged}:41: skipped ({reason})" in caplog.text
-        assert ((tmp_path / "filtered.jsonl").read_bytes()
+        assert ((tmp_path / "stage" / "filtered.jsonl").read_bytes()
                 == (tmp_path / "clean" / "filtered.jsonl").read_bytes())
 
     def test_run_seed_override_changes_fingerprint(self, tmp_path, corpus,
@@ -1149,7 +1278,9 @@ class TestRunCommand:
         write_config(config, corpus, workdir)
         assert main(["generate", "--config", str(config)]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["exemplars"] >= 12
+        assert payload == read_json(workdir / "checkpoint.json")
+        assert payload["stage"] == "generating"
+        assert len(ExemplarDB.read(workdir / "exemplars.jsonl").entries()) >= 12
         assert not (workdir / "dataset.jsonl").exists()
 
         out = tmp_path / "dataset.jsonl"
@@ -1290,15 +1421,19 @@ class TestAuditCommands:
         assert all(ex.output != leak for ex in cleaned)
 
 
-def readme_commands() -> list[list[str]]:
-    """The arguments of each ``instructsmith`` line in the README's shell
-    blocks, continuation lines joined."""
+def readme_blocks() -> list[list[list[str]]]:
+    """Per shell block of the README, the arguments of each of its
+    ``instructsmith`` lines, continuation lines joined."""
     readme = (Path(__file__).parent.parent / "README.md").read_text(
         encoding="utf-8")
-    return [shlex.split(line)[1:]
-            for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
-            for line in block.replace("\\\n", " ").splitlines()
-            if line.startswith("instructsmith ")]
+    return [[shlex.split(line)[1:]
+             for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("instructsmith ")]
+            for block in re.findall(r"```sh\n(.*?)```", readme, re.S)]
+
+
+def readme_commands() -> list[list[str]]:
+    return [argv for block in readme_blocks() for argv in block]
 
 
 def test_readme_shows_every_stage_command():
@@ -1311,3 +1446,22 @@ def test_readme_shows_every_stage_command():
 def test_readme_command_parses(argv):
     # a removed or misspelt flag in the docs exits 2 here
     cli.build_parser().parse_args(argv)
+
+
+def test_readme_stage_chain_writes_runs_bytes(tmp_path, monkeypatch, capsys):
+    # the README's stage chain, run line by line on the quick start's config
+    chain, = (block for block in readme_blocks()
+              if block and block[0][0] == "filter")
+    for name in ("chain", "run"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "config.json").write_text(readme_config(),
+                                                     encoding="utf-8")
+        write_corpus(tmp_path / name / "corpus.jsonl", n=700)
+    monkeypatch.chdir(tmp_path / "chain")
+    for argv in chain:
+        assert main(argv) == 0, argv
+    monkeypatch.chdir(tmp_path / "run")
+    assert main(["run", "--config", "config.json"]) == 0
+    for name in STAGE_ARTIFACTS:
+        assert ((tmp_path / "chain" / "out" / name).read_bytes()
+                == (tmp_path / "run" / "out" / name).read_bytes()), name

@@ -476,7 +476,7 @@ def test_pinned_bytes(corpus, tmp_path, name):
 # summary.json's stage_seconds zeroed: a change to any writer moves one.
 PINNED_ARTIFACTS = {
     "checkpoint.json":
-        "8987b6d15dab584bddbf084b1b812c4c94389ab72ff841e5aba04cab980ba5de",
+        "64ca26c82358cf2d2f16e5cdfad02f4d18a12e4c860b78f0c4f972e368ecaa93",
     "filter_report.json":
         "d95a1e96408bacfed2ecfbd13b3b1935e352ada42115907b9c19a433302f1aeb",
     "selection.json":
